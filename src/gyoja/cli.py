@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import IO
@@ -44,7 +45,7 @@ from .distinction import (
 )
 from .hecke import COUNTING, gyoja_series, parse_sign_vector
 from .series import TruncatedSeries
-from .weyl import ResourceLimitExceeded, enumerate_ball
+from .weyl import ResourceLimitExceeded, element_cap, enumerate_ball
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,7 +91,11 @@ def _open_sink(path: str | None):
     if path is None or path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as fp:
+        try:
+            fp = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise _UsageError(f"cannot open output {path!r}: {exc.strerror}") from exc
+        with fp:
             yield fp
 
 
@@ -365,10 +370,21 @@ def main(argv: list[str] | None = None) -> int:
             raise _UsageError(f"{args.command} requires --type")
         if getattr(args, "degree", 0) is not None and getattr(args, "degree", 0) < 0:
             raise _UsageError("--degree must be >= 0")
-        return args.func(args)
+        try:
+            args.cap = element_cap(args.cap)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone away shows here, not at exit
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`): not an error of ours.  Point
+        # stdout at devnull so the interpreter's flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ byte-identical balls.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import IO, Iterator
@@ -34,6 +33,7 @@ __all__ = [
     "NotReducedWordError",
     "GroupElement",
     "Ball",
+    "element_cap",
     "enumerate_ball",
     "evaluate_word",
     "is_reduced",
@@ -44,11 +44,24 @@ DEFAULT_MAX_ELEMENTS = 5_000_000
 _CAP_ENV_VAR = "GYOJA_MAX_ELEMENTS"
 
 
-def _effective_cap(max_elements: int | None) -> int:
-    if max_elements is not None:
-        return max_elements
-    env = os.environ.get(_CAP_ENV_VAR, "").strip()
-    return int(env) if env else DEFAULT_MAX_ELEMENTS
+def element_cap(max_elements: int | None = None) -> int:
+    """The element cap in force: the argument, else GYOJA_MAX_ELEMENTS, else the default.
+
+    Raises ValueError unless the cap is an integer >= 1.
+    """
+    cap, source = max_elements, "element cap"
+    if cap is None:
+        env = os.environ.get(_CAP_ENV_VAR, "").strip()
+        if not env:
+            return DEFAULT_MAX_ELEMENTS
+        cap, source = env, _CAP_ENV_VAR
+        try:
+            cap = int(env)
+        except ValueError:
+            pass
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {cap!r}")
+    return cap
 
 
 class ResourceLimitExceeded(RuntimeError):
@@ -107,6 +120,22 @@ class _Level:
 
     def __len__(self) -> int:
         return self.tr.shape[0]
+
+
+_EXPORT_CHUNK_ROWS = 1024
+
+
+def _jsonl_template(length: int, m: int, n: int) -> str:
+    """``%d`` template of one jsonl element line of the given length and shape."""
+
+    def ints(count: int) -> str:
+        return "[" + ",".join(["%d"] * count) + "]"
+
+    matrix = "[" + ",".join([ints(n)] * n) + "]"
+    return (
+        f'{{"length":{length},"multilength":{ints(m)},"geodesic":{ints(length)},'
+        f'"matrix":{matrix},"translation":{ints(n)}}}\n'
+    )
 
 
 class Ball:
@@ -180,14 +209,38 @@ class Ball:
                 out[tuple(int(x) for x in row)] = out.get(tuple(int(x) for x in row), 0) + int(c)
         return out
 
+    def _level_geodesics(self) -> Iterator[np.ndarray]:
+        """Each level's geodesics as one (K, length) array, level by level.
+
+        Row i of level k is ``geodesic(k, i)``: the parent's row with the
+        discovery letter appended, gathered for the whole level at once.
+        """
+        geo = np.zeros((1, 0), dtype=np.int64)
+        yield geo
+        for lv in self.levels[1:]:
+            geo = np.concatenate([geo[lv.parent], lv.letter[:, None]], axis=1)
+            yield geo
+
     def export_jsonl(self, fp: IO[str]) -> int:
-        """Stream the ball, one element per line; returns the line count."""
-        written = 0
-        for el in self:
-            fp.write(json.dumps(el.as_json_dict(), separators=(",", ":")))
-            fp.write("\n")
-            written += 1
-        return written
+        """Stream the ball, one element per line; returns the line count.
+
+        The bytes are those of ``json.dumps(el.as_json_dict(),
+        separators=(",", ":"))`` for each element in canonical order.  Each
+        level is formatted through one ``%d`` line template and written in
+        chunks of at most ``_EXPORT_CHUNK_ROWS`` lines, so the extra memory
+        does not grow with the level.
+        """
+        n, m = self.system.rank, self.system.m
+        for length, (lv, geo) in enumerate(zip(self.levels, self._level_geodesics())):
+            line = _jsonl_template(length, m, n)
+            for lo in range(0, len(lv), _EXPORT_CHUNK_ROWS):
+                hi = lo + _EXPORT_CHUNK_ROWS
+                rows = np.concatenate(
+                    [lv.multilength[lo:hi], geo[lo:hi], lv.lin[lo:hi].reshape(-1, n * n), lv.tr[lo:hi]],
+                    axis=1,
+                ).tolist()
+                fp.write("".join([line % tuple(row) for row in rows]))
+        return self.total
 
     def __repr__(self) -> str:
         return f"Ball({self.system.ctype.label}, radius={self.radius}, total={self.total})"
@@ -204,10 +257,11 @@ def enumerate_ball(
     Raises :class:`ResourceLimitExceeded` (carrying the completed radius and
     the partial ball) instead of silently truncating when the element cap
     (argument, else GYOJA_MAX_ELEMENTS, else 5,000,000) would be passed.
+    Raises ValueError for a cap that is not an integer >= 1.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    cap = _effective_cap(max_elements)
+    cap = element_cap(max_elements)
     n = system.rank
     ngens = system.num_gens
     m = system.m

@@ -53,6 +53,56 @@ def test_enumerate_cap_exit_2(capsys):
     assert "cap" in err
 
 
+def test_closed_stdout_exits_0_quietly():
+    # like `gyoja enumerate ... | head -c 100`: the reader stops after 100 bytes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gyoja.cli", "enumerate", "--type", "C3", "--degree", "30",
+         "--format", "jsonl"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert head.startswith(b'{"length":0,')
+    assert err == ""
+
+
+def test_unopenable_output_exit_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.jsonl"
+    code, out, err = run_cli(
+        "enumerate", "--type", "A1", "--degree", "2", "--output", str(target), capsys=capsys
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "error: cannot open output" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--degree", "3", "--cap", "0"],
+        ["--degree", "3", "--cap", "-5"],
+        ["--degree", "0", "--cap", "0"],
+    ],
+)
+def test_bad_cap_exit_1(argv, capsys):
+    code, out, err = run_cli("enumerate", "--type", "A2", *argv, capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == f"usage error: element cap must be an integer >= 1, got {argv[-1]}\n"
+    assert "Traceback" not in err
+
+
+def test_bad_cap_env_exit_1(monkeypatch, capsys):
+    monkeypatch.setenv("GYOJA_MAX_ELEMENTS", "abc")
+    code, out, err = run_cli("enumerate", "--type", "A2", "--degree", "3", capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == "usage error: GYOJA_MAX_ELEMENTS must be an integer >= 1, got 'abc'\n"
+    assert "Traceback" not in err
+
+
 def test_bad_type_exit_1(capsys):
     code, _, err = run_cli("enumerate", "--type", "B2", "--degree", "2", capsys=capsys)
     assert code == 1

@@ -6,6 +6,7 @@ import pytest
 
 from _oracles import brute_force_counts, brute_force_elements, word_multilength
 from conftest import get_ball, system_of
+from gyoja import weyl
 from gyoja.weyl import (
     NotReducedWordError,
     ResourceLimitExceeded,
@@ -172,6 +173,19 @@ def test_cap_env_override(monkeypatch):
     assert enumerate_ball(system_of("A2"), 4).total == 31
 
 
+@pytest.mark.parametrize("cap", [0, -5, 2.5, "10"])
+def test_bad_cap_is_a_value_error(cap):
+    with pytest.raises(ValueError, match="element cap"):
+        enumerate_ball(system_of("A2"), 0, max_elements=cap)
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "-5", "1.5"])
+def test_bad_cap_env_is_a_value_error(monkeypatch, env):
+    monkeypatch.setenv("GYOJA_MAX_ELEMENTS", env)
+    with pytest.raises(ValueError, match="GYOJA_MAX_ELEMENTS"):
+        enumerate_ball(system_of("A2"), 0)
+
+
 def test_length_of_lookup():
     ball = get_ball("G2", 5)
     system = system_of("G2")
@@ -198,3 +212,20 @@ def test_jsonl_export_roundtrip():
         assert tr.tolist() == rec["translation"]
         assert rec["length"] == len(rec["geodesic"])
         assert sum(rec["multilength"]) == rec["length"]
+
+
+@pytest.mark.parametrize(
+    "label, radius", [("A1", 0), ("A1", 5), ("G2", 12), ("C3", 8), ("F4", 6), ("E8", 6)]
+)
+def test_jsonl_export_is_byte_identical_to_per_element_reference(label, radius):
+    ball = enumerate_ball(system_of(label), radius)
+    if label == "E8":
+        # the 2,508-element level is written in more than one chunk
+        assert max(ball.counts) > weyl._EXPORT_CHUNK_ROWS
+    buf = io.StringIO()
+    written = ball.export_jsonl(buf)
+    reference = "".join(
+        json.dumps(el.as_json_dict(), separators=(",", ":")) + "\n" for el in ball
+    )
+    assert written == ball.total
+    assert buf.getvalue() == reference
