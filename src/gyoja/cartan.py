@@ -26,6 +26,7 @@ affine node attaches to).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -191,15 +192,29 @@ def _root_closure(P: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     return sorted(seen.items())
 
 
-def _highest_root(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Highest root (root coords) and its coroot (coroot coords)."""
-    roots = _root_closure(P)
+def _highest_root(roots: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> tuple[np.ndarray, np.ndarray]:
+    """Highest root (root coords) and its coroot (coroot coords), from the closure."""
     best = max(roots, key=lambda rc: sum(rc[0]))
     top = [rc for rc in roots if sum(rc[0]) == sum(best[0])]
     if len(top) != 1:
         raise AssertionError("highest root is not unique; root system not irreducible?")
     rc, cc = top[0]
     return np.array(rc, dtype=np.int64), np.array(cc, dtype=np.int64)
+
+
+def _alcove_point(roots: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> tuple[int, np.ndarray]:
+    """``(D, D*p)`` for the point p with <alpha_i, p> = 1/h for every simple root.
+
+    p = rho^vee / h, with rho^vee the half-sum of the positive coroots
+    (<alpha_i, rho^vee> = 1) and h = 1 + height(theta) the Coxeter number.
+    p lies inside the fundamental alcove (<theta, p> = (h-1)/h < 1), so the
+    affine Weyl group, acting simply transitively on alcoves, moves it to
+    pairwise distinct points.  D is the least integer making D*p integral.
+    """
+    two_rho = np.sum([cc for rc, cc in roots if min(rc) >= 0], axis=0, dtype=np.int64)
+    h = max(sum(rc) for rc, _ in roots) + 1
+    g = math.gcd(2 * h, *(int(x) for x in two_rho))
+    return 2 * h // g, two_rho // g
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +267,14 @@ class AffineCoxeterSystem:
     Generators are indexed 0..n (0 = affine node).  Generator ``s`` acts on
     the coroot lattice as ``x -> linear[s] @ x + translation[s]``, in
     simple-coroot coordinates.  Immutable after construction; safe to share.
+
+    ``alcove_point`` is D*p for the interior point p of the fundamental
+    alcove with <alpha_i, p> = 1/h (h the Coxeter number, D =
+    ``alcove_scale``), and ``alcove_images[s]`` is s(D*p).  An element w is
+    determined by the integer point w(D*p), and its length is the number of
+    root hyperplanes separating p from w(p).  Row ``a`` of
+    ``positive_root_pairings`` is (<alpha, alpha_k^vee>)_k for the a-th
+    positive root alpha, so that <alpha, x> is that row times x.
     """
 
     def __init__(self, ctype: CartanType):
@@ -259,7 +282,8 @@ class AffineCoxeterSystem:
         self.rank = ctype.rank
         n = self.rank
         P = _pairing_matrix(ctype)
-        theta, theta_covec = _highest_root(P)
+        roots = _root_closure(P)
+        theta, theta_covec = _highest_root(roots)
         # theta as a functional on the coroot lattice: f[k] = <theta, alpha_k^vee>
         f = P @ theta
 
@@ -271,14 +295,21 @@ class AffineCoxeterSystem:
             M = np.eye(n, dtype=np.int64)
             M[i - 1, :] -= P[:, i - 1]
             gens_lin[i] = M
-        gens_lin.setflags(write=False)
-        gens_tr.setflags(write=False)
+        scale, point = _alcove_point(roots)
+        images = gens_lin @ point + scale * gens_tr
+        pairings = np.array([P @ rc for rc, _ in roots if min(rc) >= 0], dtype=np.int64)
+        for arr in (gens_lin, gens_tr, point, images, pairings):
+            arr.setflags(write=False)
 
         self.pairing = P
         self.highest_root = theta
         self.gen_linear = gens_lin
         self.gen_translation = gens_tr
         self.num_gens = n + 1
+        self.alcove_scale = scale
+        self.alcove_point = point
+        self.alcove_images = images
+        self.positive_root_pairings = pairings
         self.coxeter_matrix = self._compute_coxeter_matrix()
         self.partition = conjugacy_partition(self.coxeter_matrix)
 

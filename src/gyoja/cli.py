@@ -21,6 +21,7 @@ conventions.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -84,6 +85,22 @@ def _parse_qo_list(text: str) -> list[int]:
     if not values or any(q < 2 for q in values):
         raise _UsageError("q_o values must be integers >= 2")
     return values
+
+
+def _check_sink(path: str | None) -> None:
+    """Reject an output path that cannot be opened, without creating or truncating it."""
+    if path is None or path == "-":
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        return
+    raise _UsageError(f"cannot open output {path!r}: {os.strerror(code)}")
 
 
 @contextmanager
@@ -374,6 +391,7 @@ def main(argv: list[str] | None = None) -> int:
             args.cap = element_cap(args.cap)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
+        _check_sink(args.output)  # before the work, not after it
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone away shows here, not at exit
         return code

@@ -12,8 +12,7 @@ class-graded length vector (l_1, ..., l_m), which is word-independent and
 therefore may be accumulated along the discovery tree.
 
 Levels are sorted by numeric lexicographic order of the flattened
-(matrix, translation) row, so two runs (on either kernel backend) produce
-byte-identical balls.
+(matrix, translation) row, so two runs produce byte-identical balls.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from . import _kernels
 from .cartan import AffineCoxeterSystem
 
 __all__ = [
@@ -246,13 +244,44 @@ class Ball:
         return f"Ball({self.system.ctype.label}, radius={self.radius}, total={self.total})"
 
 
+def _pack(cols: np.ndarray) -> np.ndarray:
+    """Rows of an (N, c) int64 array as mixed-radix int64 words, most significant first.
+
+    Each column is shifted by its observed minimum and consecutive columns
+    share a word while the product of their spans fits in an int64 (checked
+    in Python ints), so two rows are equal exactly when their words are, and
+    compare in the same lexicographic order.  Returns a (words, N) array.
+    """
+    lo, hi = cols.min(axis=0), cols.max(axis=0)
+    words: list[np.ndarray] = []
+    radix = 0
+    for c in range(cols.shape[1]):
+        span = int(hi[c]) - int(lo[c]) + 1
+        if words and radix * span < 2**63:
+            words[-1] *= span
+            words[-1] += cols[:, c] - lo[c]
+            radix *= span
+        else:
+            words.append(cols[:, c] - lo[c])
+            radix = span
+    return np.stack(words)
+
+
 def enumerate_ball(
     system: AffineCoxeterSystem,
     radius: int,
     max_elements: int | None = None,
-    backend: str | None = None,
 ) -> Ball:
     """Breadth-first closure of the identity under the generators.
+
+    Each step keys every candidate (frontier element f, generator s) by the
+    integer point f(s(D*p)) = M_f @ alcove_images[s] + D*t_f, which
+    determines the element (see :class:`AffineCoxeterSystem`).  The previous
+    level's points are prepended, the keys packed into int64 words and
+    stably sorted, and the first member of every run of equal keys is kept
+    unless it is a previous-level point; so the first occurrence in
+    generation order wins and geodesics are deterministic.  Affine maps are
+    built for the kept elements only.
 
     Raises :class:`ResourceLimitExceeded` (carrying the completed radius and
     the partial ball) instead of silently truncating when the element cap
@@ -277,48 +306,45 @@ def enumerate_ball(
         multilength=np.zeros((1, m), dtype=np.int64),
     )
     levels = [identity]
-    prev_keys: set[bytes] = set()
-    cur_keys = {identity.lin[0].tobytes() + identity.tr[0].tobytes()}
+    prev_points = np.zeros((0, n), dtype=np.int64)
+    cur_points = system.alcove_point[None, :]
     total = 1
-    width = n * n + n
 
     for depth in range(radius):
         frontier = levels[-1]
-        cand_lin, cand_tr = _kernels.expand_frontier(
-            frontier.lin, frontier.tr, system.gen_linear, system.gen_translation, backend=backend
-        )
-        flat = np.concatenate(
-            [cand_lin.reshape(-1, n * n), cand_tr.reshape(-1, n)], axis=1
-        )
-        flat = np.ascontiguousarray(flat)
-        # First occurrence in generation order wins: deterministic geodesics.
-        keep: list[int] = []
-        new_keys: set[bytes] = set()
-        raw = flat.tobytes()
-        row_bytes = 8 * width
-        for i in range(flat.shape[0]):
-            key = raw[i * row_bytes : (i + 1) * row_bytes]
-            if key in prev_keys or key in new_keys:
-                continue
-            new_keys.add(key)
-            keep.append(i)
-        if total + len(keep) > cap:
+        # Candidate f * ngens + s is frontier element f times generator s.
+        points = frontier.lin @ system.alcove_images.T
+        points += system.alcove_scale * frontier.tr[:, :, None]
+        points = np.concatenate([prev_points, points.transpose(0, 2, 1).reshape(-1, n)])
+        words = _pack(points)
+        order = np.argsort(words[0], kind="stable") if len(words) == 1 else np.lexsort(words[::-1])
+        words = words[:, order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
+        kept = order[first]
+        # A run led by a previous-level point is a step back towards the identity.
+        kept = kept[kept >= len(prev_points)] - len(prev_points)
+        if total + len(kept) > cap:
             partial = Ball(system, levels)
             raise ResourceLimitExceeded(depth, cap, partial)
-        kept = np.array(keep, dtype=np.int64)
-        rows = flat[kept]
-        order = np.lexsort(rows.T[::-1])
-        kept = kept[order]
+        parent, letter = kept // ngens, kept % ngens
+        base = frontier.lin[parent]
+        lin = base @ system.gen_linear[letter]
+        tr = np.einsum("kab,kb->ka", base, system.gen_translation[letter]) + frontier.tr[parent]
+        # Canonical order: lexicographic in the flattened (matrix, translation) row.
+        rows = np.concatenate([lin.reshape(-1, n * n), tr], axis=1)
+        canon = np.lexsort(_pack(rows)[::-1])
+        parent, letter = parent[canon], letter[canon]
         level = _Level(
-            lin=cand_lin[kept],
-            tr=cand_tr[kept],
-            parent=kept // ngens,
-            letter=kept % ngens,
-            multilength=frontier.multilength[kept // ngens] + class_onehot[kept % ngens],
+            lin=lin[canon],
+            tr=tr[canon],
+            parent=parent,
+            letter=letter,
+            multilength=frontier.multilength[parent] + class_onehot[letter],
         )
         levels.append(level)
         total += len(level)
-        prev_keys, cur_keys = cur_keys, new_keys
+        prev_points, cur_points = cur_points, points[len(prev_points) + kept[canon]]
 
     return Ball(system, levels)
 
@@ -336,17 +362,31 @@ def evaluate_word(system: AffineCoxeterSystem, word: tuple[int, ...] | list[int]
     return lin, tr
 
 
+def _coxeter_length(system: AffineCoxeterSystem, lin: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """Coxeter length of the affine map(s) ``x -> lin x + tr``, with no ball.
+
+    The length of w is the number of root hyperplanes <alpha, x> = k
+    separating the alcove point p from w(p), that is
+    sum over alpha > 0 of |floor(<alpha, w(p)>)|.  Accepts one map or a
+    stack of them (``lin`` of shape (..., n, n), ``tr`` of shape (..., n)).
+    """
+    point = lin @ system.alcove_point + system.alcove_scale * tr
+    heights = point @ system.positive_root_pairings.T
+    return np.abs(heights // system.alcove_scale).sum(axis=-1)
+
+
 def is_reduced(
     system: AffineCoxeterSystem,
     word: tuple[int, ...] | list[int],
     ball: Ball | None = None,
 ) -> bool:
-    """True iff the word length equals the Coxeter length of its product."""
-    lin, tr = evaluate_word(system, word)
-    if ball is None:
-        ball = _cached_ball(system, len(word))
-    length = ball.length_of(lin, tr)
-    if length is None:
+    """True iff the word length equals the Coxeter length of its product.
+
+    With a ball given, a product longer than the ball's radius raises
+    :class:`ResourceLimitExceeded`, as a lookup in that ball would.
+    """
+    length = int(_coxeter_length(system, *evaluate_word(system, word)))
+    if ball is not None and length > ball.radius:
         raise ResourceLimitExceeded(
             ball.radius,
             ball.total,
@@ -375,15 +415,3 @@ def multilength_of_word(
     for s in word:
         counts[system.partition.class_of[s]] += 1
     return tuple(counts)
-
-
-_BALL_CACHE: dict[tuple[str, int], Ball] = {}
-
-
-def _cached_ball(system: AffineCoxeterSystem, radius: int) -> Ball:
-    for (label, r), ball in _BALL_CACHE.items():
-        if label == system.ctype.label and r >= radius:
-            return ball
-    ball = enumerate_ball(system, radius)
-    _BALL_CACHE[(system.ctype.label, radius)] = ball
-    return ball

@@ -132,6 +132,16 @@ def test_generators_are_involutions():
             assert not (M @ v + v).any(), (label, i)
 
 
+def test_alcove_point_is_rho_over_h():
+    # <alpha_i, D*p> = D/h for every simple root, with h = 1 + height(theta)
+    for label in ALL_LABELS:
+        s = build_affine_system(parse_cartan_type(label))
+        h = int(s.highest_root.sum()) + 1
+        assert np.array_equal(h * (s.pairing.T @ s.alcove_point), np.full(s.rank, s.alcove_scale)), label
+        ctype = parse_cartan_type(label)
+        assert len(s.positive_root_pairings) == POSITIVE_ROOT_COUNT[ctype.family](ctype.rank), label
+
+
 def test_generator_reflections_fix_a_hyperplane():
     for label in ALL_LABELS:
         s = build_affine_system(parse_cartan_type(label))

@@ -280,6 +280,32 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("type: A1")
 
 
+@pytest.mark.parametrize("command", ["enumerate", "series", "check"])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unusable_output_fails_before_the_work(monkeypatch, tmp_path, capsys, command, where):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_ball called")
+
+    monkeypatch.setattr(cli, "enumerate_ball", refuse)
+    target = tmp_path / "missing" / "x.txt" if where == "missing_dir" else tmp_path
+    code, out, err = run_cli(
+        command, "--type", "E8", "--degree", "10", "--output", str(target), capsys=capsys
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: cannot open output")
+
+
+def test_cap_error_leaves_existing_output_untouched(tmp_path, capsys):
+    target = tmp_path / "out.txt"
+    target.write_text("keep\n")
+    code, _, err = run_cli(
+        "enumerate", "--type", "A2", "--degree", "10", "--cap", "20", "--output", str(target),
+        capsys=capsys,
+    )
+    assert code == 2 and "cap" in err
+    assert target.read_text() == "keep\n"
+
+
 def test_byte_identical_reruns(capsys):
     args = ["classify", "--all-types", "--qo", "2,3"]
     code1, out1, _ = run_cli(*args, capsys=capsys)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -131,19 +132,61 @@ def test_word_outside_provided_ball_is_a_resource_error():
     assert is_reduced(g2, (0, 2, 0), ball=small) is False
 
 
-def test_enumeration_is_deterministic_and_backend_independent():
+def test_enumeration_is_deterministic():
     system = system_of("C3")
-    b1 = enumerate_ball(system, 6, backend="numpy")
-    b2 = enumerate_ball(system, 6, backend="numpy")
-    b3 = enumerate_ball(system, 6)  # default backend (numba when available)
-    for x, y in ((b1, b2), (b1, b3)):
-        assert x.counts == y.counts
-        for lx, ly in zip(x.levels, y.levels):
-            assert np.array_equal(lx.lin, ly.lin)
-            assert np.array_equal(lx.tr, ly.tr)
-            assert np.array_equal(lx.parent, ly.parent)
-            assert np.array_equal(lx.letter, ly.letter)
-            assert np.array_equal(lx.multilength, ly.multilength)
+    b1 = enumerate_ball(system, 6)
+    b2 = enumerate_ball(system, 6)
+    assert b1.counts == b2.counts
+    for lx, ly in zip(b1.levels, b2.levels):
+        assert np.array_equal(lx.lin, ly.lin)
+        assert np.array_equal(lx.tr, ly.tr)
+        assert np.array_equal(lx.parent, ly.parent)
+        assert np.array_equal(lx.letter, ly.letter)
+        assert np.array_equal(lx.multilength, ly.multilength)
+
+
+@pytest.mark.parametrize("label, radius", [("G2", 12), ("C3", 8), ("F4", 6), ("E8", 4)])
+def test_hyperplane_length_matches_every_ball_element(label, radius):
+    system = system_of(label)
+    for length, lv in enumerate(enumerate_ball(system, radius).levels):
+        assert np.array_equal(weyl._coxeter_length(system, lv.lin, lv.tr), np.full(len(lv), length))
+
+
+def test_long_word_needs_no_ball(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_ball called")
+
+    monkeypatch.setattr(weyl, "enumerate_ball", refuse)
+    e8 = system_of("E8")
+    # powers of a Coxeter element of an infinite Coxeter group are reduced
+    word = tuple(range(e8.num_gens)) * 5
+    assert len(word) == 45
+    assert is_reduced(e8, word) is True
+    assert multilength_of_word(e8, word) == (45,)
+    assert is_reduced(e8, word + (8,)) is False
+    assert is_reduced(e8, word + (0,)) is True  # a prefix of the sixth power
+
+
+@pytest.mark.parametrize("label, radius", [("A30", 2), ("A25", 3)])
+def test_multi_word_keys_match_word_exhaustion_oracle(monkeypatch, label, radius):
+    system = system_of(label)
+    key_words = []
+    pack = weyl._pack
+
+    def recording_pack(cols):
+        words = pack(cols)
+        if cols.shape[1] == system.rank:  # the alcove-point keys, not the canonical rows
+            key_words.append(len(words))
+        return words
+
+    monkeypatch.setattr(weyl, "_pack", recording_pack)
+    ball = enumerate_ball(system, radius)
+    assert max(key_words) >= 2
+    oracle = brute_force_elements(system, radius)
+    assert ball.counts == brute_force_counts(system, radius)
+    for length, lv in enumerate(ball.levels):
+        for i in range(len(lv)):
+            assert oracle[lv.lin[i].tobytes() + lv.tr[i].tobytes()][0] == length
 
 
 def test_levels_are_lexicographically_sorted():
@@ -229,3 +272,21 @@ def test_jsonl_export_is_byte_identical_to_per_element_reference(label, radius):
     )
     assert written == ball.total
     assert buf.getvalue() == reference
+
+
+# sha256 of Ball.export_jsonl, captured before enumeration keyed on alcove
+# points: canonical order and geodesics are part of the output contract.
+EXPORT_SHA256 = {
+    ("C3", 12): "85efa0902546e1aff4862e9017f4df84586a8257ffbe058e7ac50f96de0417d7",
+    ("F4", 8): "2768e5509ff4d73ed55a9e0266f98d7f81f190382ce138dd380f6c6d61bd81d6",
+    ("E8", 5): "c17c58f6fa58e390d27860eb5928d70492c9544cb89ef3c394d52638e039dd06",
+    ("G2", 30): "50f1281e1671db28f4ab1f759f11d72476b531ff695047546ccd11797f58021c",
+    ("A30", 2): "29e934eacfbd31dd68c58733274cbb36111c09daedb79176965625240f19f7ae",
+}
+
+
+@pytest.mark.parametrize("label, radius", sorted(EXPORT_SHA256))
+def test_jsonl_export_bytes_are_pinned(label, radius):
+    buf = io.StringIO()
+    enumerate_ball(system_of(label), radius).export_jsonl(buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == EXPORT_SHA256[label, radius]
