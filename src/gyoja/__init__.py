@@ -31,9 +31,6 @@ from .closed_forms import (
     PoleError,
     bott_closed_form,
     calibrate_indexing,
-    expand,
-    evaluate,
-    evaluate_witnessed,
     growth_closed_form,
     macdonald_closed_form,
 )
@@ -54,7 +51,6 @@ from .hecke import (
     MatrixRep,
     char_value_e_w,
     counting_series,
-    eval_rep_on_element,
     gyoja_series,
     parse_sign_vector,
     partial_sums_at_point,
@@ -105,11 +101,7 @@ __all__ = [
     "distinction_value",
     "distinction_value_witnessed",
     "enumerate_ball",
-    "eval_rep_on_element",
-    "evaluate",
-    "evaluate_witnessed",
     "evaluate_word",
-    "expand",
     "expected_distinguished",
     "exponents",
     "growth_closed_form",

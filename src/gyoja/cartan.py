@@ -349,9 +349,6 @@ class AffineCoxeterSystem:
     def m(self) -> int:
         return self.partition.m
 
-    def apply(self, s: int, point: np.ndarray) -> np.ndarray:
-        return self.gen_linear[s] @ point + self.gen_translation[s]
-
     def __repr__(self) -> str:
         return f"AffineCoxeterSystem({self.ctype.label})"
 

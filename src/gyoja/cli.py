@@ -217,13 +217,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCES
     enumerated = counting_series(ball, args.degree)
-    form = growth_closed_form(ctype)
+    calibration = calibrate_indexing(ctype, min(args.degree, 6))
+    expanded = growth_closed_form(ctype).expand(args.degree).permute_variables(calibration.binding)
     if system.m == 1:
-        expanded = form.expand(args.degree)
         binding_text = "single class; identity binding"
     else:
-        calibration = calibrate_indexing(ctype, min(args.degree, 6))
-        expanded = form.expand(args.degree).permute_variables(calibration.binding)
         binding_text = " ".join(f"t{j + 1}<-S{c + 1}" for j, c in enumerate(calibration.binding))
     with _open_sink(args.output) as fp:
         fp.write(f"type: {ctype.label}  degree: {args.degree}\n")

@@ -11,7 +11,7 @@ product expression:
 
 Forms are kept verbatim as factor lists -- numerator and denominator are
 multisets of polynomials with constant term +1 (binomials ``1 +- monomial``
-and, in G2 and F4, a few longer monomial sums) plus a rational scalar.
+and, in G2 and F4, a few longer monomial sums).
 Nothing is expanded or simplified at construction time; equality of forms is
 decided by truncated expansion, and evaluation walks the factors so that an
 exact zero is always witnessed by a vanishing numerator factor, never by
@@ -47,9 +47,6 @@ __all__ = [
     "bott_closed_form",
     "macdonald_closed_form",
     "growth_closed_form",
-    "expand",
-    "evaluate",
-    "evaluate_witnessed",
     "calibrate_indexing",
     "CalibrationResult",
 ]
@@ -140,12 +137,11 @@ def _mono(nvars: int, sign: int, **powers: int) -> Factor:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """scalar * product(numerator) / product(denominator), factors verbatim."""
+    """product(numerator) / product(denominator), factors verbatim."""
 
     nvars: int
     numerator: tuple[Factor, ...]
     denominator: tuple[Factor, ...]
-    scalar: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         for f in self.numerator + self.denominator:
@@ -153,7 +149,7 @@ class ClosedForm:
                 raise ValueError("factor variable count mismatch")
 
     def expand(self, bound: int) -> TruncatedSeries:
-        acc = one(self.nvars, bound) * self.scalar
+        acc = one(self.nvars, bound)
         for f in self.numerator:
             acc = acc * f.as_series(bound)
         for f in self.denominator:
@@ -174,7 +170,7 @@ class ClosedForm:
             if f.evaluate(pt) == 0:
                 raise PoleError(f, pt)
         witness = None
-        value = self.scalar
+        value = Fraction(1)
         for f in self.numerator:
             v = f.evaluate(pt)
             if v == 0 and witness is None:
@@ -194,7 +190,6 @@ class ClosedForm:
             self.nvars,
             tuple(f.permute_variables(perm) for f in self.numerator),
             tuple(f.permute_variables(perm) for f in self.denominator),
-            self.scalar,
         )
 
     def cancel(self) -> "ClosedForm":
@@ -206,7 +201,7 @@ class ClosedForm:
                 den.remove(f)
             except ValueError:
                 num.append(f)
-        return ClosedForm(self.nvars, tuple(num), tuple(den), self.scalar)
+        return ClosedForm(self.nvars, tuple(num), tuple(den))
 
     def __str__(self) -> str:
         def side(factors: tuple[Factor, ...]) -> str:
@@ -221,8 +216,7 @@ class ClosedForm:
                 parts.append(str(f) if k == 1 else f"{f}^{k}")
             return "·".join(parts)
 
-        prefix = "" if self.scalar == 1 else f"{self.scalar} * "
-        return f"{prefix}{side(self.numerator)} / {side(self.denominator)}"
+        return f"{side(self.numerator)} / {side(self.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +320,6 @@ def growth_closed_form(ctype: CartanType) -> ClosedForm:
     """The applicable product formula for any supported type."""
     system = build_affine_system(ctype)
     return bott_closed_form(ctype) if system.m == 1 else macdonald_closed_form(ctype)
-
-
-def expand(form: ClosedForm, bound: int) -> TruncatedSeries:
-    return form.expand(bound)
-
-
-def evaluate(form: ClosedForm, point: Sequence[Fraction | int]) -> Fraction:
-    return form.evaluate(point)
-
-
-def evaluate_witnessed(form: ClosedForm, point: Sequence[Fraction | int]):
-    return form.evaluate_witnessed(point)
 
 
 # ---------------------------------------------------------------------------

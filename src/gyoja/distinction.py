@@ -36,12 +36,7 @@ from .cartan import (
     borel_discrete_series_list,
     build_affine_system,
 )
-from .closed_forms import (
-    PoleError,
-    bott_closed_form,
-    calibrate_indexing,
-    macdonald_closed_form,
-)
+from .closed_forms import PoleError, calibrate_indexing, growth_closed_form
 from .hecke import char_value_e_w
 from .weyl import GroupElement
 
@@ -111,12 +106,8 @@ class DistinctionVerdict:
 
 
 def _growth_form_and_point(ctype: CartanType, point: EvaluationPoint):
-    system = build_affine_system(ctype)
-    if system.m == 1:
-        return bott_closed_form(ctype), point.coordinates
-    form = macdonald_closed_form(ctype)
     binding = calibrate_indexing(ctype)
-    return form, binding.point_for_classes(point.coordinates)
+    return growth_closed_form(ctype), binding.point_for_classes(point.coordinates)
 
 
 def _check_on_list(ctype: CartanType, eps: SignCharacter, formal: bool) -> None:
@@ -232,11 +223,7 @@ def robustness_check(ctype: CartanType, eps: SignCharacter, q_o: int = 2) -> Rob
     if len(eps.signs) != m:
         raise ValueError(f"{ctype.label} has {m} generator classes; got sign vector {eps}")
     point = EvaluationPoint.from_character(eps, q_o)
-    if m == 1:
-        value = bott_closed_form(ctype).evaluate(point.coordinates)
-        outcome = BindingOutcome((0,), value, None)
-        return RobustnessReport(ctype, eps, q_o, (outcome,), value != 0)
-    form = macdonald_closed_form(ctype)
+    form = growth_closed_form(ctype)
     calibrated = calibrate_indexing(ctype).binding
     outcomes = []
     for perm in permutations(range(m)):

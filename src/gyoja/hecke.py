@@ -14,7 +14,10 @@ assumes.  The attached generating function
     L(t, r) = sum_w r(e_w) * t_1^(l_1(w)) ... t_m^(l_m(w))
 
 is accumulated here from enumerated balls, never from the closed forms, so
-the two modules stay independent checks of one another.
+the two modules stay independent checks of one another.  A matrix
+representation is summed along the ball's BFS tree: an element's geodesic
+is its parent's plus one letter, so r(e_w) = r(e_parent) r(e_s) costs one
+matrix product per element.
 
 Two different "trivial" objects are kept deliberately distinct: the trivial
 *Hecke character* sends every e_s to q (a valid representation), while the
@@ -33,7 +36,7 @@ import numpy as np
 
 from .cartan import INFINITE_BOND, AffineCoxeterSystem, ClassPartition, SignCharacter
 from .series import TruncatedSeries, from_counts
-from .weyl import Ball, GroupElement
+from .weyl import Ball
 
 __all__ = [
     "COUNTING",
@@ -42,7 +45,6 @@ __all__ = [
     "RepValidationError",
     "RepValidationReport",
     "validate_rep",
-    "eval_rep_on_element",
     "char_value_e_w",
     "counting_series",
     "gyoja_series",
@@ -201,19 +203,15 @@ def validate_rep(rep: MatrixRep, system: AffineCoxeterSystem) -> RepValidationRe
 
 
 def eval_rep_on_word(rep: MatrixRep, word: Sequence[int]) -> np.ndarray:
+    """The ordered product of the generator images along a word.
+
+    On a reduced word of w this is r(e_w); any reduced word gives the same
+    product for a rep that passes :func:`validate_rep`.
+    """
     out = _object_eye(rep.dimension)
     for s in word:
         out = out.dot(rep.matrices[s])
     return out
-
-
-def eval_rep_on_element(rep: MatrixRep, element: GroupElement) -> np.ndarray:
-    """r(e_w) as the ordered product along the element's geodesic.
-
-    Any reduced word gives the same product for a rep that passes
-    :func:`validate_rep`; callers are expected to have validated once.
-    """
-    return eval_rep_on_word(rep, element.geodesic)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +238,10 @@ def gyoja_series(
 
     For ``COUNTING`` and a :class:`SignCharacter` (requires ``q_o``) the
     result is a scalar :class:`TruncatedSeries`; for a :class:`MatrixRep` it
-    is a (d, d) object array of series.
+    is a (d, d) object array of series.  A matrix rep is evaluated level by
+    level along the BFS tree, r(e_w) = r(e_parent) r(e_s), which is the
+    product :func:`eval_rep_on_word` forms along w's geodesic; callers are
+    expected to have validated the rep once.
     """
     if bound is None:
         bound = ball.radius
@@ -259,12 +260,15 @@ def gyoja_series(
         return TruncatedSeries(m, bound, coeffs)
     if isinstance(rep, MatrixRep):
         acc: dict[tuple[int, ...], np.ndarray] = {}
-        for el in ball:
-            if el.length > bound:
-                continue
-            mat = eval_rep_on_element(rep, el)
-            prev = acc.get(el.multilength)
-            acc[el.multilength] = mat if prev is None else prev + mat
+        vals = [_object_eye(rep.dimension)]
+        for length, lv in enumerate(ball.levels[: bound + 1]):
+            if length:
+                vals = [
+                    vals[p].dot(rep.matrices[s]) for p, s in zip(lv.parent.tolist(), lv.letter.tolist())
+                ]
+            for ml, mat in zip(map(tuple, lv.multilength.tolist()), vals):
+                prev = acc.get(ml)
+                acc[ml] = mat if prev is None else prev + mat
         d = rep.dimension
         out = np.empty((d, d), dtype=object)
         for i in range(d):

@@ -9,7 +9,14 @@ k-1 or k+1, so a new level is the candidate set minus the previous level.
 
 Each discovered element keeps one geodesic (its BFS discovery word) and the
 class-graded length vector (l_1, ..., l_m), which is word-independent and
-therefore may be accumulated along the discovery tree.
+therefore may be accumulated along the discovery tree.  A level stores
+these as arrays: each element's parent (its row in the previous level), its
+discovery letter and its multilength, so a product along every geodesic can
+be formed with one step per element.
+
+Lengths need no ball: the Coxeter length of a map is the number of root
+hyperplanes separating the alcove point from its image.  ``Ball.length_of``
+takes the level from that count and compares the map with that level's rows.
 
 Levels are sorted by numeric lexicographic order of the flattened
 (matrix, translation) row, so two runs produce byte-identical balls.
@@ -65,16 +72,8 @@ def element_cap(max_elements: int | None = None) -> int:
 class ResourceLimitExceeded(RuntimeError):
     """The element cap was hit; carries the ball completed so far."""
 
-    def __init__(
-        self,
-        completed_radius: int,
-        cap: int,
-        partial: "Ball | None" = None,
-        reason: str | None = None,
-    ):
-        super().__init__(
-            reason or f"element cap {cap} exceeded after completing radius {completed_radius}"
-        )
+    def __init__(self, completed_radius: int, cap: int, partial: "Ball | None" = None):
+        super().__init__(f"element cap {cap} exceeded after completing radius {completed_radius}")
         self.completed_radius = completed_radius
         self.cap = cap
         self.partial = partial
@@ -145,28 +144,24 @@ class Ball:
         self.radius = len(levels) - 1
         self.counts = tuple(len(lv) for lv in levels)
         self.total = sum(self.counts)
-        self._index: dict[bytes, tuple[int, int]] | None = None
 
     # -- lookups ---------------------------------------------------------
 
-    def _key(self, lin: np.ndarray, tr: np.ndarray) -> bytes:
-        return np.ascontiguousarray(lin, dtype=np.int64).tobytes() + np.ascontiguousarray(
-            tr, dtype=np.int64
-        ).tobytes()
-
-    def _build_index(self) -> dict[bytes, tuple[int, int]]:
-        if self._index is None:
-            index: dict[bytes, tuple[int, int]] = {}
-            for length, lv in enumerate(self.levels):
-                for i in range(len(lv)):
-                    index[self._key(lv.lin[i], lv.tr[i])] = (length, i)
-            self._index = index
-        return self._index
-
     def length_of(self, lin: np.ndarray, tr: np.ndarray) -> int | None:
-        """Coxeter length of the given affine map, or None if outside the ball."""
-        hit = self._build_index().get(self._key(lin, tr))
-        return None if hit is None else hit[0]
+        """Coxeter length of the given affine map, or None if outside the ball.
+
+        The hyperplane count of :func:`_coxeter_length` picks the one level
+        the map can lie in; the map is then compared with that level's rows,
+        because an integer map that is no group element has a count too.
+        """
+        lin = np.asarray(lin, dtype=np.int64)
+        tr = np.asarray(tr, dtype=np.int64)
+        length = int(_coxeter_length(self.system, lin, tr))
+        if length > self.radius:
+            return None
+        lv = self.levels[length]
+        hit = ((lv.lin == lin).all(axis=(1, 2)) & (lv.tr == tr).all(axis=1)).any()
+        return length if hit else None
 
     def geodesic(self, length: int, i: int) -> tuple[int, ...]:
         word: list[int] = []
@@ -375,41 +370,18 @@ def _coxeter_length(system: AffineCoxeterSystem, lin: np.ndarray, tr: np.ndarray
     return np.abs(heights // system.alcove_scale).sum(axis=-1)
 
 
-def is_reduced(
-    system: AffineCoxeterSystem,
-    word: tuple[int, ...] | list[int],
-    ball: Ball | None = None,
-) -> bool:
-    """True iff the word length equals the Coxeter length of its product.
-
-    With a ball given, a product longer than the ball's radius raises
-    :class:`ResourceLimitExceeded`, as a lookup in that ball would.
-    """
-    length = int(_coxeter_length(system, *evaluate_word(system, word)))
-    if ball is not None and length > ball.radius:
-        raise ResourceLimitExceeded(
-            ball.radius,
-            ball.total,
-            ball,
-            reason=(
-                f"word of length {len(word)} evaluates outside the provided "
-                f"radius-{ball.radius} ball"
-            ),
-        )
-    return length == len(word)
+def is_reduced(system: AffineCoxeterSystem, word: tuple[int, ...] | list[int]) -> bool:
+    """True iff the word length equals the Coxeter length of its product."""
+    return int(_coxeter_length(system, *evaluate_word(system, word))) == len(word)
 
 
-def multilength_of_word(
-    system: AffineCoxeterSystem,
-    word: tuple[int, ...] | list[int],
-    ball: Ball | None = None,
-) -> tuple[int, ...]:
+def multilength_of_word(system: AffineCoxeterSystem, word: tuple[int, ...] | list[int]) -> tuple[int, ...]:
     """Class-graded letter counts of a reduced word.
 
     The quantity is well-defined on elements only via reduced expressions,
     so a non-reduced word is rejected.
     """
-    if not is_reduced(system, word, ball=ball):
+    if not is_reduced(system, word):
         raise NotReducedWordError(f"word {tuple(word)} is not reduced")
     counts = [0] * system.m
     for s in word:

@@ -1,10 +1,16 @@
 import json
+import os
 import pathlib
 import sys
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
+
+# pytest finds the package through ``pythonpath`` in pyproject.toml; the CLI
+# tests' child processes find it through PYTHONPATH.
+_SRC = str(pathlib.Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 from gyoja.cartan import build_affine_system, parse_cartan_type
 from gyoja.weyl import enumerate_ball

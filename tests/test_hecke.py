@@ -12,7 +12,6 @@ from gyoja.hecke import (
     MatrixRep,
     char_value_e_w,
     counting_series,
-    eval_rep_on_element,
     eval_rep_on_word,
     gyoja_series,
     parse_sign_vector,
@@ -59,7 +58,7 @@ def test_eval_on_identity_is_identity():
     system = system_of("C2")
     ball = get_ball("C2", 2)
     rep = MatrixRep.from_sign_character(steinberg_character(parse_cartan_type("C2")), system.partition, 2)
-    out = eval_rep_on_element(rep, ball.element(0, 0))
+    out = eval_rep_on_word(rep, ball.element(0, 0).geodesic)
     assert out.shape == (1, 1) and out[0, 0] == 1
 
 
@@ -102,7 +101,7 @@ def test_char_value_agrees_with_1x1_matrix_path():
             for el in ball:
                 if el.length > 4:
                     break
-                assert eval_rep_on_element(rep, el)[0, 0] == char_value_e_w(eps, el.multilength, 2)
+                assert eval_rep_on_word(rep, el.geodesic)[0, 0] == char_value_e_w(eps, el.multilength, 2)
 
 
 def test_counting_series_equals_counting_character_series():
@@ -141,6 +140,28 @@ def test_sign_character_series_matches_1x1_matrix_series():
         scalar = gyoja_series(ball, eps, q_o=2, bound=4)
         matrix = gyoja_series(ball, rep, bound=4)
         assert matrix[0, 0] == scalar
+
+
+def test_non_commuting_rep_series_matches_geodesic_products():
+    # s0 -> s2 preserves the C2 bonds (4, 4, 2), so T0 = T2 is allowed
+    system = system_of("C2")
+    t0 = [[4, 8], [0, -1]]
+    rep = MatrixRep.make([t0, [[-1, 0], [1, 4]], t0], q_o=2)
+    assert validate_rep(rep, system).ok
+    a, b = rep.matrices[0], rep.matrices[1]
+    assert not (a.dot(b) == b.dot(a)).all()
+    ball = get_ball("C2", 8)
+    values = [(el, eval_rep_on_word(rep, el.geodesic)) for el in ball if el.length <= 8]
+    for bound in (0, 1, 5, 8):
+        acc = {}
+        for el, mat in values:
+            if el.length <= bound:
+                acc[el.multilength] = acc[el.multilength] + mat if el.multilength in acc else mat
+        series = gyoja_series(ball, rep, bound=bound)
+        for i in range(2):
+            for j in range(2):
+                expected = TruncatedSeries(system.m, bound, {ml: mat[i, j] for ml, mat in acc.items()})
+                assert series[i, j] == expected
 
 
 def test_steinberg_series_specializes_to_alternating_sums():

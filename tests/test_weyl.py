@@ -107,6 +107,7 @@ def test_is_reduced_examples():
     g2 = system_of("G2")
     assert is_reduced(g2, (0, 0)) is False
     assert is_reduced(g2, (0,)) is True
+    assert is_reduced(g2, (0, 2, 0)) is False
     a1 = system_of("A1")
     assert is_reduced(a1, (0, 1, 0, 1, 0)) is True
     assert is_reduced(a1, (0, 1, 1, 0, 1)) is False
@@ -120,16 +121,6 @@ def test_multilength_of_word():
     assert multilength_of_word(g2, (0, 2)) == (1, 1)
     with pytest.raises(NotReducedWordError):
         multilength_of_word(g2, (0, 0))
-
-
-def test_word_outside_provided_ball_is_a_resource_error():
-    g2 = system_of("G2")
-    small = enumerate_ball(g2, 1)
-    # s0*s1*s0 has length 3 (bond 3), far outside a radius-1 ball
-    with pytest.raises(ResourceLimitExceeded):
-        is_reduced(g2, (0, 1, 0), ball=small)
-    # but a word whose product lies inside the small ball is fine
-    assert is_reduced(g2, (0, 2, 0), ball=small) is False
 
 
 def test_enumeration_is_deterministic():
@@ -236,6 +227,26 @@ def test_length_of_lookup():
     assert ball.length_of(lin, tr) == 3
     lin, tr = evaluate_word(system, (0, 1, 1, 2))  # reduces to length 2
     assert ball.length_of(lin, tr) == 2
+
+
+def test_length_of_misses():
+    system = system_of("G2")
+    small = enumerate_ball(system, 5)
+    big = enumerate_ball(system, 8)
+    # 2*I is no group element, but its hyperplane count lies inside the ball
+    lin, tr = 2 * np.eye(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
+    assert weyl._coxeter_length(system, lin, tr) <= small.radius
+    assert small.length_of(lin, tr) is None
+    assert small.length_of(lin.tolist(), tr.tolist()) is None
+    word = big.geodesic(7, 0)
+    assert len(word) == 7 and is_reduced(system, word)
+    lin, tr = evaluate_word(system, word)
+    assert small.length_of(lin, tr) is None
+    assert big.length_of(lin.tolist(), tr.tolist()) == 7
+    for length, lv in enumerate(big.levels):
+        for i in range(len(lv)):
+            assert big.length_of(lv.lin[i], lv.tr[i]) == length
+            assert small.length_of(lv.lin[i], lv.tr[i]) == (None if length > 5 else length)
 
 
 def test_jsonl_export_roundtrip():
