@@ -185,7 +185,11 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     ctype = _parse_type(args.type)
     form = growth_closed_form(ctype)
-    series = form.expand(args.degree)
+    try:
+        series = form.expand(args.degree, max_terms=args.cap)
+    except ResourceLimitExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCES
     with _open_sink(args.output) as fp:
         if args.format == "json":
             json.dump(
@@ -333,7 +337,12 @@ def build_parser() -> _Parser:
         if degree:
             p.add_argument("--degree", type=int, required=True, help="total-degree / radius bound")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--cap", type=int, default=None, help="element cap override (see GYOJA_MAX_ELEMENTS)")
+        p.add_argument(
+            "--cap",
+            type=int,
+            default=None,
+            help="element cap override (see GYOJA_MAX_ELEMENTS); for expand, a cap on stored terms",
+        )
 
     p = sub.add_parser("enumerate", help="enumerate a ball and stream or summarize it")
     common(p)

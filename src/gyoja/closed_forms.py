@@ -17,6 +17,14 @@ decided by truncated expansion, and evaluation walks the factors so that an
 exact zero is always witnessed by a vanishing numerator factor, never by
 cancellation.
 
+:meth:`ClosedForm.expand` works in plain ints on one series held as a dict
+per total degree.  Every factor has constant term +1 and integer
+coefficients, so a numerator factor 1 + sum c*x^e is one shifted add of the
+accumulator per non-constant term, and a denominator factor is exact
+division, q[k] = a[k] - sum c*q[k - e], walked in increasing total degree so
+that each q[k] is final before anything reads it.  A factor of length L
+costs O(terms * L); a ``TruncatedSeries`` is built once, at the end.
+
 The formula's variable order is a convention external to this module;
 :func:`calibrate_indexing` pins the class-to-variable binding by matching
 the expansion against the enumerated class-graded series.  (For Cn the end
@@ -32,18 +40,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .cartan import CartanType, build_affine_system, exponents
 from .hecke import counting_series
-from .series import TruncatedSeries, one, render_monomial
-from .weyl import enumerate_ball
+from .series import TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, render_monomial
+from .weyl import ResourceLimitExceeded, enumerate_ball
 
 __all__ = [
     "Factor",
     "ClosedForm",
     "PoleError",
     "CalibrationError",
+    "TermLimitExceeded",
     "bott_closed_form",
     "macdonald_closed_form",
     "growth_closed_form",
@@ -66,6 +75,17 @@ class PoleError(ZeroDivisionError):
 
 class CalibrationError(RuntimeError):
     """No class-to-variable binding matches the enumerated series."""
+
+
+class TermLimitExceeded(ResourceLimitExceeded):
+    """An expansion stored more terms than the cap allows by some total degree."""
+
+    def __init__(self, degree: int, cap: int):
+        super().__init__(degree - 1, cap)
+        self.degree = degree
+
+    def __str__(self) -> str:
+        return f"term cap {self.cap} exceeded at total degree {self.degree}"
 
 
 @dataclass(frozen=True)
@@ -99,9 +119,6 @@ class Factor:
             total += term
         return total
 
-    def as_series(self, bound: int) -> TruncatedSeries:
-        return TruncatedSeries(self.nvars, bound, {e: Fraction(c) for e, c in self.terms})
-
     def permute_variables(self, perm: Sequence[int]) -> "Factor":
         remap = {}
         for exp, c in self.terms:
@@ -123,6 +140,15 @@ class Factor:
                 mag = abs(c)
                 parts.append(sign + (mono if mag == 1 else f"{mag}·{mono}"))
         return "(" + " ".join(parts) + ")"
+
+
+def _count_terms(levels: list[dict], degrees: Iterable[int], cap: int | None) -> None:
+    """Walk ``degrees`` in order; raise once the terms stored up to one pass ``cap``."""
+    stored = 0
+    for d in degrees:
+        stored += len(levels[d])
+        if cap is not None and stored > cap:
+            raise TermLimitExceeded(d, cap)
 
 
 def _mono(nvars: int, sign: int, **powers: int) -> Factor:
@@ -148,13 +174,22 @@ class ClosedForm:
             if f.nvars != self.nvars:
                 raise ValueError("factor variable count mismatch")
 
-    def expand(self, bound: int) -> TruncatedSeries:
-        acc = one(self.nvars, bound)
+    def expand(self, bound: int, max_terms: int | None = None) -> TruncatedSeries:
+        """Truncated expansion to total degree ``bound``, in plain ints.
+
+        Each numerator factor is one shifted add per non-constant term, each
+        denominator factor one exact division (see ``series._divide_by``).
+        With ``max_terms``, the stored terms are counted once per total
+        degree, and :class:`TermLimitExceeded` is raised as soon as they
+        pass the cap.
+        """
+        levels = [{(0,) * self.nvars: 1}] + [{} for _ in range(bound)]
         for f in self.numerator:
-            acc = acc * f.as_series(bound)
+            _multiply_by(levels, _tail(f.terms))
+            _count_terms(levels, range(bound + 1), max_terms)
         for f in self.denominator:
-            acc = acc * f.as_series(bound).invert()
-        return acc
+            _count_terms(levels, _divide_by(levels, _tail(f.terms)), max_terms)
+        return TruncatedSeries(self.nvars, bound, _merged(levels))
 
     def evaluate_witnessed(self, point: Sequence[Fraction | int]) -> tuple[Fraction, Factor | None]:
         """Exact value and, when it is zero, the vanishing numerator factor.

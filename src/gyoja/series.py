@@ -18,7 +18,8 @@ Values are immutable and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import add
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "TruncatedSeries",
@@ -109,20 +110,19 @@ class TruncatedSeries:
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse as a power series, exact up to the bound.
 
-        Requires a nonzero constant term.  Horner iteration on the tail:
-        with a = c0*(1 - r), 1/a = (1/c0)*(1 + r + r^2 + ...).
+        Requires a nonzero constant term.  With a = c0*(1 + r), 1/a is
+        (1/c0) divided by 1 + r/c0, one degree-ordered recurrence
+        (see :func:`_divide_by`).
         """
         zero_exp = (0,) * self.nvars
-        c0 = self.coeffs.get(zero_exp, Fraction(0))
-        if c0 == 0:
+        c0 = self.coeffs.get(zero_exp)
+        if not c0:
             raise ZeroDivisionError("series with zero constant term is not invertible")
-        inv_c0 = Fraction(1) / c0
-        # r = 1 - a/c0 has zero constant term
-        r = one(self.nvars, self.bound) - self * inv_c0
-        acc = one(self.nvars, self.bound)
-        for _ in range(self.bound):
-            acc = one(self.nvars, self.bound) + r * acc
-        return acc * inv_c0
+        inv_c0 = 1 / c0
+        levels = [{zero_exp: inv_c0}] + [{} for _ in range(self.bound)]
+        for _ in _divide_by(levels, _tail(self.coeffs.items(), inv_c0)):
+            pass  # each degree is final once yielded; run to the top one
+        return TruncatedSeries(self.nvars, self.bound, _merged(levels))
 
     # -- reshaping -----------------------------------------------------------
 
@@ -231,6 +231,57 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.nvars} vars, bound={self.bound}, {self})"
+
+
+# -- degree-graded kernels ----------------------------------------------------
+#
+# A series under construction is a list ``levels`` with one dict per total
+# degree 0..bound, mapping exponent vectors to coefficients (ints or
+# Fractions).  Multiplying or dividing by a unit 1 + r, where r has no
+# constant term, only moves coefficients to strictly higher degrees, so both
+# work in place: a product reads each degree before anything writes into it
+# (highest degree first), a quotient finishes each degree before anything
+# reads it (lowest degree first).  Each costs O(terms * len(r)).
+
+
+def _merged(levels: list[dict[Exponent, Any]]) -> dict[Exponent, Any]:
+    return {exp: c for level in levels for exp, c in level.items()}
+
+
+def _tail(terms: Iterable[tuple[Exponent, Any]], scale: Any = 1) -> list[tuple[Exponent, int, Any]]:
+    """The non-constant terms times ``scale``, as (exponent, degree, coefficient), low degree first."""
+    tail = [(exp, sum(exp), c * scale) for exp, c in terms if any(exp)]
+    return sorted(tail, key=lambda term: term[1])
+
+
+def _shift_from(levels: list[dict[Exponent, Any]], d: int, tail: list[tuple[Exponent, int, Any]], sign: int) -> None:
+    """Add sign * c * x^e times degree ``d`` into the higher degrees, for each tail term c * x^e."""
+    src = levels[d] = {k: v for k, v in levels[d].items() if v}
+    for exp, de, c in tail:
+        if d + de >= len(levels):
+            break
+        dst = levels[d + de]
+        c *= sign
+        for k, v in src.items():
+            key = tuple(map(add, k, exp))
+            dst[key] = dst.get(key, 0) + c * v
+
+
+def _multiply_by(levels: list[dict[Exponent, Any]], tail: list[tuple[Exponent, int, Any]]) -> None:
+    """levels <- levels * (1 + tail), in place, truncated at the top degree."""
+    for d in reversed(range(len(levels))):
+        _shift_from(levels, d, tail, 1)
+
+
+def _divide_by(levels: list[dict[Exponent, Any]], tail: list[tuple[Exponent, int, Any]]) -> Iterator[int]:
+    """levels <- levels / (1 + tail), in place: q[k] = a[k] - sum(c * q[k - e]).
+
+    A generator: yields each degree as soon as its coefficients are final,
+    so the caller can count stored terms once per degree.
+    """
+    for d in range(len(levels)):
+        _shift_from(levels, d, tail, -1)
+        yield d
 
 
 # -- constructors ------------------------------------------------------------

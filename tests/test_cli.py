@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -165,6 +166,39 @@ def test_expand_show_form(capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "(1 + t1)·(1 + t2) / (1 - t1·t2)"
+
+
+def test_expand_cap_exit_2(capsys):
+    code, out, err = run_cli(
+        "expand", "--type", "C3", "--degree", "40", "--cap", "100", capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_expand_without_cap_exit_0(capsys):
+    code, out, _ = run_cli("expand", "--type", "C3", "--degree", "40", capsys=capsys)
+    assert code == 0
+    assert out.startswith("1 + ")
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        ("expand --type C4 --degree 60", "6850e3238061d8ad3c901eee3329ef30b171ddb5e500495423b007085a1c2ceb"),
+        ("expand --type C3 --degree 90", "d5da1e4a2d8e16614bc03916f54669884ad011e5ed4e7e0bc2f7db49ccb27538"),
+        ("expand --type F4 --degree 80", "af4bd82c1d0980ec15483dff38b87c007bb4739c6fec2a253680daab62d13ecd"),
+        (
+            "expand --type G2 --degree 40 --format json --show-form",
+            "89a9aeb4c43abba7938619bb710d2e2c10af388821fde25cc16d6ef61f9492ff",
+        ),
+    ],
+)
+def test_expand_output_bytes_pinned(argv, digest, capsys):
+    code, out, _ = run_cli(*argv.split(), capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("label", ["G2", "C2", "A2"])

@@ -8,12 +8,16 @@ from gyoja.closed_forms import (
     CalibrationResult,
     Factor,
     PoleError,
+    TermLimitExceeded,
     bott_closed_form,
     calibrate_indexing,
+    growth_closed_form,
     macdonald_closed_form,
 )
+from gyoja.cli import ALL_TYPES
 from gyoja.hecke import counting_series
-from gyoja.series import TruncatedSeries
+from gyoja.series import TruncatedSeries, geometric, one
+from gyoja.weyl import ResourceLimitExceeded
 
 
 def _factor_multiset(factors):
@@ -166,6 +170,33 @@ def test_expansion_matches_enumeration_remaining_types(label, degree):
         binding = calibrate_indexing(ctype, 6).binding
         expanded = macdonald_closed_form(ctype).expand(degree).permute_variables(binding)
     assert expanded == enumerated
+
+
+def _reference_expansion(form, bound):
+    """The product built with TruncatedSeries.__mul__ alone, each 1/(1 - x^e) as a geometric series."""
+    acc = one(form.nvars, bound)
+    for f in form.numerator:
+        acc = acc * TruncatedSeries(form.nvars, bound, dict(f.terms))
+    for f in form.denominator:
+        (zero_exp, c0), (exp, c) = f.terms
+        assert not any(zero_exp) and (c0, c) == (1, -1), f"{f} is not a binomial 1 - x^e"
+        acc = acc * geometric(form.nvars, exp, bound)
+    return acc
+
+
+@pytest.mark.parametrize("label,degree", [(label, 12) for label in ALL_TYPES] + [("G2", 40)])
+def test_expand_matches_reference_product(label, degree):
+    form = growth_closed_form(parse_cartan_type(label))
+    assert form.expand(degree) == _reference_expansion(form, degree)
+
+
+def test_expand_term_cap():
+    form = growth_closed_form(parse_cartan_type("C3"))
+    with pytest.raises(TermLimitExceeded) as exc_info:
+        form.expand(40, max_terms=100)
+    assert isinstance(exc_info.value, ResourceLimitExceeded)
+    assert "term cap 100" in str(exc_info.value)
+    assert form.expand(40, max_terms=5_000_000) == form.expand(40)
 
 
 def test_calibration_g2_unique_at_degree_8():
