@@ -50,6 +50,7 @@ from .hecke import (
     COUNTING,
     MatrixRep,
     char_value_e_w,
+    character_series,
     counting_series,
     gyoja_series,
     parse_sign_vector,
@@ -62,6 +63,7 @@ from .weyl import (
     GroupElement,
     NotReducedWordError,
     ResourceLimitExceeded,
+    count_multilengths,
     enumerate_ball,
     evaluate_word,
     is_reduced,
@@ -94,9 +96,11 @@ __all__ = [
     "build_affine_system",
     "calibrate_indexing",
     "char_value_e_w",
+    "character_series",
     "classify",
     "coefficient_value_on_cell",
     "conjugacy_partition",
+    "count_multilengths",
     "counting_series",
     "distinction_value",
     "distinction_value_witnessed",

@@ -275,6 +275,13 @@ class AffineCoxeterSystem:
     root hyperplanes separating p from w(p).  Row ``a`` of
     ``positive_root_pairings`` is (<alpha, alpha_k^vee>)_k for the a-th
     positive root alpha, so that <alpha, x> is that row times x.
+
+    ``descent_normals`` F and ``descent_offsets`` c decide left descents:
+    s is a left descent of w iff F[s] . y < c[s] for y = w(D*p).  With
+    u_s = D*p - s(D*p), both y - s(y) and u_s are multiples of the coroot
+    of s, so their coordinate dot product is negative exactly when the wall
+    of s separates y from D*p; expanding s(y) = A_s y + D*b_s gives
+    F[s] = u_s - A_s^T u_s and c[s] = D*b_s . u_s.
     """
 
     def __init__(self, ctype: CartanType):
@@ -298,7 +305,10 @@ class AffineCoxeterSystem:
         scale, point = _alcove_point(roots)
         images = gens_lin @ point + scale * gens_tr
         pairings = np.array([P @ rc for rc, _ in roots if min(rc) >= 0], dtype=np.int64)
-        for arr in (gens_lin, gens_tr, point, images, pairings):
+        u = point - images
+        normals = u - np.einsum("sji,sj->si", gens_lin, u)
+        offsets = scale * (gens_tr * u).sum(axis=1)
+        for arr in (gens_lin, gens_tr, point, images, pairings, normals, offsets):
             arr.setflags(write=False)
 
         self.pairing = P
@@ -310,6 +320,8 @@ class AffineCoxeterSystem:
         self.alcove_point = point
         self.alcove_images = images
         self.positive_root_pairings = pairings
+        self.descent_normals = normals
+        self.descent_offsets = offsets
         self.coxeter_matrix = self._compute_coxeter_matrix()
         self.partition = conjugacy_partition(self.coxeter_matrix)
 

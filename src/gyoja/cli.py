@@ -44,9 +44,9 @@ from .distinction import (
     verdict_json_dict,
     VERDICT_SCHEMA_VERSION,
 )
-from .hecke import COUNTING, gyoja_series, parse_sign_vector
-from .series import TruncatedSeries
-from .weyl import ResourceLimitExceeded, element_cap, enumerate_ball
+from .hecke import COUNTING, character_series, parse_sign_vector
+from .series import TruncatedSeries, from_counts
+from .weyl import ResourceLimitExceeded, count_multilengths, element_cap, enumerate_ball
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -166,8 +166,8 @@ def cmd_series(args: argparse.Namespace) -> int:
             raise _UsageError("a sign character needs --qo")
         q_o = _parse_qo_list(args.qo)[0]
     try:
-        ball = enumerate_ball(system, args.degree, max_elements=args.cap)
-        series = gyoja_series(ball, rep, q_o=q_o)
+        counts = count_multilengths(system, args.degree, max_elements=args.cap)
+        series = character_series(counts, rep, system.m, args.degree, q_o)
     except ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCES
@@ -211,16 +211,14 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .hecke import counting_series
-
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
     try:
-        ball = enumerate_ball(system, args.degree, max_elements=args.cap)
+        counts = count_multilengths(system, args.degree, max_elements=args.cap)
     except ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCES
-    enumerated = counting_series(ball, args.degree)
+    enumerated = from_counts(counts, system.m, args.degree)
     calibration = calibrate_indexing(ctype, min(args.degree, 6))
     expanded = growth_closed_form(ctype).expand(args.degree).permute_variables(calibration.binding)
     if system.m == 1:

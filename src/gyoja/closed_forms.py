@@ -43,9 +43,8 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .cartan import CartanType, build_affine_system, exponents
-from .hecke import counting_series
-from .series import TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, render_monomial
-from .weyl import ResourceLimitExceeded, enumerate_ball
+from .series import TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, from_counts, render_monomial
+from .weyl import ResourceLimitExceeded, count_multilengths
 
 __all__ = [
     "Factor",
@@ -396,8 +395,7 @@ def calibrate_indexing(ctype: CartanType, degree: int = 6) -> CalibrationResult:
     m = system.m
     if m == 1:
         return CalibrationResult(ctype, degree, (0,), ((0,),))
-    ball = enumerate_ball(system, degree)
-    enumerated = counting_series(ball, degree)
+    enumerated = from_counts(count_multilengths(system, degree), m, degree)
     formula = macdonald_closed_form(ctype).expand(degree)
     matching = []
     for perm in permutations(range(m)):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "RepValidationReport",
     "validate_rep",
     "char_value_e_w",
+    "character_series",
     "counting_series",
     "gyoja_series",
     "partial_sums_at_point",
@@ -219,6 +220,27 @@ def eval_rep_on_word(rep: MatrixRep, word: Sequence[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def character_series(
+    counts: Mapping[tuple[int, ...], int],
+    rep: CountingCharacter | SignCharacter,
+    m: int,
+    bound: int,
+    q_o: int | None = None,
+) -> TruncatedSeries:
+    """L(t, r) of a scalar character from the number of elements per multilength.
+
+    ``COUNTING`` gives the growth series W(t); a sign character (requires
+    ``q_o``) weights each count by its value r(e_w) = :func:`char_value_e_w`.
+    """
+    if isinstance(rep, CountingCharacter):
+        return from_counts(counts, m, bound)
+    if q_o is None:
+        raise ValueError("a sign character needs q_o")
+    return TruncatedSeries(
+        m, bound, {ml: count * char_value_e_w(rep, ml, q_o) for ml, count in counts.items()}
+    )
+
+
 def counting_series(ball: Ball, bound: int | None = None) -> TruncatedSeries:
     """Growth series W(t): one t_1^(l_1)...t_m^(l_m) term per element."""
     if bound is None:
@@ -248,16 +270,8 @@ def gyoja_series(
     if bound > ball.radius:
         raise ValueError(f"ball of radius {ball.radius} cannot determine degree {bound}")
     m = ball.system.m
-    if isinstance(rep, CountingCharacter):
-        return counting_series(ball, bound)
-    if isinstance(rep, SignCharacter):
-        if q_o is None:
-            raise ValueError("a sign character needs q_o")
-        coeffs = {
-            ml: count * char_value_e_w(rep, ml, q_o)
-            for ml, count in ball.multilength_counts().items()
-        }
-        return TruncatedSeries(m, bound, coeffs)
+    if isinstance(rep, (CountingCharacter, SignCharacter)):
+        return character_series(ball.multilength_counts(), rep, m, bound, q_o)
     if isinstance(rep, MatrixRep):
         acc: dict[tuple[int, ...], np.ndarray] = {}
         vals = [_object_eye(rep.dimension)]

@@ -20,6 +20,13 @@ takes the level from that count and compares the map with that level's rows.
 
 Levels are sorted by numeric lexicographic order of the flattened
 (matrix, translation) row, so two runs produce byte-identical balls.
+
+Counting needs no ball: :func:`count_multilengths` walks a breadth-first
+search by left multiplication on the alcove point alone and keeps s*w only
+when s is the smallest left descent of s*w, so each element is produced
+exactly once and nothing is sorted.  ``enumerate_ball`` keeps its sorted
+right multiplication, because its geodesics and canonical order are what
+the jsonl export pins.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
     "GroupElement",
     "Ball",
     "element_cap",
+    "count_multilengths",
     "enumerate_ball",
     "evaluate_word",
     "is_reduced",
@@ -195,11 +203,11 @@ class Ball:
 
     def multilength_counts(self) -> dict[tuple[int, ...], int]:
         """Number of elements per class-graded length vector."""
+        m, radix = self.system.m, self.radius + 1
+        steps = _class_steps(m, radix)
         out: dict[tuple[int, ...], int] = {}
-        for lv in self.levels:
-            rows, counts = np.unique(lv.multilength, axis=0, return_counts=True)
-            for row, c in zip(rows, counts):
-                out[tuple(int(x) for x in row)] = out.get(tuple(int(x) for x in row), 0) + int(c)
+        for length, lv in enumerate(self.levels):
+            _add_level_counts(out, lv.multilength @ steps, length, radix, m)
         return out
 
     def _level_geodesics(self) -> Iterator[np.ndarray]:
@@ -237,6 +245,31 @@ class Ball:
 
     def __repr__(self) -> str:
         return f"Ball({self.system.ctype.label}, radius={self.radius}, total={self.total})"
+
+
+def _class_steps(m: int, radix: int) -> np.ndarray:
+    """Place value of each class in a level's multilength key (see :func:`_add_level_counts`)."""
+    return np.array([radix ** (m - 2 - c) for c in range(m - 1)] + [0], dtype=np.int64)
+
+
+def _add_level_counts(
+    out: dict[tuple[int, ...], int], keys: np.ndarray, length: int, radix: int, m: int
+) -> None:
+    """Add one level's multilength counts to ``out``, from one key per element.
+
+    The key of (l_1, ..., l_m) is l_1 ... l_(m-1) read as digits in base
+    ``radix``, most significant first; l_m is what is left of ``length``.
+    Keys are counted with one ``bincount`` and decoded in increasing order,
+    which is lexicographic order on the multilength.
+    """
+    counts = np.bincount(keys)
+    found = np.flatnonzero(counts)
+    columns, rest = [], found
+    for _ in range(m - 1):
+        rest, digit = np.divmod(rest, radix)
+        columns.insert(0, digit)
+    columns.append(length - sum(columns, np.zeros_like(found)))
+    out.update(zip(zip(*[c.tolist() for c in columns]), counts[found].tolist()))
 
 
 def _pack(cols: np.ndarray) -> np.ndarray:
@@ -342,6 +375,56 @@ def enumerate_ball(
         prev_points, cur_points = cur_points, points[len(prev_points) + kept[canon]]
 
     return Ball(system, levels)
+
+
+def count_multilengths(
+    system: AffineCoxeterSystem,
+    radius: int,
+    max_elements: int | None = None,
+) -> dict[tuple[int, ...], int]:
+    """Number of elements of each class-graded length vector in the ball.
+
+    The same dict as ``enumerate_ball(system, radius).multilength_counts()``,
+    from the alcove points alone: no matrix, geodesic, previous level or
+    sort.  The BFS multiplies on the left, (s*w)(D*p) = A_s y + D*b_s for the
+    point y = w(D*p), and keeps the candidate s*w iff s is the smallest left
+    descent of s*w (descents are read off ``descent_normals`` and
+    ``descent_offsets``).  So every element of length k+1 is produced once,
+    from its smallest left descent, and no step goes back towards the
+    identity, because s is no left descent of a shorter s*w.  Each element
+    carries its multilength key (the parent's plus the step of its letter's
+    class), and a level is counted with one ``bincount``.
+
+    Raises :class:`ResourceLimitExceeded` (with no partial ball) when the
+    element cap would be passed, and ValueError as :func:`enumerate_ball`.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    cap = element_cap(max_elements)
+    m, radix = system.m, radius + 1
+    steps = _class_steps(m, radix)[list(system.partition.class_of)]
+    normals, offsets = system.descent_normals.T, system.descent_offsets
+    shifts = system.alcove_scale * system.gen_translation
+    points = system.alcove_point[None, :]
+    values = points @ normals - offsets  # < 0 exactly at the left descents
+    keys = np.zeros(1, dtype=np.int64)
+    out: dict[tuple[int, ...], int] = {}
+    _add_level_counts(out, keys, 0, radix, m)
+    total = 1
+    for depth in range(radius):
+        parts = []
+        for s in range(system.num_gens):
+            up = values[:, s] > 0  # s is a left descent of s*w iff it is none of w
+            pts = points[up] @ system.gen_linear[s].T + shifts[s]
+            vals = pts @ normals - offsets
+            first = ~(vals[:, :s] < 0).any(axis=1)  # no smaller left descent
+            parts.append((pts[first], vals[first], keys[up][first] + steps[s]))
+        points, values, keys = (np.concatenate(arrays) for arrays in zip(*parts))
+        if total + len(keys) > cap:
+            raise ResourceLimitExceeded(depth, cap)
+        _add_level_counts(out, keys, depth + 1, radix, m)
+        total += len(keys)
+    return out
 
 
 def evaluate_word(system: AffineCoxeterSystem, word: tuple[int, ...] | list[int]) -> tuple[np.ndarray, np.ndarray]:

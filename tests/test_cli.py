@@ -54,6 +54,13 @@ def test_enumerate_cap_exit_2(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command", ["check", "series"])
+def test_check_and_series_cap_exit_2(command, capsys):
+    code, out, err = run_cli(command, "--type", "A2", "--degree", "10", "--cap", "20", capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: element cap 20 exceeded after completing radius 3\n"
+
+
 def test_closed_stdout_exits_0_quietly():
     # like `gyoja enumerate ... | head -c 100`: the reader stops after 100 bytes
     proc = subprocess.Popen(
@@ -318,9 +325,10 @@ def test_output_file(tmp_path, capsys):
 @pytest.mark.parametrize("where", ["missing_dir", "directory"])
 def test_unusable_output_fails_before_the_work(monkeypatch, tmp_path, capsys, command, where):
     def refuse(*args, **kwargs):
-        raise AssertionError("enumerate_ball called")
+        raise AssertionError("enumeration called")
 
     monkeypatch.setattr(cli, "enumerate_ball", refuse)
+    monkeypatch.setattr(cli, "count_multilengths", refuse)
     target = tmp_path / "missing" / "x.txt" if where == "missing_dir" else tmp_path
     code, out, err = run_cli(
         command, "--type", "E8", "--degree", "10", "--output", str(target), capsys=capsys

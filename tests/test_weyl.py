@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gyoja import weyl
 from gyoja.weyl import (
     NotReducedWordError,
     ResourceLimitExceeded,
+    count_multilengths,
     enumerate_ball,
     evaluate_word,
     is_reduced,
@@ -143,6 +145,21 @@ def test_hyperplane_length_matches_every_ball_element(label, radius):
         assert np.array_equal(weyl._coxeter_length(system, lv.lin, lv.tr), np.full(len(lv), length))
 
 
+@pytest.mark.parametrize("label, radius", [("G2", 8), ("C3", 6), ("F4", 5), ("E8", 4)])
+def test_descent_values_match_hyperplane_lengths(label, radius):
+    # s is a left descent of w (F_s . w(D*p) < c_s) iff l(s*w) < l(w)
+    system = system_of(label)
+    for lv in enumerate_ball(system, radius).levels:
+        points = lv.lin @ system.alcove_point + system.alcove_scale * lv.tr
+        descents = points @ system.descent_normals.T < system.descent_offsets
+        length = weyl._coxeter_length(system, lv.lin, lv.tr)
+        for s in range(system.num_gens):
+            lin = system.gen_linear[s] @ lv.lin
+            tr = lv.tr @ system.gen_linear[s].T + system.gen_translation[s]
+            shorter = weyl._coxeter_length(system, lin, tr) < length
+            assert np.array_equal(descents[:, s], shorter), (label, s)
+
+
 def test_long_word_needs_no_ball(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerate_ball called")
@@ -197,6 +214,58 @@ def test_resource_cap_raises_with_partial_ball(golden_counts):
     assert err.completed_radius == 2
     assert err.partial is not None
     assert list(err.partial.counts) == golden[:3]
+
+
+# The pairs the key-first enumeration was compared on, at full radius.
+COUNTER_CASES = [
+    ("E8", 10), ("F4", 28), ("C4", 30), ("C3", 45), ("G2", 120), ("A1", 20),
+    ("A9", 8), ("D8", 9), ("A15", 5), ("B12", 5), ("D14", 4), ("E7", 9),
+    ("C3", 12), ("F4", 8), ("E8", 5), ("G2", 30), ("A30", 2), ("A25", 3),
+]
+
+
+@pytest.mark.parametrize("label, radius", [("A1", 6), ("G2", 12), ("C3", 8), ("E8", 4)])
+def test_multilength_counts_match_per_element_tally(label, radius):
+    ball = enumerate_ball(system_of(label), radius)
+    counts = ball.multilength_counts()
+    assert counts == Counter(el.multilength for el in ball)
+    assert list(counts) == sorted(counts, key=lambda ml: (sum(ml), ml))  # level by level, lexicographic
+
+
+@pytest.mark.parametrize("label, radius", COUNTER_CASES)
+def test_counter_matches_ball_counts(label, radius):
+    system = system_of(label)
+    counts = count_multilengths(system, radius)
+    assert list(counts.items()) == list(enumerate_ball(system, radius).multilength_counts().items())
+
+
+@pytest.mark.parametrize("label,n", [("A1", 6), ("A2", 5), ("C2", 5), ("G2", 6), ("B3", 4), ("C3", 4)])
+def test_counter_matches_word_exhaustion_oracle(label, n):
+    system = system_of(label)
+    by_length = [0] * (n + 1)
+    for ml, count in count_multilengths(system, n).items():
+        by_length[sum(ml)] += count
+    assert tuple(by_length) == brute_force_counts(system, n)
+
+
+def test_counter_a1_takes_no_step_back():
+    # the infinite dihedral group: two alternating words of each length >= 1
+    assert count_multilengths(system_of("A1"), 5) == {
+        (0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1, (1, 2): 1, (2, 2): 2, (3, 2): 1, (2, 3): 1,
+    }
+    assert count_multilengths(system_of("A1"), 0) == {(0, 0): 1}
+
+
+def test_counter_cap_matches_enumeration():
+    system = system_of("A2")
+    with pytest.raises(ResourceLimitExceeded) as ball_exc:
+        enumerate_ball(system, 10, max_elements=15)
+    with pytest.raises(ResourceLimitExceeded) as exc_info:
+        count_multilengths(system, 10, max_elements=15)
+    err = exc_info.value
+    assert str(err) == str(ball_exc.value)
+    assert (err.completed_radius, err.cap, err.partial) == (2, 15, None)
+    assert sum(count_multilengths(system, 3, max_elements=1 + 3 + 6 + 9).values()) == 19
 
 
 def test_cap_env_override(monkeypatch):
