@@ -13,8 +13,9 @@ assumes.  The attached generating function
 
     L(t, r) = sum_w r(e_w) * t_1^(l_1(w)) ... t_m^(l_m(w))
 
-is accumulated here from enumerated balls, never from the closed forms, so
-the two modules stay independent checks of one another.  A matrix
+is accumulated here from enumeration (a ball, or the per-multilength counts
+of ``weyl.count_multilengths``), never from the closed forms, so the two
+modules stay independent checks of one another.  A matrix
 representation is summed along the ball's BFS tree: an element's geodesic
 is its parent's plus one letter, so r(e_w) = r(e_parent) r(e_s) costs one
 matrix product per element.
@@ -243,11 +244,7 @@ def character_series(
 
 def counting_series(ball: Ball, bound: int | None = None) -> TruncatedSeries:
     """Growth series W(t): one t_1^(l_1)...t_m^(l_m) term per element."""
-    if bound is None:
-        bound = ball.radius
-    if bound > ball.radius:
-        raise ValueError(f"ball of radius {ball.radius} cannot determine degree {bound}")
-    return from_counts(ball.multilength_counts(), ball.system.m, bound)
+    return gyoja_series(ball, COUNTING, bound=bound)
 
 
 def gyoja_series(
