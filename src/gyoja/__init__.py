@@ -11,6 +11,8 @@ numerical distinction criterion for sign characters of the Hecke algebra.
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .cartan import (
     AffineCoxeterSystem,
     CartanType,
@@ -46,29 +48,54 @@ from .distinction import (
     expected_distinguished,
     robustness_check,
 )
-from .hecke import (
-    COUNTING,
-    MatrixRep,
-    char_value_e_w,
-    character_series,
-    counting_series,
-    gyoja_series,
-    parse_sign_vector,
-    partial_sums_at_point,
-    validate_rep,
-)
+from .limits import ResourceLimitExceeded
 from .series import TruncatedSeries
-from .weyl import (
-    Ball,
-    GroupElement,
-    NotReducedWordError,
-    ResourceLimitExceeded,
-    count_multilengths,
-    enumerate_ball,
-    evaluate_word,
-    is_reduced,
-    multilength_of_word,
-)
+
+# Names of the modules that do array work, resolved on first access (PEP 562)
+# so that ``import gyoja`` does not import numpy.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "COUNTING",
+            "MatrixRep",
+            "char_value_e_w",
+            "character_series",
+            "counting_series",
+            "gyoja_series",
+            "parse_sign_vector",
+            "partial_sums_at_point",
+            "validate_rep",
+        ),
+        "hecke",
+    ),
+    **dict.fromkeys(
+        (
+            "Ball",
+            "GroupElement",
+            "NotReducedWordError",
+            "count_multilengths",
+            "enumerate_ball",
+            "evaluate_word",
+            "is_reduced",
+            "multilength_of_word",
+        ),
+        "weyl",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "__version__",

@@ -18,6 +18,14 @@ tracking each root in simple-root coordinates together with its coroot in
 simple-coroot coordinates, so the highest root and the affine reflection come
 out exactly, with no table to transcribe.
 
+The tables are small (n <= 8 for the exceptional types) and are built in
+plain ints.  The Coxeter matrix is read off the extended Cartan matrix: the
+bond order m_st follows from a_st * a_ts = 4 cos^2(pi / m_st), so the
+products 0, 1, 2, 3, 4 give 2, 3, 4, 6 and an infinite bond.  The numpy
+arrays that enumeration works on are built from the same tables on first
+access, so reading the Coxeter matrix, the class partition or the generator
+actions (``expand``, ``tables``) does not import numpy.
+
 Node numbering: the affine node is always index 0, finite nodes 1..n follow
 Bourbaki, except that in type G2 node 1 is the long simple root (the one the
 affine node attaches to).
@@ -29,8 +37,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 __all__ = [
     "INFINITE_BOND",
@@ -151,25 +157,29 @@ def _simple_root_vectors(ctype: CartanType) -> list[list[int]]:
     return e8[:n]
 
 
-def _pairing_matrix(ctype: CartanType) -> np.ndarray:
+Matrix = tuple[tuple[int, ...], ...]
+Roots = list[tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _pairing_matrix(ctype: CartanType) -> Matrix:
     """P[i][j] = <alpha_j, alpha_i^vee>, 1-based nodes stored 0-based."""
     roots = _simple_root_vectors(ctype)
-    n = len(roots)
-    P = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        nrm = sum(x * x for x in roots[i])
-        for j in range(n):
-            dot = sum(a * b for a, b in zip(roots[i], roots[j]))
-            num = 2 * dot
+    rows = []
+    for ri in roots:
+        nrm = sum(x * x for x in ri)
+        row = []
+        for rj in roots:
+            num = 2 * sum(a * b for a, b in zip(ri, rj))
             if num % nrm != 0:
                 raise AssertionError(f"non-integral pairing for {ctype}")
-            P[i, j] = num // nrm
-    return P
+            row.append(num // nrm)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-def _root_closure(P: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _root_closure(P: Matrix) -> Roots:
     """All roots as (root coords, coroot coords of the coroot), by closure."""
-    n = P.shape[0]
+    n = len(P)
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     frontier = []
     for i in range(n):
@@ -181,10 +191,10 @@ def _root_closure(P: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]
         for rc, cc in frontier:
             for i in range(n):
                 # <beta, alpha_i^vee> and <alpha_i, beta^vee>
-                pair_r = sum(P[i, j] * rc[j] for j in range(n))
-                pair_c = sum(P[k, i] * cc[k] for k in range(n))
-                rc2 = tuple(rc[j] - (pair_r if j == i else 0) for j in range(n))
-                cc2 = tuple(cc[k] - (pair_c if k == i else 0) for k in range(n))
+                pair_r = sum(P[i][j] * rc[j] for j in range(n))
+                pair_c = sum(P[k][i] * cc[k] for k in range(n))
+                rc2 = rc[:i] + (rc[i] - pair_r,) + rc[i + 1 :]
+                cc2 = cc[:i] + (cc[i] - pair_c,) + cc[i + 1 :]
                 if rc2 not in seen:
                     seen[rc2] = cc2
                     new.append((rc2, cc2))
@@ -192,17 +202,16 @@ def _root_closure(P: np.ndarray) -> list[tuple[tuple[int, ...], tuple[int, ...]]
     return sorted(seen.items())
 
 
-def _highest_root(roots: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> tuple[np.ndarray, np.ndarray]:
+def _highest_root(roots: Roots) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Highest root (root coords) and its coroot (coroot coords), from the closure."""
     best = max(roots, key=lambda rc: sum(rc[0]))
     top = [rc for rc in roots if sum(rc[0]) == sum(best[0])]
     if len(top) != 1:
         raise AssertionError("highest root is not unique; root system not irreducible?")
-    rc, cc = top[0]
-    return np.array(rc, dtype=np.int64), np.array(cc, dtype=np.int64)
+    return top[0]
 
 
-def _alcove_point(roots: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> tuple[int, np.ndarray]:
+def _alcove_point(roots: Roots) -> tuple[int, tuple[int, ...]]:
     """``(D, D*p)`` for the point p with <alpha_i, p> = 1/h for every simple root.
 
     p = rho^vee / h, with rho^vee the half-sum of the positive coroots
@@ -211,10 +220,38 @@ def _alcove_point(roots: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> tuple
     affine Weyl group, acting simply transitively on alcoves, moves it to
     pairwise distinct points.  D is the least integer making D*p integral.
     """
-    two_rho = np.sum([cc for rc, cc in roots if min(rc) >= 0], axis=0, dtype=np.int64)
+    two_rho = tuple(map(sum, zip(*(cc for rc, cc in roots if min(rc) >= 0))))
     h = max(sum(rc) for rc, _ in roots) + 1
-    g = math.gcd(2 * h, *(int(x) for x in two_rho))
-    return 2 * h // g, two_rho // g
+    g = math.gcd(2 * h, *two_rho)
+    return 2 * h // g, tuple(x // g for x in two_rho)
+
+
+# Bond order m_st from the Cartan product a_st * a_ts = 4 cos^2(pi / m_st).
+_BOND_OF_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6, 4: INFINITE_BOND}
+
+
+def _coxeter_matrix(P: Matrix, theta: tuple[int, ...], theta_covec: tuple[int, ...]) -> Matrix:
+    """Coxeter matrix of the affine system from its extended Cartan matrix.
+
+    Node 0 is the affine root alpha_0 = delta - theta, so a_{i0} =
+    -<theta, alpha_i^vee> and a_{0i} = -<alpha_i, theta^vee>; the finite
+    nodes pair through P.  A product of 4 occurs only in type A1, whose
+    two affine generators generate an infinite dihedral group.
+    """
+    n = len(P)
+    a = [[2] + [-sum(P[k][i] * theta_covec[k] for k in range(n)) for i in range(n)]]
+    for i in range(n):
+        a.append([-sum(P[i][j] * theta[j] for j in range(n))] + list(P[i]))
+    rows = []
+    for s in range(n + 1):
+        row = []
+        for t in range(n + 1):
+            product = a[s][t] * a[t][s]
+            if s != t and product not in _BOND_OF_PRODUCT:
+                raise AssertionError(f"Cartan product {product} is no bond")
+            row.append(1 if s == t else _BOND_OF_PRODUCT[product])
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +298,45 @@ class SignCharacter:
         return "(" + ",".join(f"{s:+d}" for s in self.signs) + ")"
 
 
+class _Int64Table:
+    """Read-only int64 array of the plain-int table ``_<name>``.
+
+    Built, and numpy imported, on first access; the array then sits in the
+    instance dict, which shadows this descriptor.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        import numpy as np
+
+        arr = np.array(getattr(obj, "_" + self.name), dtype=np.int64)
+        arr.setflags(write=False)
+        obj.__dict__[self.name] = arr
+        return arr
+
+
+def _matvec(M: Matrix, x: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in M)
+
+
 class AffineCoxeterSystem:
     """An affine Coxeter system with exact integer generator actions.
 
     Generators are indexed 0..n (0 = affine node).  Generator ``s`` acts on
     the coroot lattice as ``x -> linear[s] @ x + translation[s]``, in
     simple-coroot coordinates.  Immutable after construction; safe to share.
+
+    The tables are computed in plain ints (n <= 8), and the Coxeter matrix
+    and class partition are read off them.  The array attributes
+    ``pairing``, ``highest_root``, ``gen_linear``, ``gen_translation``,
+    ``alcove_point``, ``alcove_images``, ``positive_root_pairings``,
+    ``descent_normals`` and ``descent_offsets`` are read-only int64 numpy
+    arrays of the same tables, built on first access; only code that does
+    array work imports numpy.
 
     ``alcove_point`` is D*p for the interior point p of the fundamental
     alcove with <alpha_i, p> = 1/h (h the Coxeter number, D =
@@ -284,6 +354,16 @@ class AffineCoxeterSystem:
     F[s] = u_s - A_s^T u_s and c[s] = D*b_s . u_s.
     """
 
+    pairing = _Int64Table()
+    highest_root = _Int64Table()
+    gen_linear = _Int64Table()
+    gen_translation = _Int64Table()
+    alcove_point = _Int64Table()
+    alcove_images = _Int64Table()
+    positive_root_pairings = _Int64Table()
+    descent_normals = _Int64Table()
+    descent_offsets = _Int64Table()
+
     def __init__(self, ctype: CartanType):
         self.ctype = ctype
         self.rank = ctype.rank
@@ -292,68 +372,39 @@ class AffineCoxeterSystem:
         roots = _root_closure(P)
         theta, theta_covec = _highest_root(roots)
         # theta as a functional on the coroot lattice: f[k] = <theta, alpha_k^vee>
-        f = P @ theta
+        f = _matvec(P, theta)
+        eye = [[int(a == b) for b in range(n)] for a in range(n)]
 
-        gens_lin = np.empty((n + 1, n, n), dtype=np.int64)
-        gens_tr = np.zeros((n + 1, n), dtype=np.int64)
-        gens_lin[0] = np.eye(n, dtype=np.int64) - np.outer(theta_covec, f)
-        gens_tr[0] = theta_covec
-        for i in range(1, n + 1):
-            M = np.eye(n, dtype=np.int64)
-            M[i - 1, :] -= P[:, i - 1]
-            gens_lin[i] = M
+        gens_lin = [tuple(tuple(eye[a][b] - theta_covec[a] * f[b] for b in range(n)) for a in range(n))]
+        gens_tr = [theta_covec]
+        for i in range(n):
+            M = [row[:] for row in eye]
+            M[i] = [M[i][b] - P[b][i] for b in range(n)]
+            gens_lin.append(tuple(map(tuple, M)))
+            gens_tr.append((0,) * n)
         scale, point = _alcove_point(roots)
-        images = gens_lin @ point + scale * gens_tr
-        pairings = np.array([P @ rc for rc, _ in roots if min(rc) >= 0], dtype=np.int64)
-        u = point - images
-        normals = u - np.einsum("sji,sj->si", gens_lin, u)
-        offsets = scale * (gens_tr * u).sum(axis=1)
-        for arr in (gens_lin, gens_tr, point, images, pairings, normals, offsets):
-            arr.setflags(write=False)
+        images = [
+            tuple(x + scale * v for x, v in zip(_matvec(A, point), b)) for A, b in zip(gens_lin, gens_tr)
+        ]
+        u = [tuple(p - x for p, x in zip(point, image)) for image in images]
+        normals = [
+            tuple(u_s[i] - sum(A[j][i] * u_s[j] for j in range(n)) for i in range(n))
+            for A, u_s in zip(gens_lin, u)
+        ]
 
-        self.pairing = P
-        self.highest_root = theta
-        self.gen_linear = gens_lin
-        self.gen_translation = gens_tr
+        self._pairing = P
+        self._highest_root = theta
+        self._gen_linear = tuple(gens_lin)
+        self._gen_translation = tuple(gens_tr)
         self.num_gens = n + 1
         self.alcove_scale = scale
-        self.alcove_point = point
-        self.alcove_images = images
-        self.positive_root_pairings = pairings
-        self.descent_normals = normals
-        self.descent_offsets = offsets
-        self.coxeter_matrix = self._compute_coxeter_matrix()
+        self._alcove_point = point
+        self._alcove_images = tuple(images)
+        self._positive_root_pairings = tuple(_matvec(P, rc) for rc, _ in roots if min(rc) >= 0)
+        self._descent_normals = tuple(normals)
+        self._descent_offsets = tuple(scale * sum(x * y for x, y in zip(b, u_s)) for b, u_s in zip(gens_tr, u))
+        self.coxeter_matrix = _coxeter_matrix(P, theta, theta_covec)
         self.partition = conjugacy_partition(self.coxeter_matrix)
-
-    # -- construction helpers ------------------------------------------------
-
-    def _compute_coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:
-        g = self.num_gens
-        rows = []
-        for s in range(g):
-            row = []
-            for t in range(g):
-                row.append(1 if s == t else self._bond_order(s, t))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def _bond_order(self, s: int, t: int) -> int:
-        """Order of s*t as an exact affine map; INFINITE_BOND past the cap."""
-        Ms = self.gen_linear[s]
-        Mt = self.gen_linear[t]
-        vs = self.gen_translation[s]
-        vt = self.gen_translation[t]
-        M = Ms @ Mt
-        v = Ms @ vt + vs
-        accM, accv = M.copy(), v.copy()
-        for order in range(1, 8):
-            if np.array_equal(accM, np.eye(self.rank, dtype=np.int64)) and not accv.any():
-                if order not in (2, 3, 4, 6):
-                    raise AssertionError(f"unexpected bond order {order} in {self.ctype}")
-                return order
-            accv = M @ accv + v
-            accM = M @ accM
-        return INFINITE_BOND
 
     # -- public surface -------------------------------------------------------
 
@@ -495,13 +546,10 @@ def tables_document(ctype: CartanType) -> dict:
         "class_partition": [list(c) for c in system.partition.classes],
         "m": system.m,
         "exponents": list(exponents(ctype)),
-        "highest_root": [int(c) for c in system.highest_root],
+        "highest_root": list(system._highest_root),
         "generator_actions": [
-            {
-                "matrix": system.gen_linear[s].tolist(),
-                "translation": system.gen_translation[s].tolist(),
-            }
-            for s in range(system.num_gens)
+            {"matrix": [list(row) for row in matrix], "translation": list(translation)}
+            for matrix, translation in zip(system._gen_linear, system._gen_translation)
         ],
         "discrete_series_characters": [list(c.signs) for c in borel_discrete_series_list(ctype)],
     }

@@ -44,9 +44,8 @@ from .distinction import (
     verdict_json_dict,
     VERDICT_SCHEMA_VERSION,
 )
-from .hecke import COUNTING, character_series, parse_sign_vector
+from .limits import ResourceLimitExceeded, element_cap
 from .series import TruncatedSeries, from_counts
-from .weyl import ResourceLimitExceeded, count_multilengths, element_cap, enumerate_ball
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,6 +126,8 @@ def _series_json(series: TruncatedSeries) -> list:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .weyl import enumerate_ball
+
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
     try:
@@ -153,6 +154,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from .hecke import COUNTING, character_series, parse_sign_vector
+    from .weyl import count_multilengths
+
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
     if args.character.strip().lower() == "counting":
@@ -211,6 +215,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .weyl import count_multilengths
+
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
     try:

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 from .cartan import CartanType, build_affine_system, exponents
 from .series import TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, from_counts, render_monomial
-from .weyl import ResourceLimitExceeded, count_multilengths
+from .limits import ResourceLimitExceeded
 
 __all__ = [
     "Factor",
@@ -391,6 +391,8 @@ def calibrate_indexing(ctype: CartanType, degree: int = 6) -> CalibrationResult:
     ``degree``.  Ties (formula symmetries) are broken by lexicographic
     order on the binding, which prefers the canonical class order.
     """
+    from .weyl import count_multilengths
+
     system = build_affine_system(ctype)
     m = system.m
     if m == 1:

@@ -29,6 +29,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from typing import TYPE_CHECKING
 
 from .cartan import (
     CartanType,
@@ -37,8 +38,9 @@ from .cartan import (
     build_affine_system,
 )
 from .closed_forms import PoleError, calibrate_indexing, growth_closed_form
-from .hecke import char_value_e_w
-from .weyl import GroupElement
+
+if TYPE_CHECKING:
+    from .weyl import GroupElement
 
 __all__ = [
     "NotDiscreteSeriesError",
@@ -256,6 +258,8 @@ def coefficient_value_on_cell(eps: SignCharacter, element: GroupElement, q_o: in
     coefficient value on it is r(e_w) / q^(l(w)) with q = q_o^2, so the
     contribution is r(e_w) * q_o^(-l(w)).
     """
+    from .hecke import char_value_e_w
+
     return char_value_e_w(eps, element.multilength, q_o) * Fraction(1, q_o) ** element.length
 
 

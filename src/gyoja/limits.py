@@ -1,0 +1,48 @@
+"""The element cap and the error raised when a computation would pass it.
+
+Kept apart from :mod:`gyoja.weyl` so that code which only needs the cap or
+the error (the CLI, the closed-form expansion) does not import numpy.
+"""
+
+from __future__ import annotations
+
+import os
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .weyl import Ball
+
+__all__ = ["DEFAULT_MAX_ELEMENTS", "ResourceLimitExceeded", "element_cap"]
+
+DEFAULT_MAX_ELEMENTS = 5_000_000
+_CAP_ENV_VAR = "GYOJA_MAX_ELEMENTS"
+
+
+def element_cap(max_elements: int | None = None) -> int:
+    """The element cap in force: the argument, else GYOJA_MAX_ELEMENTS, else the default.
+
+    Raises ValueError unless the cap is an integer >= 1.
+    """
+    cap, source = max_elements, "element cap"
+    if cap is None:
+        env = os.environ.get(_CAP_ENV_VAR, "").strip()
+        if not env:
+            return DEFAULT_MAX_ELEMENTS
+        cap, source = env, _CAP_ENV_VAR
+        try:
+            cap = int(env)
+        except ValueError:
+            pass
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {cap!r}")
+    return cap
+
+
+class ResourceLimitExceeded(RuntimeError):
+    """The element cap was hit; carries the ball completed so far."""
+
+    def __init__(self, completed_radius: int, cap: int, partial: Ball | None = None):
+        super().__init__(f"element cap {cap} exceeded after completing radius {completed_radius}")
+        self.completed_radius = completed_radius
+        self.cap = cap
+        self.partial = partial

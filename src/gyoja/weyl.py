@@ -31,13 +31,13 @@ the jsonl export pins.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import IO, Iterator
 
 import numpy as np
 
 from .cartan import AffineCoxeterSystem
+from .limits import DEFAULT_MAX_ELEMENTS, ResourceLimitExceeded, element_cap
 
 __all__ = [
     "DEFAULT_MAX_ELEMENTS",
@@ -52,39 +52,6 @@ __all__ = [
     "is_reduced",
     "multilength_of_word",
 ]
-
-DEFAULT_MAX_ELEMENTS = 5_000_000
-_CAP_ENV_VAR = "GYOJA_MAX_ELEMENTS"
-
-
-def element_cap(max_elements: int | None = None) -> int:
-    """The element cap in force: the argument, else GYOJA_MAX_ELEMENTS, else the default.
-
-    Raises ValueError unless the cap is an integer >= 1.
-    """
-    cap, source = max_elements, "element cap"
-    if cap is None:
-        env = os.environ.get(_CAP_ENV_VAR, "").strip()
-        if not env:
-            return DEFAULT_MAX_ELEMENTS
-        cap, source = env, _CAP_ENV_VAR
-        try:
-            cap = int(env)
-        except ValueError:
-            pass
-    if not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {cap!r}")
-    return cap
-
-
-class ResourceLimitExceeded(RuntimeError):
-    """The element cap was hit; carries the ball completed so far."""
-
-    def __init__(self, completed_radius: int, cap: int, partial: "Ball | None" = None):
-        super().__init__(f"element cap {cap} exceeded after completing radius {completed_radius}")
-        self.completed_radius = completed_radius
-        self.cap = cap
-        self.partial = partial
 
 
 class NotReducedWordError(ValueError):
@@ -259,17 +226,17 @@ def _add_level_counts(
 
     The key of (l_1, ..., l_m) is l_1 ... l_(m-1) read as digits in base
     ``radix``, most significant first; l_m is what is left of ``length``.
-    Keys are counted with one ``bincount`` and decoded in increasing order,
-    which is lexicographic order on the multilength.
+    Keys are counted with one ``np.unique``, whose sort costs the level's
+    size and not the (mostly empty) key range, and decoded in increasing
+    order, which is lexicographic order on the multilength.
     """
-    counts = np.bincount(keys)
-    found = np.flatnonzero(counts)
+    found, counts = np.unique(keys, return_counts=True)
     columns, rest = [], found
     for _ in range(m - 1):
         rest, digit = np.divmod(rest, radix)
         columns.insert(0, digit)
     columns.append(length - sum(columns, np.zeros_like(found)))
-    out.update(zip(zip(*[c.tolist() for c in columns]), counts[found].tolist()))
+    out.update(zip(zip(*[c.tolist() for c in columns]), counts.tolist()))
 
 
 def _pack(cols: np.ndarray) -> np.ndarray:
@@ -393,7 +360,7 @@ def count_multilengths(
     from its smallest left descent, and no step goes back towards the
     identity, because s is no left descent of a shorter s*w.  Each element
     carries its multilength key (the parent's plus the step of its letter's
-    class), and a level is counted with one ``bincount``.
+    class), and a level is counted with one ``np.unique``.
 
     Raises :class:`ResourceLimitExceeded` (with no partial ball) when the
     element cap would be passed, and ValueError as :func:`enumerate_ball`.

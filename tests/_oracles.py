@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from gyoja.cartan import AffineCoxeterSystem
+from gyoja.cartan import INFINITE_BOND, AffineCoxeterSystem
 from gyoja.hecke import MatrixRep
 
 
@@ -52,6 +52,29 @@ def brute_force_counts(system: AffineCoxeterSystem, max_len: int) -> tuple[int, 
     for length, _ in brute_force_elements(system, max_len).values():
         counts[length] += 1
     return tuple(counts)
+
+
+def coxeter_matrix_by_generator_orders(system: AffineCoxeterSystem, max_order: int = 7):
+    """Coxeter matrix from the order of each product s*t of exact generator maps.
+
+    Composes the affine maps x -> A x + b until the identity comes back; an
+    order above ``max_order`` reads as INFINITE_BOND.  No Cartan entry is
+    read, so this checks the library's bond orders from the generator actions.
+    """
+    eye = np.eye(system.rank, dtype=np.int64)
+    lin, tr = system.gen_linear, system.gen_translation
+    rows = []
+    for s in range(system.num_gens):
+        row = []
+        for t in range(system.num_gens):
+            M, v = lin[s] @ lin[t], lin[s] @ tr[t] + tr[s]
+            acc_m, acc_v, order = M, v, 1
+            while order <= max_order and not (np.array_equal(acc_m, eye) and not acc_v.any()):
+                acc_m, acc_v = M @ acc_m, M @ acc_v + v
+                order += 1
+            row.append(order if order <= max_order else INFINITE_BOND)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def word_multilength(system: AffineCoxeterSystem, word: tuple[int, ...]) -> tuple[int, ...]:

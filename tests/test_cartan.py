@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from _oracles import coxeter_matrix_by_generator_orders
 
 from gyoja.cartan import (
     INFINITE_BOND,
@@ -16,6 +17,7 @@ from gyoja.cartan import (
     tables_document,
     tables_json,
 )
+from gyoja.cli import ALL_TYPES
 
 ALL_LABELS = ["A1", "A2", "A3", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "E6", "E7", "E8", "F4", "G2"]
 
@@ -97,7 +99,14 @@ def test_c3_chain():
 def test_a1_infinite_bond():
     s = build_affine_system(parse_cartan_type("A1"))
     assert s.coxeter_matrix[0][1] == INFINITE_BOND
+    assert coxeter_matrix_by_generator_orders(s)[0][1] == INFINITE_BOND
     assert s.partition.classes == ((0,), (1,))
+
+
+@pytest.mark.parametrize("label", list(dict.fromkeys(ALL_TYPES + ["A9", "D8", "B12", "A15", "E7"])))
+def test_coxeter_matrix_matches_generator_orders(label):
+    s = build_affine_system(parse_cartan_type(label))
+    assert s.coxeter_matrix == coxeter_matrix_by_generator_orders(s)
 
 
 def test_f4_partition():

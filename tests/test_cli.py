@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import gyoja.cli as cli
+import gyoja.weyl as weyl
 from gyoja.closed_forms import bott_closed_form
 from gyoja.cartan import parse_cartan_type
 
@@ -208,6 +209,21 @@ def test_expand_output_bytes_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "label,digest",
+    [
+        ("C2", "f31a1173728fe243f607cb897b0c294e17eafedd7016cf8d24d7be6b0b3e980b"),
+        ("G2", "a3fd5738ce5b224b723e59a92a82b1ce57dbc635a70d69bb11ce642293344ae3"),
+        ("F4", "f263a85c9467251907e75c098f4bc2414150eb732687633f736fa0cb818736fd"),
+        ("E8", "712f93cf33be7c9173755cecc9b17466a58cfa2926bd361436f33361aaeaa792"),
+    ],
+)
+def test_tables_output_bytes_pinned(label, digest, capsys):
+    code, out, _ = run_cli("tables", "--type", label, capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("label", ["G2", "C2", "A2"])
 def test_check_identity_exit_0(label, capsys):
     code, out, _ = run_cli("check", "--type", label, "--degree", "6", capsys=capsys)
@@ -327,8 +343,9 @@ def test_unusable_output_fails_before_the_work(monkeypatch, tmp_path, capsys, co
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration called")
 
-    monkeypatch.setattr(cli, "enumerate_ball", refuse)
-    monkeypatch.setattr(cli, "count_multilengths", refuse)
+    # cli imports these from gyoja.weyl when a command runs, so patch them there.
+    monkeypatch.setattr(weyl, "enumerate_ball", refuse)
+    monkeypatch.setattr(weyl, "count_multilengths", refuse)
     target = tmp_path / "missing" / "x.txt" if where == "missing_dir" else tmp_path
     code, out, err = run_cli(
         command, "--type", "E8", "--degree", "10", "--output", str(target), capsys=capsys
@@ -364,3 +381,42 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 + t1 + t2 + 2·t1·t2\n"
+
+
+# Runs the CLI with numpy unimportable: any `import numpy` raises ImportError.
+_WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\nfrom gyoja.cli import main\nsys.exit(main())"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["expand", "--type", "C4", "--degree", "10"],
+        ["expand", "--type", "C4", "--degree", "10", "--format", "json", "--show-form"],
+        ["tables", "--type", "E8"],
+    ],
+)
+def test_version_expand_and_tables_run_without_numpy(argv):
+    blocked = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv], capture_output=True, text=True)
+    normal = subprocess.run([sys.executable, "-m", "gyoja.cli", *argv], capture_output=True, text=True)
+    assert blocked.returncode == normal.returncode == 0, blocked.stderr
+    assert blocked.stdout == normal.stdout != ""
+
+
+def test_import_gyoja_without_numpy():
+    code = "import sys\nsys.modules['numpy'] = None\nimport gyoja\nprint(gyoja.__version__)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{cli.__version__}\n"
+
+
+def test_array_names_import_numpy_on_first_access():
+    code = (
+        "import sys, gyoja\n"
+        "before = 'numpy' in sys.modules\n"
+        "gyoja.enumerate_ball\n"
+        "print(before, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True\n"
