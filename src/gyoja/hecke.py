@@ -20,6 +20,12 @@ representation is summed along the ball's BFS tree: an element's geodesic
 is its parent's plus one letter, so r(e_w) = r(e_parent) r(e_s) costs one
 matrix product per element.
 
+A :class:`MatrixRep` stores integer numerator matrices N_s over one common
+denominator d, so r(e_s) = N_s / d, as object arrays of Python ints (entries
+grow like q^l, so never int64).  Every product, relation check and series
+sum runs in ints: a product of k generators is an integer matrix over d^k,
+and an exact ``Fraction`` is formed only for what is returned.
+
 Two different "trivial" objects are kept deliberately distinct: the trivial
 *Hecke character* sends every e_s to q (a valid representation), while the
 *counting character* sends every e_w to 1 -- not a Hecke representation at
@@ -29,6 +35,7 @@ series W(t).  Use ``COUNTING`` for the latter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -107,40 +114,62 @@ def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> 
 # ---------------------------------------------------------------------------
 
 
-def _as_object_matrix(rows, dim: int) -> np.ndarray:
-    mat = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for j in range(dim):
-            mat[i, j] = Fraction(rows[i][j])
-    return mat
+def _over(num: np.ndarray, den: int) -> np.ndarray:
+    """The exact ``Fraction`` matrix num / den."""
+    out = np.empty(num.shape, dtype=object)
+    out.flat = [Fraction(x, den) for x in num.flat]
+    return out
 
 
-def _object_eye(dim: int) -> np.ndarray:
-    mat = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for j in range(dim):
-            mat[i, j] = Fraction(1) if i == j else Fraction(0)
+def _square_entries(matrix, s: int) -> np.ndarray:
+    mat = np.asarray(matrix, dtype=object)
+    if mat.ndim != 2:
+        raise ValueError(f"generator {s} matrix is not a list of equal-length rows")
+    if mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValueError(f"generator {s} matrix has shape {mat.shape}, not a non-empty square")
     return mat
 
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """One exact-rational matrix per generator, plus the parameter q."""
+    """Generator s acts by ``numerators[s] / denominator``; q is the parameter.
+
+    The numerators are read-only object arrays of Python ints and the
+    denominator is the least positive common one.  Build with :meth:`make`.
+    """
 
     dimension: int
     q: Fraction
-    matrices: tuple[np.ndarray, ...]
+    numerators: tuple[np.ndarray, ...]
+    denominator: int
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """The generator matrices as exact ``Fraction`` arrays."""
+        return tuple(_over(num, self.denominator) for num in self.numerators)
 
     @staticmethod
     def make(matrices: Sequence, q_o: int | None = None, q: Fraction | int | None = None) -> "MatrixRep":
+        """Convert exact-rational generator matrices, all of one square shape."""
         if (q_o is None) == (q is None):
             raise ValueError("give exactly one of q_o or q")
         qq = Fraction(q_o) ** 2 if q_o is not None else Fraction(q)
-        mats = []
-        dim = len(matrices[0])
-        for rows in matrices:
-            mats.append(_as_object_matrix(np.asarray(rows, dtype=object), dim))
-        return MatrixRep(dim, qq, tuple(mats))
+        if not len(matrices):
+            raise ValueError("need at least one generator matrix")
+        mats = [_square_entries(rows, s) for s, rows in enumerate(matrices)]
+        shape = mats[0].shape
+        for s, mat in enumerate(mats):
+            if mat.shape != shape:
+                raise ValueError(f"generator {s} matrix has shape {mat.shape}, generator 0 has {shape}")
+        entries = [[Fraction(x) for x in mat.flat] for mat in mats]
+        den = math.lcm(*(x.denominator for flat in entries for x in flat))
+        nums = []
+        for flat in entries:
+            num = np.empty(shape, dtype=object)
+            num.flat = [x.numerator * (den // x.denominator) for x in flat]
+            num.flags.writeable = False
+            nums.append(num)
+        return MatrixRep(shape[0], qq, tuple(nums), den)
 
     @staticmethod
     def from_sign_character(eps: SignCharacter, partition: ClassPartition, q_o: int) -> "MatrixRep":
@@ -174,19 +203,27 @@ class RepValidationError(ValueError):
 
 
 def _is_zero_matrix(mat: np.ndarray) -> bool:
-    return all(x == 0 for x in mat.flat)
+    return not any(mat.flat)
 
 
 def validate_rep(rep: MatrixRep, system: AffineCoxeterSystem) -> RepValidationReport:
-    """Check every quadratic and braid relation exactly; report the failures."""
+    """Check every quadratic and braid relation exactly; report the failures.
+
+    With r(e_s) = N_s / d and q = a / b, the quadratic relation
+    (r(e_s) + 1)(r(e_s) - q) = 0 is (N_s + d I)(b N_s - a d I) = 0, and both
+    sides of a braid relation are products of m_st numerators over d^m_st,
+    so every check is on integer matrices.
+    """
     violations = []
-    if len(rep.matrices) != system.num_gens:
+    nums = rep.numerators
+    if len(nums) != system.num_gens:
         return RepValidationReport(
-            (f"expected {system.num_gens} generator matrices, got {len(rep.matrices)}",)
+            (f"expected {system.num_gens} generator matrices, got {len(nums)}",)
         )
-    eye = _object_eye(rep.dimension)
-    for s, mat in enumerate(rep.matrices):
-        lhs = (mat + eye).dot(mat - rep.q * eye)
+    eye = np.eye(rep.dimension, dtype=object)
+    d, a, b = rep.denominator, rep.q.numerator, rep.q.denominator
+    for s, num in enumerate(nums):
+        lhs = (num + d * eye).dot(b * num - a * d * eye)
         if not _is_zero_matrix(lhs):
             violations.append(f"quadratic relation fails at generator {s}")
     for s in range(system.num_gens):
@@ -194,26 +231,29 @@ def validate_rep(rep: MatrixRep, system: AffineCoxeterSystem) -> RepValidationRe
             mst = system.coxeter_matrix[s][t]
             if mst == INFINITE_BOND:
                 continue
-            left = eye
-            right = eye
-            for k in range(mst):
-                left = left.dot(rep.matrices[s] if k % 2 == 0 else rep.matrices[t])
-                right = right.dot(rep.matrices[t] if k % 2 == 0 else rep.matrices[s])
+            left, right = nums[s], nums[t]
+            for k in range(1, mst):
+                left = left.dot(nums[t] if k % 2 else nums[s])
+                right = right.dot(nums[s] if k % 2 else nums[t])
             if not _is_zero_matrix(left - right):
                 violations.append(f"braid relation fails for pair ({s},{t}) with bond {mst}")
     return RepValidationReport(tuple(violations))
 
 
 def eval_rep_on_word(rep: MatrixRep, word: Sequence[int]) -> np.ndarray:
-    """The ordered product of the generator images along a word.
+    """The ordered product of the generator images along a word, as Fractions.
 
     On a reduced word of w this is r(e_w); any reduced word gives the same
-    product for a rep that passes :func:`validate_rep`.
+    product for a rep that passes :func:`validate_rep`.  The product is
+    formed on the numerators and divided by denominator^len(word) once.
     """
-    out = _object_eye(rep.dimension)
+    nums = rep.numerators
+    out = np.eye(rep.dimension, dtype=object)
     for s in word:
-        out = out.dot(rep.matrices[s])
-    return out
+        if not 0 <= s < len(nums):
+            raise ValueError(f"generator index {s} out of range for {len(nums)} generator matrices")
+        out = out.dot(nums[s])
+    return _over(out, rep.denominator ** len(word))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +299,10 @@ def gyoja_series(
     result is a scalar :class:`TruncatedSeries`; for a :class:`MatrixRep` it
     is a (d, d) object array of series.  A matrix rep is evaluated level by
     level along the BFS tree, r(e_w) = r(e_parent) r(e_s), which is the
-    product :func:`eval_rep_on_word` forms along w's geodesic; callers are
-    expected to have validated the rep once.
+    product :func:`eval_rep_on_word` forms along w's geodesic; the products
+    and the per-multilength sums are integer numerators, and each class is
+    divided by denominator^l once.  Callers are expected to have validated
+    the rep once.
     """
     if bound is None:
         bound = ball.radius
@@ -270,16 +312,18 @@ def gyoja_series(
     if isinstance(rep, (CountingCharacter, SignCharacter)):
         return character_series(ball.multilength_counts(), rep, m, bound, q_o)
     if isinstance(rep, MatrixRep):
+        nums = rep.numerators
         acc: dict[tuple[int, ...], np.ndarray] = {}
-        vals = [_object_eye(rep.dimension)]
+        vals = [np.eye(rep.dimension, dtype=object)]
         for length, lv in enumerate(ball.levels[: bound + 1]):
             if length:
-                vals = [
-                    vals[p].dot(rep.matrices[s]) for p, s in zip(lv.parent.tolist(), lv.letter.tolist())
-                ]
+                vals = [vals[p].dot(nums[s]) for p, s in zip(lv.parent.tolist(), lv.letter.tolist())]
             for ml, mat in zip(map(tuple, lv.multilength.tolist()), vals):
                 prev = acc.get(ml)
                 acc[ml] = mat if prev is None else prev + mat
+        if rep.denominator > 1:
+            # a class holds elements of one length l, so it is over d^l
+            acc = {ml: _over(mat, rep.denominator ** sum(ml)) for ml, mat in acc.items()}
         d = rep.dimension
         out = np.empty((d, d), dtype=object)
         for i in range(d):

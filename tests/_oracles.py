@@ -9,7 +9,6 @@ words and counts come from a different computation path than the Ball.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -122,4 +121,4 @@ def random_validated_rep(rng: random.Random, system: AffineCoxeterSystem, dim: i
         for d in range(dim):
             diag[d, d] = summands[d][cls]
         mats.append(p.dot(diag).dot(p_inv))
-    return MatrixRep(dim, Fraction(q_o) ** 2, tuple(np.vectorize(Fraction)(mat) for mat in mats))
+    return MatrixRep.make(mats, q_o=q_o)

@@ -221,3 +221,97 @@ def test_bound_cannot_exceed_radius():
     ball = get_ball("A1", 3)
     with pytest.raises(ValueError):
         counting_series(ball, 20)
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [
+        [],
+        [[4]],
+        [[[4, 0], [1]]],
+        [[[]]],
+        [[[1, 2, 3], [4, 5, 6]]],
+        [[[4]], [[4, 0], [0, -1]], [[4]]],
+        [np.diag([-1, 4]), [[4]], np.diag([-1, 4])],
+    ],
+    ids=["empty-list", "row-not-matrix", "ragged-rows", "empty-row", "2x3", "2x2-among-1x1", "1x1-among-2x2"],
+)
+def test_make_rejects_malformed_matrices(matrices):
+    with pytest.raises(ValueError):
+        MatrixRep.make(matrices, q_o=2)
+
+
+@pytest.mark.parametrize("letter", [-1, 3, 10])
+def test_eval_rejects_letters_out_of_range(letter):
+    rep = MatrixRep.make([[[4]], [[-1]], [[4]]], q_o=2)
+    with pytest.raises(ValueError, match=rf"generator index {letter} out of range for 3 "):
+        eval_rep_on_word(rep, (0, letter, 1))
+
+
+def _fraction_product(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_non_unimodular_conjugate_uses_the_denominator():
+    # det P = 2, so P·D_s·P⁻¹ has halves wherever the two characters differ on s
+    p = [[1, 1], [-1, 1]]
+    p_inv = [[Fraction(1, 2), Fraction(-1, 2)], [Fraction(1, 2), Fraction(1, 2)]]
+    q_o, radius = 2, 6
+    system = system_of("G2")
+    ball = get_ball("G2", radius)
+    signs = (SignCharacter((-1, -1)), SignCharacter((1, -1)))
+    gens = []
+    for s in range(system.num_gens):
+        cls = system.partition.class_of[s]
+        diag = [[0, 0], [0, 0]]
+        for k, eps in enumerate(signs):
+            diag[k][k] = eps.signs[cls] * q_o ** (eps.signs[cls] + 1)
+        gens.append(_fraction_product(_fraction_product(p, diag), p_inv))
+    rep = MatrixRep.make(gens, q_o=q_o)
+    assert rep.denominator == 2
+    assert [mat.tolist() for mat in rep.matrices] == gens
+    assert validate_rep(rep, system).ok
+
+    scalars = [gyoja_series(ball, eps, q_o=q_o, bound=radius) for eps in signs]
+    series = gyoja_series(ball, rep, bound=radius)
+    for i in range(2):
+        for j in range(2):
+            expected = TruncatedSeries(system.m, radius, {})
+            for k in range(2):
+                expected = expected + scalars[k] * (p[i][k] * p_inv[k][j])
+            assert series[i, j] == expected
+    assert any(c.denominator > 1 for c in series[0, 1].coeffs.values())
+
+    one = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    for _, words in brute_force_elements(system, radius).values():
+        for word in words:
+            expected = one
+            for s in word:
+                expected = _fraction_product(expected, gens[s])
+            assert eval_rep_on_word(rep, word).tolist() == expected
+
+
+def test_rational_q_one_dimensional_rep():
+    q = Fraction(9, 4)
+    system = system_of("C2")
+    ball = get_ball("C2", 6)
+    by_class = (q, -1, q)
+    values = [by_class[system.partition.class_of[s]] for s in range(system.num_gens)]
+    rep = MatrixRep.make([[[v]] for v in values], q=q)
+    assert rep.denominator == 4
+    assert validate_rep(rep, system).ok
+    word = (0, 1, 2, 1)
+    assert eval_rep_on_word(rep, word)[0, 0] == values[0] * values[1] * values[2] * values[1]
+    expected = TruncatedSeries(
+        system.m,
+        6,
+        {
+            ml: count * by_class[0] ** ml[0] * by_class[1] ** ml[1] * by_class[2] ** ml[2]
+            for ml, count in ball.multilength_counts().items()
+        },
+    )
+    assert gyoja_series(ball, rep, bound=6)[0, 0] == expected
+
+    perturbed = MatrixRep.make([[[v]] for v in values[:-1] + [Fraction(5, 4)]], q=q)
+    report = validate_rep(perturbed, system)
+    assert report.violations == (f"quadratic relation fails at generator {system.num_gens - 1}",)
