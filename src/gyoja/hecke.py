@@ -36,6 +36,7 @@ series W(t).  Use ``COUNTING`` for the latter.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -121,6 +122,13 @@ def _over(num: np.ndarray, den: int) -> np.ndarray:
     return out
 
 
+def _rational(x, what: str) -> Fraction:
+    """``x`` as a Fraction of Python ints; ValueError unless it is a ``numbers.Rational``."""
+    if not isinstance(x, numbers.Rational):
+        raise ValueError(f"{what} {x!r} is not an exact rational")
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
 def _square_entries(matrix, s: int) -> np.ndarray:
     mat = np.asarray(matrix, dtype=object)
     if mat.ndim != 2:
@@ -136,12 +144,25 @@ class MatrixRep:
 
     The numerators are read-only object arrays of Python ints and the
     denominator is the least positive common one.  Build with :meth:`make`.
+    Two representations are equal when their dimension, q, denominator and
+    numerator entries are.
     """
 
     dimension: int
     q: Fraction
     numerators: tuple[np.ndarray, ...]
     denominator: int
+
+    def _key(self) -> tuple:
+        return (self.dimension, self.q, self.denominator, tuple(tuple(num.flat) for num in self.numerators))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MatrixRep):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
@@ -150,10 +171,15 @@ class MatrixRep:
 
     @staticmethod
     def make(matrices: Sequence, q_o: int | None = None, q: Fraction | int | None = None) -> "MatrixRep":
-        """Convert exact-rational generator matrices, all of one square shape."""
+        """Convert exact-rational generator matrices, all of one square shape.
+
+        Entries and the parameter must be ``numbers.Rational`` (``int``,
+        ``Fraction``, numpy integers); a float raises ValueError rather than
+        being read as its binary fraction.
+        """
         if (q_o is None) == (q is None):
             raise ValueError("give exactly one of q_o or q")
-        qq = Fraction(q_o) ** 2 if q_o is not None else Fraction(q)
+        qq = _rational(q, "q") if q_o is None else _rational(q_o, "q_o") ** 2
         if not len(matrices):
             raise ValueError("need at least one generator matrix")
         mats = [_square_entries(rows, s) for s, rows in enumerate(matrices)]
@@ -161,7 +187,7 @@ class MatrixRep:
         for s, mat in enumerate(mats):
             if mat.shape != shape:
                 raise ValueError(f"generator {s} matrix has shape {mat.shape}, generator 0 has {shape}")
-        entries = [[Fraction(x) for x in mat.flat] for mat in mats]
+        entries = [[_rational(x, f"generator {s} matrix entry") for x in mat.flat] for s, mat in enumerate(mats)]
         den = math.lcm(*(x.denominator for flat in entries for x in flat))
         nums = []
         for flat in entries:

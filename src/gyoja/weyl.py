@@ -21,6 +21,10 @@ takes the level from that count and compares the map with that level's rows.
 Levels are sorted by numeric lexicographic order of the flattened
 (matrix, translation) row, so two runs produce byte-identical balls.
 
+``Ball.export_jsonl`` formats each level from what is new in it: geodesics
+are carried as strings from the previous level only, and each distinct
+multilength, matrix row and matrix of a level is rendered once.
+
 Counting needs no ball: :func:`count_multilengths` walks a breadth-first
 search by left multiplication on the alcove point alone and keeps s*w only
 when s is the smallest left descent of s*w, so each element is produced
@@ -97,19 +101,6 @@ class _Level:
 _EXPORT_CHUNK_ROWS = 1024
 
 
-def _jsonl_template(length: int, m: int, n: int) -> str:
-    """``%d`` template of one jsonl element line of the given length and shape."""
-
-    def ints(count: int) -> str:
-        return "[" + ",".join(["%d"] * count) + "]"
-
-    matrix = "[" + ",".join([ints(n)] * n) + "]"
-    return (
-        f'{{"length":{length},"multilength":{ints(m)},"geodesic":{ints(length)},'
-        f'"matrix":{matrix},"translation":{ints(n)}}}\n'
-    )
-
-
 class Ball:
     """All elements of length <= radius, grouped by length; immutable."""
 
@@ -177,37 +168,41 @@ class Ball:
             _add_level_counts(out, lv.multilength @ steps, length, radix, m)
         return out
 
-    def _level_geodesics(self) -> Iterator[np.ndarray]:
-        """Each level's geodesics as one (K, length) array, level by level.
-
-        Row i of level k is ``geodesic(k, i)``: the parent's row with the
-        discovery letter appended, gathered for the whole level at once.
-        """
-        geo = np.zeros((1, 0), dtype=np.int64)
-        yield geo
-        for lv in self.levels[1:]:
-            geo = np.concatenate([geo[lv.parent], lv.letter[:, None]], axis=1)
-            yield geo
-
     def export_jsonl(self, fp: IO[str]) -> int:
         """Stream the ball, one element per line; returns the line count.
 
         The bytes are those of ``json.dumps(el.as_json_dict(),
         separators=(",", ":"))`` for each element in canonical order.  Each
-        level is formatted through one ``%d`` line template and written in
-        chunks of at most ``_EXPORT_CHUNK_ROWS`` lines, so the extra memory
-        does not grow with the level.
+        level formats only what is new in it: a geodesic is the parent's
+        string from the previous level plus one letter, each distinct
+        multilength and matrix row is rendered once per level, and each
+        distinct matrix once by joining its row strings; translations are
+        formatted directly.  Lines are assembled from these strings and
+        written in chunks of at most ``_EXPORT_CHUNK_ROWS``, so the extra
+        memory is one level's strings.
         """
-        n, m = self.system.rank, self.system.m
-        for length, (lv, geo) in enumerate(zip(self.levels, self._level_geodesics())):
-            line = _jsonl_template(length, m, n)
+        n = self.system.rank
+        geo = [""]
+        for length, lv in enumerate(self.levels):
+            if length:
+                sep = "," if length > 1 else ""
+                tails = [sep + str(s) for s in range(self.system.num_gens)]
+                geo = [geo[p] + tails[s] for p, s in zip(lv.parent.tolist(), lv.letter.tolist())]
+            multilengths, ml_ids = _distinct_rows(lv.multilength)
+            ml_text = _render_rows(multilengths)
+            rows, row_ids = _distinct_rows(lv.lin.reshape(-1, n))
+            mats, mat_ids = _distinct_rows(row_ids.reshape(-1, n))
+            row_text = np.array(_render_rows(rows), dtype=object)
+            mat_text = ["[" + ",".join(mat) + "]" for mat in row_text[mats].tolist()]
+            head = f'{{"length":{length},"multilength":'
+            ml_ids, mat_ids = ml_ids.tolist(), mat_ids.tolist()
             for lo in range(0, len(lv), _EXPORT_CHUNK_ROWS):
                 hi = lo + _EXPORT_CHUNK_ROWS
-                rows = np.concatenate(
-                    [lv.multilength[lo:hi], geo[lo:hi], lv.lin[lo:hi].reshape(-1, n * n), lv.tr[lo:hi]],
-                    axis=1,
-                ).tolist()
-                fp.write("".join([line % tuple(row) for row in rows]))
+                parts = zip(ml_ids[lo:hi], geo[lo:hi], mat_ids[lo:hi], _render_rows(lv.tr[lo:hi]))
+                fp.write("".join([
+                    f'{head}{ml_text[a]},"geodesic":[{g}],"matrix":{mat_text[b]},"translation":{t}}}\n'
+                    for a, g, b, t in parts
+                ]))
         return self.total
 
     def __repr__(self) -> str:
@@ -262,6 +257,33 @@ def _pack(cols: np.ndarray) -> np.ndarray:
     return np.stack(words)
 
 
+def _sort_runs(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows of ``cols`` and, along it, which rows start a run.
+
+    ``first[j]`` is True when row ``order[j]`` differs from row ``order[j - 1]``.
+    """
+    words = _pack(cols)
+    order = np.argsort(words[0], kind="stable") if len(words) == 1 else np.lexsort(words[::-1])
+    words = words[:, order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
+    return order, first
+
+
+def _distinct_rows(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (N, c) int64 array in lexicographic order, and each row's index among them."""
+    order, first = _sort_runs(cols)
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return cols[order[first]], ids
+
+
+def _render_rows(cols: np.ndarray) -> list[str]:
+    """Each row of an (N, c) int array as the JSON list ``[a,b,...]``."""
+    template = "[" + ",".join(["%d"] * cols.shape[1]) + "]"
+    return [template % tuple(row) for row in cols.tolist()]
+
+
 def enumerate_ball(
     system: AffineCoxeterSystem,
     radius: int,
@@ -311,11 +333,7 @@ def enumerate_ball(
         points = frontier.lin @ system.alcove_images.T
         points += system.alcove_scale * frontier.tr[:, :, None]
         points = np.concatenate([prev_points, points.transpose(0, 2, 1).reshape(-1, n)])
-        words = _pack(points)
-        order = np.argsort(words[0], kind="stable") if len(words) == 1 else np.lexsort(words[::-1])
-        words = words[:, order]
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
+        order, first = _sort_runs(points)
         kept = order[first]
         # A run led by a previous-level point is a step back towards the identity.
         kept = kept[kept >= len(prev_points)] - len(prev_points)

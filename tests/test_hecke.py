@@ -241,6 +241,45 @@ def test_make_rejects_malformed_matrices(matrices):
         MatrixRep.make(matrices, q_o=2)
 
 
+@pytest.mark.parametrize(
+    "matrices, params, message",
+    [
+        ([[[0.1]]], {"q": 1}, r"generator 0 matrix entry 0\.1 is not an exact rational"),
+        ([[[4]], [[np.float64(-1.0)]]], {"q": 4}, r"generator 1 matrix entry .* is not an exact rational"),
+        ([[[1]]], {"q": 0.1}, r"q 0\.1 is not an exact rational"),
+        ([[[1]]], {"q_o": 2.0}, r"q_o 2\.0 is not an exact rational"),
+    ],
+    ids=["float-entry", "numpy-float-entry", "float-q", "float-q_o"],
+)
+def test_make_rejects_inexact_input(matrices, params, message):
+    with pytest.raises(ValueError, match=message):
+        MatrixRep.make(matrices, **params)
+
+
+def test_make_accepts_numpy_integers_as_python_ints():
+    big = np.int64(2**40)
+    rep = MatrixRep.make([[[big]], [[np.int64(-1)]], [[big]]], q_o=np.int64(2**20))
+    assert rep == MatrixRep.make([[[2**40]], [[-1]], [[2**40]]], q_o=2**20)
+    assert all(type(x) is int for num in rep.numerators for x in num.flat)
+    assert type(rep.q.numerator) is int and rep.q == 2**40
+    # int64 numerators would wrap around here
+    assert eval_rep_on_word(rep, (0, 2, 0, 2))[0, 0] == 2**160
+
+
+def test_reps_compare_and_hash_by_value():
+    mats = [[[4, 8], [0, -1]], [[-1, 0], [1, 4]], [[4, 8], [0, -1]]]
+    rep = MatrixRep.make(mats, q_o=2)
+    same = MatrixRep.make([np.array(m) for m in mats], q=4)
+    assert rep == same and hash(rep) == hash(same)
+    assert len({rep, same}) == 1
+    one_entry = MatrixRep.make(mats[:2] + [[[4, 8], [0, -2]]], q_o=2)
+    assert rep != one_entry
+    only_q = MatrixRep.make(mats, q_o=3)
+    assert all((a == b).all() for a, b in zip(rep.numerators, only_q.numerators))
+    assert rep != only_q
+    assert rep != "not a rep"
+
+
 @pytest.mark.parametrize("letter", [-1, 3, 10])
 def test_eval_rejects_letters_out_of_range(letter):
     rep = MatrixRep.make([[[4]], [[-1]], [[4]]], q_o=2)

@@ -338,13 +338,22 @@ def test_jsonl_export_roundtrip():
 
 
 @pytest.mark.parametrize(
-    "label, radius", [("A1", 0), ("A1", 5), ("G2", 12), ("C3", 8), ("F4", 6), ("E8", 6)]
+    "label, radius",
+    [("A1", 0), ("A1", 5), ("G2", 12), ("C3", 8), ("F4", 6), ("E8", 6), ("B12", 4), ("C3", 26)],
 )
 def test_jsonl_export_is_byte_identical_to_per_element_reference(label, radius):
     ball = enumerate_ball(system_of(label), radius)
     if label == "E8":
         # the 2,508-element level is written in more than one chunk
         assert max(ball.counts) > weyl._EXPORT_CHUNK_ROWS
+    if label == "B12":
+        # geodesics of length >= 3 carry two-digit letters
+        assert any(max(el.geodesic) >= 10 for el in ball if el.length >= 3)
+    if label == "C3" and radius == 26:
+        # the 1,084-element top level spans two chunks and repeats its linear parts
+        top = ball.levels[-1]
+        assert len(top) > weyl._EXPORT_CHUNK_ROWS
+        assert len(np.unique(top.lin.reshape(len(top), -1), axis=0)) < len(top)
     buf = io.StringIO()
     written = ball.export_jsonl(buf)
     reference = "".join(
