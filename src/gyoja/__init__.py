@@ -33,6 +33,7 @@ from .closed_forms import (
     PoleError,
     bott_closed_form,
     calibrate_indexing,
+    diagram_growth_series,
     growth_closed_form,
     macdonald_closed_form,
 )
@@ -129,6 +130,7 @@ __all__ = [
     "conjugacy_partition",
     "count_multilengths",
     "counting_series",
+    "diagram_growth_series",
     "distinction_value",
     "distinction_value_witnessed",
     "enumerate_ball",

@@ -37,6 +37,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 __all__ = [
     "INFINITE_BOND",
@@ -230,22 +231,30 @@ def _alcove_point(roots: Roots) -> tuple[int, tuple[int, ...]]:
 _BOND_OF_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6, 4: INFINITE_BOND}
 
 
-def _coxeter_matrix(P: Matrix, theta: tuple[int, ...], theta_covec: tuple[int, ...]) -> Matrix:
-    """Coxeter matrix of the affine system from its extended Cartan matrix.
+def _extended_cartan_matrix(P: Matrix, theta: tuple[int, ...], theta_covec: tuple[int, ...]) -> Matrix:
+    """a[s][t] = <alpha_t, alpha_s^vee> over the affine nodes 0..n.
 
     Node 0 is the affine root alpha_0 = delta - theta, so a_{i0} =
     -<theta, alpha_i^vee> and a_{0i} = -<alpha_i, theta^vee>; the finite
-    nodes pair through P.  A product of 4 occurs only in type A1, whose
-    two affine generators generate an infinite dihedral group.
+    nodes pair through P.
     """
     n = len(P)
-    a = [[2] + [-sum(P[k][i] * theta_covec[k] for k in range(n)) for i in range(n)]]
+    a = [(2,) + tuple(-sum(P[k][i] * theta_covec[k] for k in range(n)) for i in range(n))]
     for i in range(n):
-        a.append([-sum(P[i][j] * theta[j] for j in range(n))] + list(P[i]))
+        a.append((-sum(P[i][j] * theta[j] for j in range(n)),) + P[i])
+    return tuple(a)
+
+
+def _coxeter_matrix(a: Matrix) -> Matrix:
+    """Coxeter matrix of the affine system from its extended Cartan matrix.
+
+    A product a_st * a_ts of 4 occurs only in type A1, whose two affine
+    generators generate an infinite dihedral group.
+    """
     rows = []
-    for s in range(n + 1):
+    for s in range(len(a)):
         row = []
-        for t in range(n + 1):
+        for t in range(len(a)):
             product = a[s][t] * a[t][s]
             if s != t and product not in _BOND_OF_PRODUCT:
                 raise AssertionError(f"Cartan product {product} is no bond")
@@ -330,8 +339,9 @@ class AffineCoxeterSystem:
     the coroot lattice as ``x -> linear[s] @ x + translation[s]``, in
     simple-coroot coordinates.  Immutable after construction; safe to share.
 
-    The tables are computed in plain ints (n <= 8), and the Coxeter matrix
-    and class partition are read off them.  The array attributes
+    The tables are computed in plain ints (n <= 8).  ``extended_cartan`` is
+    the extended Cartan matrix as a tuple of int tuples, and the Coxeter
+    matrix and class partition are read off it.  The array attributes
     ``pairing``, ``highest_root``, ``gen_linear``, ``gen_translation``,
     ``alcove_point``, ``alcove_images``, ``positive_root_pairings``,
     ``descent_normals`` and ``descent_offsets`` are read-only int64 numpy
@@ -403,7 +413,8 @@ class AffineCoxeterSystem:
         self._positive_root_pairings = tuple(_matvec(P, rc) for rc, _ in roots if min(rc) >= 0)
         self._descent_normals = tuple(normals)
         self._descent_offsets = tuple(scale * sum(x * y for x, y in zip(b, u_s)) for b, u_s in zip(gens_tr, u))
-        self.coxeter_matrix = _coxeter_matrix(P, theta, theta_covec)
+        self.extended_cartan = _extended_cartan_matrix(P, theta, theta_covec)
+        self.coxeter_matrix = _coxeter_matrix(self.extended_cartan)
         self.partition = conjugacy_partition(self.coxeter_matrix)
 
     # -- public surface -------------------------------------------------------
@@ -411,6 +422,45 @@ class AffineCoxeterSystem:
     @property
     def m(self) -> int:
         return self.partition.m
+
+    def longest_multilength(self, nodes: Iterable[int]) -> tuple[int, ...]:
+        """Multilength of the longest element w0(J) of the parabolic W_J, J = ``nodes``.
+
+        The reflections met along a reduced word of w0(J) are the reflections
+        in the positive roots of J, each once, and each lies in the class of
+        the letter it is met at.  So the class-c length of w0(J) is the
+        number of positive roots whose reflection is in class c.  They are
+        found by a closure under the simple reflections of J on J's rows of
+        ``extended_cartan``, each root tagged with the class of the simple
+        root it is an image of.  J must be a proper subset of the
+        generators: W_J is then finite, and W itself has no longest element.
+        """
+        nodes = sorted(set(nodes))
+        if len(nodes) == self.num_gens:
+            raise ValueError("an affine Weyl group has no longest element; need a proper subset")
+        a = [[self.extended_cartan[s][t] for t in nodes] for s in nodes]
+        class_of = self.partition.class_of
+        unit = [tuple(int(i == j) for j in range(len(nodes))) for i in range(len(nodes))]
+        tags = {root: class_of[s] for root, s in zip(unit, nodes)}
+        frontier = list(unit)
+        while frontier:
+            new = []
+            for root in frontier:
+                for i, row in enumerate(a):
+                    if root == unit[i]:
+                        continue  # the one positive root s_i makes negative
+                    pair = sum(x * y for x, y in zip(row, root))
+                    image = root[:i] + (root[i] - pair,) + root[i + 1 :]
+                    if image not in tags:
+                        tags[image] = tags[root]
+                        new.append(image)
+                    elif tags[image] != tags[root]:
+                        raise AssertionError("a root reflection lies in two classes")
+            frontier = new
+        out = [0] * self.m
+        for tag in tags.values():
+            out[tag] += 1
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"AffineCoxeterSystem({self.ctype.label})"

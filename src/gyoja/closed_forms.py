@@ -25,13 +25,22 @@ division, q[k] = a[k] - sum c*q[k - e], walked in increasing total degree so
 that each q[k] is final before anything reads it.  A factor of length L
 costs O(terms * L); a ``TruncatedSeries`` is built once, at the end.
 
+Evaluation works in integers too: at x_i = p_i / r_i a factor is one
+integer over prod r_i^E_i (E_i its top degree in x_i), the values are
+multiplied as one running numerator and denominator, and one ``Fraction``
+is built per value.
+
 The formula's variable order is a convention external to this module;
 :func:`calibrate_indexing` pins the class-to-variable binding by matching
-the expansion against the enumerated class-graded series.  (For Cn the end
-node swap is a symmetry of the formula, so exactly two bindings match and
-the canonical class order breaks the tie; for C2 in particular the matching
-bindings send the chain class {s_1} to the first formula variable, which is
-*not* the identity binding.)
+the expansion against the class-graded series that
+:func:`diagram_growth_series` derives from the Coxeter data alone
+(Solomon's identity for the finite parabolics, Steinberg's for the affine
+group), so no group element is enumerated and this module shares no code
+with the enumeration it is checked against.  (For Cn the end node swap is a
+symmetry of the formula, so exactly two bindings match and the canonical
+class order breaks the tie; for C2 in particular the matching bindings send
+the chain class {s_1} to the first formula variable, which is *not* the
+identity binding.)
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .cartan import CartanType, build_affine_system, exponents
-from .series import TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, from_counts, render_monomial
+from .series import TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, render_monomial
 from .limits import ResourceLimitExceeded
 
 __all__ = [
@@ -55,6 +64,7 @@ __all__ = [
     "bott_closed_form",
     "macdonald_closed_form",
     "growth_closed_form",
+    "diagram_growth_series",
     "calibrate_indexing",
     "CalibrationResult",
 ]
@@ -73,7 +83,7 @@ class PoleError(ZeroDivisionError):
 
 
 class CalibrationError(RuntimeError):
-    """No class-to-variable binding matches the enumerated series."""
+    """No class-to-variable binding matches the series derived from the diagram."""
 
 
 class TermLimitExceeded(ResourceLimitExceeded):
@@ -109,14 +119,27 @@ class Factor:
         items = tuple(sorted(((tuple(e), int(c)) for e, c in terms.items() if c != 0)))
         return Factor(nvars, items)
 
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
+        pt = [Fraction(x) for x in point]
+        return Fraction(*self._scaled_value([x.numerator for x in pt], [x.denominator for x in pt]))
+
+    def _scaled_value(self, nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
+        """The value at x_i = nums[i] / dens[i] as integers (N, R) with value N / R.
+
+        R = prod dens[i]^E_i, where E_i is the top degree of x_i in the
+        factor, so each term c * prod x_i^e_i adds c * prod nums[i]^e_i *
+        dens[i]^(E_i - e_i) to N.  R > 0 when every dens[i] > 0.
+        """
+        tops = [max(exp[i] for exp, _ in self.terms) for i in range(self.nvars)]
+        total = 0
         for exp, c in self.terms:
-            term = Fraction(c)
-            for x, e in zip(point, exp):
-                term *= x**e
-            total += term
-        return total
+            for p, r, e, top in zip(nums, dens, exp, tops):
+                c *= p**e * r ** (top - e)
+            total += c
+        scale = 1
+        for r, top in zip(dens, tops):
+            scale *= r**top
+        return total, scale
 
     def permute_variables(self, perm: Sequence[int]) -> "Factor":
         remap = {}
@@ -195,23 +218,31 @@ class ClosedForm:
 
         A pole (vanishing denominator factor) raises :class:`PoleError` even
         when a numerator factor vanishes as well; values are never inferred
-        from cancellation.
+        from cancellation.  Each factor's value is one integer over a power
+        product of the coordinate denominators (``Factor._scaled_value``);
+        one running numerator and denominator carry the product, and one
+        ``Fraction`` is built at the end.
         """
         pt = [Fraction(x) for x in point]
         if len(pt) != self.nvars:
             raise ValueError("point dimension mismatch")
-        for f in self.denominator:
-            if f.evaluate(pt) == 0:
+        nums, dens = [x.numerator for x in pt], [x.denominator for x in pt]
+        below = [f._scaled_value(nums, dens) for f in self.denominator]
+        for f, (v, _) in zip(self.denominator, below):
+            if v == 0:
                 raise PoleError(f, pt)
         witness = None
-        value = Fraction(1)
+        top, bottom = 1, 1
         for f in self.numerator:
-            v = f.evaluate(pt)
+            v, r = f._scaled_value(nums, dens)
             if v == 0 and witness is None:
                 witness = f
-            value *= v
-        for f in self.denominator:
-            value /= f.evaluate(pt)
+            top *= v
+            bottom *= r
+        for v, r in below:
+            top *= r
+            bottom *= v
+        value = Fraction(top, bottom)
         if witness is not None:
             assert value == 0
         return value, witness
@@ -357,6 +388,110 @@ def growth_closed_form(ctype: CartanType) -> ClosedForm:
 
 
 # ---------------------------------------------------------------------------
+# The series from the diagram alone
+# ---------------------------------------------------------------------------
+
+
+def diagram_growth_series(ctype: CartanType, degree: int) -> TruncatedSeries:
+    """The class-graded growth series W(t) to total degree ``degree``, from the diagram alone.
+
+    No group element is formed.  Write R_J = 1/W_J(t) for the parabolic
+    subgroup W_J on a set J of generators, and Sigma(J) for the signed sum
+    sum_{K in J} (-1)^|K| R_K.  For J a proper subset, W_J is finite and
+    Solomon's identity is Sigma(J) = t^{w0(J)} R_J; splitting off the K = J
+    term gives
+
+        R_J = sum_{K strictly in J} (-1)^|K| R_K / (t^{w0(J)} - (-1)^|J|),
+
+    with t^{w0(J)} from :meth:`AffineCoxeterSystem.longest_multilength`.
+    The affine group W_S is infinite and no element has every generator as
+    a descent, so Sigma(S) = 0 (Steinberg), which gives 1/W = R_S.
+
+    The signed sums are formed without listing all subsets, whose number
+    grows as 3^|S|.  R_K is the product of R_C over the components C of
+    K, so for one node v of J, sorting K by the component C of v in K gives
+
+        Sigma(J) = Sigma(J - v) + sum_{connected C, v in C in J} (-1)^|C| R_C Sigma(J - C - N(C)),
+
+    N(C) the neighbours of C; for a connected J the term C = J is the
+    unknown that Solomon's identity solves for.  The affine diagrams are
+    paths, cycles (An) or trees with at most two branch nodes, so with v of
+    least degree in J the number of sets and terms grows polynomially with
+    |S|.  All series have integer coefficients, R_C has constant term 1 and
+    every divisor is a binomial 1 +- x^e, so the arithmetic stays in plain
+    ints, with the kernels of :mod:`gyoja.series`.
+    """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    system = build_affine_system(ctype)
+    zero_exp = (0,) * system.m
+    nodes = frozenset(range(system.num_gens))
+    neighbours = {s: frozenset(t for t in nodes if system.coxeter_matrix[s][t] not in (1, 2)) for s in nodes}
+    sums: dict[frozenset[int], dict[Exponent, int]] = {frozenset(): {zero_exp: 1}}
+    inverses: dict[frozenset[int], dict[Exponent, int]] = {}
+
+    def signed_sum(part: frozenset[int]) -> dict[Exponent, int]:
+        if part in sums:
+            return sums[part]
+        v = min(part, key=lambda s: (len(neighbours[s] & part), s))
+        out = dict(signed_sum(part - {v}))
+        connected = _connected_sets_containing(v, part, neighbours)
+        for comp in connected - {part}:
+            signed_sum(comp)  # sets inverses[comp]
+            levels = _by_degree(signed_sum(part - comp - _around(comp, neighbours)), degree)
+            _multiply_by(levels, _tail(inverses[comp].items()))
+            sign = -1 if len(comp) % 2 else 1
+            for exp, c in _merged(levels).items():
+                out[exp] = out.get(exp, 0) + sign * c
+        if part in connected:
+            sign = -1 if len(part) % 2 else 1
+            if part == nodes:
+                inverses[part] = {exp: -sign * c for exp, c in out.items() if c}
+                out = {}  # Sigma(S) = 0
+            else:
+                levels = _by_degree({exp: -sign * c for exp, c in out.items()}, degree)
+                for _ in _divide_by(levels, _tail([(system.longest_multilength(part), -sign)])):
+                    pass
+                inverses[part] = _merged(levels)
+                for exp, c in inverses[part].items():
+                    out[exp] = out.get(exp, 0) + sign * c
+        sums[part] = out = {exp: c for exp, c in out.items() if c}
+        return out
+
+    signed_sum(nodes)
+    inverse = inverses[nodes]
+    if inverse.get(zero_exp) != 1:
+        raise AssertionError("1/W must have constant term 1")
+    levels = [{zero_exp: 1}] + [{} for _ in range(degree)]
+    for _ in _divide_by(levels, _tail(inverse.items())):
+        pass
+    return TruncatedSeries(system.m, degree, _merged(levels))
+
+
+def _around(part: frozenset[int], neighbours: dict[int, frozenset[int]]) -> frozenset[int]:
+    """The nodes outside ``part`` joined to it."""
+    return frozenset().union(*(neighbours[s] for s in part)) - part
+
+
+def _connected_sets_containing(v: int, part: frozenset[int], neighbours: dict[int, frozenset[int]]) -> set[frozenset[int]]:
+    """Every connected subset of ``part`` that contains node ``v``."""
+    found = {frozenset([v])}
+    frontier = list(found)
+    while frontier:
+        grown = {comp | {t} for comp in frontier for t in _around(comp, neighbours) & part} - found
+        found |= grown
+        frontier = list(grown)
+    return found
+
+
+def _by_degree(terms: dict[Exponent, int], degree: int) -> list[dict[Exponent, int]]:
+    levels: list[dict[Exponent, int]] = [{} for _ in range(degree + 1)]
+    for exp, c in terms.items():
+        levels[sum(exp)][exp] = c
+    return levels
+
+
+# ---------------------------------------------------------------------------
 # Class-to-variable calibration
 # ---------------------------------------------------------------------------
 
@@ -367,8 +502,9 @@ class CalibrationResult:
 
     ``binding[j]`` is the class index bound to formula variable ``t_{j+1}``.
     ``matching`` lists every binding under which the expansion agrees with
-    the enumerated series to the tested degree (more than one exactly when
-    the formula has a variable symmetry).
+    the series of :func:`diagram_growth_series` to the tested degree (more
+    than one exactly when the formula has a variable symmetry, or when the
+    degree is too low to tell bindings apart).
     """
 
     ctype: CartanType
@@ -387,27 +523,26 @@ def calibrate_indexing(ctype: CartanType, degree: int = 6) -> CalibrationResult:
 
     Tries every permutation; a binding matches when the formula expansion,
     with variable t_j read as the class-``binding[j]`` variable, equals the
-    enumerated class-graded series coefficient-for-coefficient up to
-    ``degree``.  Ties (formula symmetries) are broken by lexicographic
-    order on the binding, which prefers the canonical class order.
+    series derived from the diagram (:func:`diagram_growth_series`)
+    coefficient-for-coefficient up to ``degree``.  Ties (formula
+    symmetries) are broken by lexicographic order on the binding, which
+    prefers the canonical class order.
     """
-    from .weyl import count_multilengths
-
     system = build_affine_system(ctype)
     m = system.m
     if m == 1:
         return CalibrationResult(ctype, degree, (0,), ((0,),))
-    enumerated = from_counts(count_multilengths(system, degree), m, degree)
+    derived = diagram_growth_series(ctype, degree)
     formula = macdonald_closed_form(ctype).expand(degree)
     matching = []
     for perm in permutations(range(m)):
         # formula exponent e corresponds to class exponent vector e' with
         # e'[perm[j]] = e[j]
-        if formula.permute_variables(perm) == enumerated:
+        if formula.permute_variables(perm) == derived:
             matching.append(perm)
     if not matching:
         raise CalibrationError(
-            f"no class-to-variable binding reproduces the enumerated series for "
+            f"no class-to-variable binding reproduces the derived series for "
             f"{ctype.label} at degree {degree}; formula transcription or partition bug"
         )
     return CalibrationResult(ctype, degree, matching[0], tuple(matching))

@@ -176,8 +176,10 @@ class Ball:
         level formats only what is new in it: a geodesic is the parent's
         string from the previous level plus one letter, each distinct
         multilength and matrix row is rendered once per level, and each
-        distinct matrix once by joining its row strings; translations are
-        formatted directly.  Lines are assembled from these strings and
+        distinct matrix once by joining its row strings.  A level is sorted
+        by matrix first and row ids follow row order, so equal matrices are
+        adjacent runs of row-id tuples.  Translations are formatted
+        directly.  Lines are assembled from these strings and
         written in chunks of at most ``_EXPORT_CHUNK_ROWS``, so the extra
         memory is one level's strings.
         """
@@ -191,7 +193,7 @@ class Ball:
             multilengths, ml_ids = _distinct_rows(lv.multilength)
             ml_text = _render_rows(multilengths)
             rows, row_ids = _distinct_rows(lv.lin.reshape(-1, n))
-            mats, mat_ids = _distinct_rows(row_ids.reshape(-1, n))
+            mats, mat_ids = _adjacent_runs(row_ids.reshape(-1, n))
             row_text = np.array(_render_rows(rows), dtype=object)
             mat_text = ["[" + ",".join(mat) + "]" for mat in row_text[mats].tolist()]
             head = f'{{"length":{length},"multilength":'
@@ -276,6 +278,18 @@ def _distinct_rows(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ids = np.empty(len(order), dtype=np.int64)
     ids[order] = np.cumsum(first) - 1
     return cols[order[first]], ids
+
+
+def _adjacent_runs(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (N, c) array whose equal rows are adjacent, and each row's index among them.
+
+    On rows already in lexicographic order this is :func:`_distinct_rows`
+    without the sort: a row starts a new run when it differs from the row
+    before it.
+    """
+    first = np.ones(len(cols), dtype=bool)
+    first[1:] = (cols[1:] != cols[:-1]).any(axis=1)
+    return cols[first], np.cumsum(first) - 1
 
 
 def _render_rows(cols: np.ndarray) -> list[str]:

@@ -109,6 +109,39 @@ def test_coxeter_matrix_matches_generator_orders(label):
     assert s.coxeter_matrix == coxeter_matrix_by_generator_orders(s)
 
 
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_longest_multilength_counts_positive_roots(label):
+    ctype = parse_cartan_type(label)
+    s = build_affine_system(ctype)
+    finite = s.longest_multilength(range(1, s.num_gens))
+    assert sum(finite) == POSITIVE_ROOT_COUNT[ctype.family](ctype.rank)
+    assert s.longest_multilength([]) == (0,) * s.m
+    for node in range(s.num_gens):
+        unit = [0] * s.m
+        unit[s.partition.class_of[node]] = 1
+        assert s.longest_multilength([node]) == tuple(unit)
+    with pytest.raises(ValueError):
+        s.longest_multilength(range(s.num_gens))
+
+
+@pytest.mark.parametrize(
+    "label,nodes,expected",
+    [
+        ("B3", (1, 2, 3), (6, 3)),  # 6 long roots, 3 short
+        ("B3", (0, 1, 2), (6, 0)),  # type A3 on long nodes
+        ("C3", (1, 2, 3), (6, 0, 3)),  # short roots in the chain class, long in {s_3}
+        ("C3", (0, 1, 2), (6, 3, 0)),  # the mirror image, long roots in {s_0}
+        ("C2", (0, 1), (2, 2, 0)),
+        ("F4", (1, 2, 3, 4), (12, 12)),
+        ("F4", (0, 1, 2, 3), (12, 4)),  # type B4: 12 long, 4 short
+        ("G2", (1, 2), (3, 3)),
+        ("E8", tuple(range(8)), (64,)),  # E7 plus the isolated affine node
+    ],
+)
+def test_longest_multilength_splits_roots_by_class(label, nodes, expected):
+    assert build_affine_system(parse_cartan_type(label)).longest_multilength(nodes) == expected
+
+
 def test_f4_partition():
     s = build_affine_system(parse_cartan_type("F4"))
     chain = [s.coxeter_matrix[i][i + 1] for i in range(4)]

@@ -394,6 +394,10 @@ _WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\nfrom gyoja.cli import
         ["expand", "--type", "C4", "--degree", "10"],
         ["expand", "--type", "C4", "--degree", "10", "--format", "json", "--show-form"],
         ["tables", "--type", "E8"],
+    ]
+    + [
+        ["classify", "--all-types", "--qo", "2,3,4,5,7", "--expect-paper", "--format", fmt]
+        for fmt in ("text", "json", "csv", "markdown")
     ],
 )
 def test_version_expand_and_tables_run_without_numpy(argv):
