@@ -33,7 +33,6 @@ affine node attaches to).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -603,7 +602,3 @@ def tables_document(ctype: CartanType) -> dict:
         ],
         "discrete_series_characters": [list(c.signs) for c in borel_discrete_series_list(ctype)],
     }
-
-
-def tables_json(ctype: CartanType, indent: int | None = 2) -> str:
-    return json.dumps(tables_document(ctype), indent=indent, sort_keys=False)

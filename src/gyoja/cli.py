@@ -31,7 +31,6 @@ from typing import IO
 from . import __version__
 from .cartan import (
     CartanType,
-    borel_discrete_series_list,
     build_affine_system,
     parse_cartan_type,
     tables_document,
@@ -45,7 +44,7 @@ from .distinction import (
     VERDICT_SCHEMA_VERSION,
 )
 from .limits import ResourceLimitExceeded, element_cap
-from .series import TruncatedSeries, from_counts
+from .series import TruncatedSeries, term_order
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,8 +115,8 @@ def _open_sink(path: str | None):
 
 
 def _series_json(series: TruncatedSeries) -> list:
-    items = sorted(series.coeffs.items(), key=lambda kv: (sum(kv[0]), tuple(-e for e in kv[0])))
-    return [{"exponent": list(e), "coefficient": str(c)} for e, c in items]
+    terms = sorted(series.coeffs, key=term_order)
+    return [{"exponent": list(e), "coefficient": str(series.coeffs[e])} for e in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +223,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     except ResourceLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCES
-    enumerated = from_counts(counts, system.m, args.degree)
+    enumerated = TruncatedSeries(system.m, args.degree, counts)
     calibration = calibrate_indexing(ctype, min(args.degree, 6))
     expanded = growth_closed_form(ctype).expand(args.degree).permute_variables(calibration.binding)
     if system.m == 1:
@@ -341,12 +340,13 @@ def build_parser() -> _Parser:
         if degree:
             p.add_argument("--degree", type=int, required=True, help="total-degree / radius bound")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        p.add_argument(
-            "--cap",
-            type=int,
-            default=None,
-            help="element cap override (see GYOJA_MAX_ELEMENTS); for expand, a cap on stored terms",
-        )
+        if degree:  # the commands with a radius are the ones that take a cap
+            p.add_argument(
+                "--cap",
+                type=int,
+                default=None,
+                help="element cap override (see GYOJA_MAX_ELEMENTS); for expand, a cap on stored terms",
+            )
 
     p = sub.add_parser("enumerate", help="enumerate a ball and stream or summarize it")
     common(p)
@@ -398,10 +398,11 @@ def main(argv: list[str] | None = None) -> int:
             raise _UsageError(f"{args.command} requires --type")
         if getattr(args, "degree", 0) is not None and getattr(args, "degree", 0) < 0:
             raise _UsageError("--degree must be >= 0")
-        try:
-            args.cap = element_cap(args.cap)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
+        if hasattr(args, "cap"):
+            try:
+                args.cap = element_cap(args.cap)
+            except ValueError as exc:
+                raise _UsageError(str(exc)) from exc
         _check_sink(args.output)  # before the work, not after it
         code = args.func(args)
         sys.stdout.flush()  # a reader that has gone away shows here, not at exit

@@ -52,7 +52,7 @@ from itertools import permutations
 from typing import Iterable, Sequence
 
 from .cartan import CartanType, build_affine_system, exponents
-from .series import TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, render_monomial
+from .series import TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, render_monomial, term_order, var_names
 from .limits import ResourceLimitExceeded
 
 __all__ = [
@@ -119,10 +119,6 @@ class Factor:
         items = tuple(sorted(((tuple(e), int(c)) for e, c in terms.items() if c != 0)))
         return Factor(nvars, items)
 
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        pt = [Fraction(x) for x in point]
-        return Fraction(*self._scaled_value([x.numerator for x in pt], [x.denominator for x in pt]))
-
     def _scaled_value(self, nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
         """The value at x_i = nums[i] / dens[i] as integers (N, R) with value N / R.
 
@@ -141,19 +137,10 @@ class Factor:
             scale *= r**top
         return total, scale
 
-    def permute_variables(self, perm: Sequence[int]) -> "Factor":
-        remap = {}
-        for exp, c in self.terms:
-            new = [0] * self.nvars
-            for i, e in enumerate(exp):
-                new[perm[i]] = e
-            remap[tuple(new)] = c
-        return Factor.make(self.nvars, remap)
-
     def __str__(self) -> str:
-        names = ["t"] if self.nvars == 1 else [f"t{i + 1}" for i in range(self.nvars)]
+        names = var_names(self.nvars)
         parts = []
-        for exp, c in sorted(self.terms, key=lambda item: (sum(item[0]), tuple(-e for e in item[0]))):
+        for exp, c in sorted(self.terms, key=lambda item: term_order(item[0])):
             mono = render_monomial(names, exp)
             if not mono:
                 parts.append(str(c))
@@ -249,24 +236,6 @@ class ClosedForm:
 
     def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
         return self.evaluate_witnessed(point)[0]
-
-    def permute_variables(self, perm: Sequence[int]) -> "ClosedForm":
-        return ClosedForm(
-            self.nvars,
-            tuple(f.permute_variables(perm) for f in self.numerator),
-            tuple(f.permute_variables(perm) for f in self.denominator),
-        )
-
-    def cancel(self) -> "ClosedForm":
-        """Remove factors common to the numerator and denominator multisets."""
-        den = list(self.denominator)
-        num: list[Factor] = []
-        for f in self.numerator:
-            try:
-                den.remove(f)
-            except ValueError:
-                num.append(f)
-        return ClosedForm(self.nvars, tuple(num), tuple(den))
 
     def __str__(self) -> str:
         def side(factors: tuple[Factor, ...]) -> str:
@@ -528,6 +497,8 @@ def calibrate_indexing(ctype: CartanType, degree: int = 6) -> CalibrationResult:
     symmetries) are broken by lexicographic order on the binding, which
     prefers the canonical class order.
     """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     system = build_affine_system(ctype)
     m = system.m
     if m == 1:

@@ -89,27 +89,31 @@ class DistinctionVerdict:
     epsilon: SignCharacter
     q_o: int
     value: Fraction
-    distinguished: bool
-    multiplicity_lower: int
-    multiplicity_upper: int
-    is_steinberg: bool
     zero_witness: str | None
 
     def __post_init__(self) -> None:
-        assert self.distinguished == (self.value != 0)
-        assert self.multiplicity_lower == (1 if self.distinguished else 0)
-        assert self.multiplicity_upper == 1
         if not self.distinguished:
             assert self.zero_witness is not None
 
     @property
+    def distinguished(self) -> bool:
+        return self.value != 0
+
+    @property
+    def multiplicity_lower(self) -> int:
+        return 1 if self.distinguished else 0
+
+    @property
+    def multiplicity_upper(self) -> int:
+        return 1
+
+    @property
+    def is_steinberg(self) -> bool:
+        return self.epsilon.is_steinberg
+
+    @property
     def multiplicity_interval(self) -> tuple[int, int]:
         return (self.multiplicity_lower, self.multiplicity_upper)
-
-
-def _growth_form_and_point(ctype: CartanType, point: EvaluationPoint):
-    binding = calibrate_indexing(ctype)
-    return growth_closed_form(ctype), binding.point_for_classes(point.coordinates)
 
 
 def _check_on_list(ctype: CartanType, eps: SignCharacter, formal: bool) -> None:
@@ -139,8 +143,8 @@ def distinction_value_witnessed(
     """Exact value of the criterion and the vanishing factor when it is zero."""
     _check_on_list(ctype, eps, formal)
     point = EvaluationPoint.from_character(eps, q_o)
-    form, coords = _growth_form_and_point(ctype, point)
-    value, witness = form.evaluate_witnessed(coords)
+    coords = calibrate_indexing(ctype).point_for_classes(point.coordinates)
+    value, witness = growth_closed_form(ctype).evaluate_witnessed(coords)
     return value, None if witness is None else str(witness)
 
 
@@ -155,20 +159,7 @@ def classify(ctype: CartanType, q_o: int) -> list[DistinctionVerdict]:
     verdicts = []
     for eps in borel_discrete_series_list(ctype):
         value, witness = distinction_value_witnessed(ctype, eps, q_o)
-        distinguished = value != 0
-        verdicts.append(
-            DistinctionVerdict(
-                ctype=ctype,
-                epsilon=eps,
-                q_o=q_o,
-                value=value,
-                distinguished=distinguished,
-                multiplicity_lower=1 if distinguished else 0,
-                multiplicity_upper=1,
-                is_steinberg=eps.is_steinberg,
-                zero_witness=witness,
-            )
-        )
+        verdicts.append(DistinctionVerdict(ctype, eps, q_o, value, witness))
     return verdicts
 
 

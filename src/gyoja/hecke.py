@@ -44,14 +44,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cartan import INFINITE_BOND, AffineCoxeterSystem, ClassPartition, SignCharacter
-from .series import TruncatedSeries, from_counts
+from .series import TruncatedSeries
 from .weyl import Ball
 
 __all__ = [
     "COUNTING",
     "CountingCharacter",
     "MatrixRep",
-    "RepValidationError",
     "RepValidationReport",
     "validate_rep",
     "char_value_e_w",
@@ -222,12 +221,6 @@ class RepValidationReport:
         return "; ".join(self.violations)
 
 
-class RepValidationError(ValueError):
-    def __init__(self, report: RepValidationReport):
-        super().__init__(str(report))
-        self.report = report
-
-
 def _is_zero_matrix(mat: np.ndarray) -> bool:
     return not any(mat.flat)
 
@@ -300,7 +293,7 @@ def character_series(
     ``q_o``) weights each count by its value r(e_w) = :func:`char_value_e_w`.
     """
     if isinstance(rep, CountingCharacter):
-        return from_counts(counts, m, bound)
+        return TruncatedSeries(m, bound, counts)
     if q_o is None:
         raise ValueError("a sign character needs q_o")
     return TruncatedSeries(

@@ -2,9 +2,10 @@
 
 A :class:`TruncatedSeries` stores coefficients for exponent vectors of total
 degree <= bound, in a sparse map keyed by exponent tuples; coefficients are
-``fractions.Fraction`` and zero coefficients are never stored.  Truncation is
-by *total* degree, matching the grading in which a radius-N ball of the
-group determines the series exactly to degree N.
+``int`` where given as ``int`` and ``fractions.Fraction`` otherwise, and zero
+coefficients are never stored.  Truncation is by *total* degree, matching the
+grading in which a radius-N ball of the group determines the series exactly
+to degree N.
 
 Values are immutable and all operations are pure.
 
@@ -28,16 +29,22 @@ __all__ = [
     "monomial",
     "variables",
     "geometric",
-    "from_counts",
     "render_monomial",
+    "term_order",
+    "var_names",
 ]
 
 Exponent = tuple[int, ...]
 
 
-def _term_order(exp: Exponent) -> tuple:
+def term_order(exp: Exponent) -> tuple:
     """Graded order: total degree first, then t1-dominant terms before t2-dominant."""
     return (sum(exp), tuple(-e for e in exp))
+
+
+def var_names(nvars: int) -> list[str]:
+    """``t`` for one variable, ``t1 .. tm`` for several."""
+    return ["t"] if nvars == 1 else [f"t{i + 1}" for i in range(nvars)]
 
 
 def render_monomial(names: Sequence[str], exp: Exponent) -> str:
@@ -46,7 +53,7 @@ def render_monomial(names: Sequence[str], exp: Exponent) -> str:
 
 
 class TruncatedSeries:
-    """Polynomial truncated at a total-degree bound, over Fraction."""
+    """Polynomial truncated at a total-degree bound, over int and Fraction."""
 
     __slots__ = ("nvars", "bound", "coeffs")
 
@@ -55,13 +62,14 @@ class TruncatedSeries:
             raise ValueError("need at least one variable")
         if bound < 0:
             raise ValueError("bound must be >= 0")
-        clean: dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Fraction | int] = {}
         for exp, c in coeffs.items():
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
             if sum(exp) > bound:
                 continue
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
             if c != 0:
                 clean[tuple(exp)] = c
         self.nvars = nvars
@@ -107,48 +115,7 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse as a power series, exact up to the bound.
-
-        Requires a nonzero constant term.  With a = c0*(1 + r), 1/a is
-        (1/c0) divided by 1 + r/c0, one degree-ordered recurrence
-        (see :func:`_divide_by`).
-        """
-        zero_exp = (0,) * self.nvars
-        c0 = self.coeffs.get(zero_exp)
-        if not c0:
-            raise ZeroDivisionError("series with zero constant term is not invertible")
-        inv_c0 = 1 / c0
-        levels = [{zero_exp: inv_c0}] + [{} for _ in range(self.bound)]
-        for _ in _divide_by(levels, _tail(self.coeffs.items(), inv_c0)):
-            pass  # each degree is final once yielded; run to the top one
-        return TruncatedSeries(self.nvars, self.bound, _merged(levels))
-
     # -- reshaping -----------------------------------------------------------
-
-    def truncate(self, bound: int) -> "TruncatedSeries":
-        if bound > self.bound:
-            raise ValueError("cannot raise the bound of a truncated series")
-        return TruncatedSeries(self.nvars, bound, self.coeffs)
-
-    def collapse_variables(self, assignment: Iterable[int], nvars_out: int) -> "TruncatedSeries":
-        """Substitution homomorphism t_i -> u_{assignment[i]}.
-
-        ``assignment`` maps each old variable index to a new variable index;
-        exponents of variables mapped to the same target add up.
-        """
-        assign = tuple(assignment)
-        if len(assign) != self.nvars or any(not 0 <= a < nvars_out for a in assign):
-            raise ValueError("assignment must map every old variable to a new index")
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.coeffs.items():
-            new = [0] * nvars_out
-            for i, e in enumerate(exp):
-                new[assign[i]] += e
-            key = tuple(new)
-            prev = out.get(key)
-            out[key] = c if prev is None else prev + c
-        return TruncatedSeries(nvars_out, self.bound, out)
 
     def permute_variables(self, perm: Iterable[int]) -> "TruncatedSeries":
         """Relabel variables: new exponent of t_{perm[i]} is the old one of t_i."""
@@ -167,9 +134,6 @@ class TruncatedSeries:
 
     def coefficient(self, exp: Exponent) -> Fraction:
         return self.coeffs.get(tuple(exp), Fraction(0))
-
-    def degree_slice(self, degree: int) -> dict[Exponent, Fraction]:
-        return {e: c for e, c in self.coeffs.items() if sum(e) == degree}
 
     def evaluate(self, point: Iterable[Fraction | int]) -> Fraction:
         """Plain substitution of the stored (truncated) polynomial."""
@@ -193,27 +157,21 @@ class TruncatedSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.bound, frozenset(self.coeffs.items())))
-
     def first_difference(self, other: "TruncatedSeries") -> Exponent | None:
         """First exponent vector (in canonical term order) where two series differ."""
         keys = set(self.coeffs) | set(other.coeffs)
         diffs = [e for e in keys if self.coeffs.get(e, 0) != other.coeffs.get(e, 0)]
-        return min(diffs, key=_term_order) if diffs else None
+        return min(diffs, key=term_order) if diffs else None
 
     # -- rendering -----------------------------------------------------------
-
-    def _var_names(self) -> list[str]:
-        return ["t"] if self.nvars == 1 else [f"t{i + 1}" for i in range(self.nvars)]
 
     def __str__(self) -> str:
         """Canonical text: graded term order (t1-dominant first), exact coefficients."""
         if not self.coeffs:
             return "0"
-        names = self._var_names()
+        names = var_names(self.nvars)
         parts: list[str] = []
-        for exp in sorted(self.coeffs, key=_term_order):
+        for exp in sorted(self.coeffs, key=term_order):
             c = self.coeffs[exp]
             mono = render_monomial(names, exp)
             mag = abs(c)
@@ -248,9 +206,9 @@ def _merged(levels: list[dict[Exponent, Any]]) -> dict[Exponent, Any]:
     return {exp: c for level in levels for exp, c in level.items()}
 
 
-def _tail(terms: Iterable[tuple[Exponent, Any]], scale: Any = 1) -> list[tuple[Exponent, int, Any]]:
-    """The non-constant terms times ``scale``, as (exponent, degree, coefficient), low degree first."""
-    tail = [(exp, sum(exp), c * scale) for exp, c in terms if any(exp)]
+def _tail(terms: Iterable[tuple[Exponent, Any]]) -> list[tuple[Exponent, int, Any]]:
+    """The non-constant terms as (exponent, degree, coefficient), low degree first."""
+    tail = [(exp, sum(exp), c) for exp, c in terms if any(exp)]
     return sorted(tail, key=lambda term: term[1])
 
 
@@ -318,7 +276,3 @@ def geometric(nvars: int, exp: Exponent, bound: int) -> TruncatedSeries:
         k += 1
     return TruncatedSeries(nvars, bound, out)
 
-
-def from_counts(counts: Mapping[Exponent, int], nvars: int, bound: int) -> TruncatedSeries:
-    """Series with integer coefficients given as a counts map."""
-    return TruncatedSeries(nvars, bound, {e: Fraction(c) for e, c in counts.items()})

@@ -15,8 +15,8 @@ discovery letter and its multilength, so a product along every geodesic can
 be formed with one step per element.
 
 Lengths need no ball: the Coxeter length of a map is the number of root
-hyperplanes separating the alcove point from its image.  ``Ball.length_of``
-takes the level from that count and compares the map with that level's rows.
+hyperplanes separating the alcove point from its image, which is how
+:func:`is_reduced` tests a word.
 
 Levels are sorted by numeric lexicographic order of the flattened
 (matrix, translation) row, so two runs produce byte-identical balls.
@@ -112,22 +112,6 @@ class Ball:
         self.total = sum(self.counts)
 
     # -- lookups ---------------------------------------------------------
-
-    def length_of(self, lin: np.ndarray, tr: np.ndarray) -> int | None:
-        """Coxeter length of the given affine map, or None if outside the ball.
-
-        The hyperplane count of :func:`_coxeter_length` picks the one level
-        the map can lie in; the map is then compared with that level's rows,
-        because an integer map that is no group element has a count too.
-        """
-        lin = np.asarray(lin, dtype=np.int64)
-        tr = np.asarray(tr, dtype=np.int64)
-        length = int(_coxeter_length(self.system, lin, tr))
-        if length > self.radius:
-            return None
-        lv = self.levels[length]
-        hit = ((lv.lin == lin).all(axis=(1, 2)) & (lv.tr == tr).all(axis=1)).any()
-        return length if hit else None
 
     def geodesic(self, length: int, i: int) -> tuple[int, ...]:
         word: list[int] = []

@@ -112,6 +112,29 @@ def test_bad_cap_env_exit_1(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["series", "check", "expand"])
+def test_bad_cap_env_exit_1_on_every_cap_command(command, monkeypatch, capsys):
+    monkeypatch.setenv("GYOJA_MAX_ELEMENTS", "abc")
+    code, out, err = run_cli(command, "--type", "A2", "--degree", "3", capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == "usage error: GYOJA_MAX_ELEMENTS must be an integer >= 1, got 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [("tables", "--type", "G2"), ("classify", "--type", "G2", "--qo", "2")])
+def test_commands_without_a_cap_ignore_the_cap_env(argv, monkeypatch, capsys):
+    unset = run_cli(*argv, capsys=capsys)
+    monkeypatch.setenv("GYOJA_MAX_ELEMENTS", "bogus")
+    assert run_cli(*argv, capsys=capsys) == unset
+    assert unset[0] == 0 and unset[2] == ""
+
+
+@pytest.mark.parametrize("argv", [("tables", "--type", "G2"), ("classify", "--type", "G2", "--qo", "2")])
+def test_commands_without_a_cap_reject_cap(argv, capsys):
+    code, out, err = run_cli(*argv, "--cap", "3", capsys=capsys)
+    assert code == 1 and out == ""
+    assert err == "usage error: unrecognized arguments: --cap 3\n"
+
+
 def test_bad_type_exit_1(capsys):
     code, _, err = run_cli("enumerate", "--type", "B2", "--degree", "2", capsys=capsys)
     assert code == 1

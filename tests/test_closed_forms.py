@@ -22,7 +22,7 @@ from gyoja.closed_forms import (
 )
 from gyoja.cli import ALL_TYPES
 from gyoja.hecke import counting_series
-from gyoja.series import TruncatedSeries, from_counts, geometric, one
+from gyoja.series import TruncatedSeries, geometric, one
 from gyoja.weyl import ResourceLimitExceeded, count_multilengths
 
 
@@ -231,6 +231,12 @@ def test_calibration_m1_identity():
     assert result == CalibrationResult(parse_cartan_type("E6"), 4, (0,), ((0,),))
 
 
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_calibration_rejects_negative_degree(label):
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        calibrate_indexing(parse_cartan_type(label), -1)
+
+
 def test_point_for_classes():
     result = calibrate_indexing(parse_cartan_type("C2"), 6)
     coords = (Fraction(10), Fraction(20), Fraction(30))
@@ -262,20 +268,6 @@ def test_expansion_value_converges_monotonically_at_positive_points():
         assert all(errors[i] > errors[i + 1] for i in range(len(errors) - 1)), label
 
 
-def test_cancel_removes_common_factors():
-    form = bott_closed_form(parse_cartan_type("A2"))
-    reduced = form.cancel()
-    assert len(reduced.numerator) == len(form.numerator) - 1
-    assert len(reduced.denominator) == len(form.denominator) - 1
-    assert reduced.expand(6) == form.expand(6)
-    trivial = Factor.make(1, {(0,): 1, (1,): -1})
-    from gyoja.closed_forms import ClosedForm
-
-    cancelled = ClosedForm(1, (trivial,), (trivial,)).cancel()
-    assert cancelled.numerator == () and cancelled.denominator == ()
-    assert cancelled.expand(3) == TruncatedSeries(1, 3, {(0,): 1})
-
-
 def test_render_canonical():
     form = macdonald_closed_form(parse_cartan_type("A1"))
     assert str(form) == "(1 + t1)·(1 + t2) / (1 - t1·t2)"
@@ -295,7 +287,7 @@ def test_render_canonical():
 )
 def test_diagram_series_matches_counted_multilengths(label, degree):
     system = build_affine_system(parse_cartan_type(label))
-    counted = from_counts(count_multilengths(system, degree), system.m, degree)
+    counted = TruncatedSeries(system.m, degree, count_multilengths(system, degree))
     assert diagram_growth_series(system.ctype, degree) == counted
 
 

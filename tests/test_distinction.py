@@ -118,18 +118,13 @@ def test_steinberg_positive_for_all_supported_types():
 
 
 def test_verdict_invariants_enforced():
-    with pytest.raises(AssertionError):
-        DistinctionVerdict(
-            ctype=parse_cartan_type("G2"),
-            epsilon=SignCharacter((-1, -1)),
-            q_o=2,
-            value=Fraction(0),
-            distinguished=True,
-            multiplicity_lower=1,
-            multiplicity_upper=1,
-            is_steinberg=True,
-            zero_witness=None,
-        )
+    g2 = parse_cartan_type("G2")
+    with pytest.raises(AssertionError):  # a zero carries its witness
+        DistinctionVerdict(ctype=g2, epsilon=SignCharacter((-1, -1)), q_o=2, value=Fraction(0), zero_witness=None)
+    zero = DistinctionVerdict(g2, SignCharacter((-1, 1)), 2, Fraction(0), "(1 + t1)")
+    assert (zero.distinguished, zero.multiplicity_interval, zero.is_steinberg) == (False, (0, 1), False)
+    nonzero = DistinctionVerdict(g2, SignCharacter((-1, -1)), 2, Fraction(7, 33), None)
+    assert (nonzero.distinguished, nonzero.multiplicity_interval, nonzero.is_steinberg) == (True, (1, 1), True)
 
 
 def test_off_list_characters_are_gated():

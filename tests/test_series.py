@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import gyoja.series as series_module
-from gyoja.series import TruncatedSeries, geometric, monomial, one, variables, zero
+from gyoja.series import TruncatedSeries, monomial, one, variables, zero
 
 
 def test_module_doctests():
@@ -29,26 +29,6 @@ def test_two_variable_binomials():
     assert prod == TruncatedSeries(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
 
 
-def test_invert_geometric():
-    (t,) = variables(1, 3)
-    assert (one(1, 3) - t).invert() == TruncatedSeries(1, 3, {(0,): 1, (1,): 1, (2,): 1, (3,): 1})
-
-
-def test_invert_one():
-    assert one(3, 4).invert() == one(3, 4)
-
-
-def test_invert_monomial_geometric():
-    a = one(2, 4) - monomial(2, 4, (1, 1))
-    assert a.invert() == geometric(2, (1, 1), 4)
-
-
-def test_invert_requires_unit():
-    (t,) = variables(1, 3)
-    with pytest.raises(ZeroDivisionError):
-        t.invert()
-
-
 def test_variable_mismatch_rejected():
     with pytest.raises(ValueError):
         one(1, 3) + one(2, 3)
@@ -63,15 +43,13 @@ def test_bad_exponents_rejected():
         TruncatedSeries(1, 3, {(-1,): 1})
 
 
-def _random_series(rng: random.Random, nvars: int, bound: int, unit: bool = False) -> TruncatedSeries:
+def _random_series(rng: random.Random, nvars: int, bound: int) -> TruncatedSeries:
     coeffs = {}
     for _ in range(rng.randrange(1, 6)):
         exp = tuple(rng.randrange(0, bound + 1) for _ in range(nvars))
         if sum(exp) > bound:
             continue
         coeffs[exp] = Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
-    if unit:
-        coeffs[(0,) * nvars] = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
     return TruncatedSeries(nvars, bound, coeffs)
 
 
@@ -87,49 +65,6 @@ def test_ring_axioms_on_random_inputs():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-
-
-def test_truncation_is_a_ring_morphism():
-    rng = random.Random(42)
-    for _ in range(100):
-        nvars = rng.choice([1, 2])
-        a = _random_series(rng, nvars, 8)
-        b = _random_series(rng, nvars, 8)
-        assert (a * b).truncate(4) == a.truncate(4) * b.truncate(4)
-        assert (a + b).truncate(4) == a.truncate(4) + b.truncate(4)
-
-
-def test_invert_is_two_sided_for_1000_random_units():
-    rng = random.Random(991)
-    for _ in range(1000):
-        nvars = rng.choice([1, 2])
-        bound = rng.randrange(1, 5)
-        a = _random_series(rng, nvars, bound, unit=True)
-        inv = a.invert()
-        assert a * inv == one(nvars, bound)
-        assert inv * a == one(nvars, bound)
-
-
-def test_collapse_to_single_variable():
-    # two-variable series of the infinite dihedral ball, collapsed t1=t2=t
-    w = TruncatedSeries(2, 3, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1, (1, 2): 1})
-    collapsed = w.collapse_variables([0, 0], 1)
-    assert collapsed == TruncatedSeries(1, 3, {(0,): 1, (1,): 2, (2,): 2, (3,): 2})
-
-
-def test_collapse_constant():
-    c = TruncatedSeries(3, 5, {(0, 0, 0): Fraction(7, 2)})
-    assert c.collapse_variables([0, 0, 0], 1) == TruncatedSeries(1, 5, {(0,): Fraction(7, 2)})
-
-
-def test_collapse_compose_commutes_with_evaluate():
-    rng = random.Random(5)
-    for _ in range(50):
-        a = _random_series(rng, 3, 4)
-        assign = [rng.randrange(2) for _ in range(3)]
-        point2 = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(2)]
-        point3 = [point2[assign[i]] for i in range(3)]
-        assert a.collapse_variables(assign, 2).evaluate(point2) == a.evaluate(point3)
 
 
 def test_permute_variables():
@@ -161,4 +96,11 @@ def test_coefficient_and_degree_slice():
     a = TruncatedSeries(2, 3, {(1, 1): 2, (2, 0): 1, (0, 0): 1})
     assert a.coefficient((1, 1)) == 2
     assert a.coefficient((3, 0)) == 0
-    assert a.degree_slice(2) == {(1, 1): 2, (2, 0): 1}
+    assert {e: c for e, c in a.coeffs.items() if sum(e) == 2} == {(1, 1): 2, (2, 0): 1}
+
+
+def test_int_coefficients_stay_int():
+    a = TruncatedSeries(2, 3, {(0, 0): 1, (1, 0): Fraction(4, 2), (0, 1): 0.5, (2, 2): 7})
+    assert a.coeffs == {(0, 0): 1, (1, 0): 2, (0, 1): Fraction(1, 2)}
+    assert [type(a.coeffs[e]) for e in ((0, 0), (1, 0), (0, 1))] == [int, Fraction, Fraction]
+    assert str(a) == "1 + 2·t1 + 1/2·t2"

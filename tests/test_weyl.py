@@ -289,35 +289,6 @@ def test_bad_cap_env_is_a_value_error(monkeypatch, env):
         enumerate_ball(system_of("A2"), 0)
 
 
-def test_length_of_lookup():
-    ball = get_ball("G2", 5)
-    system = system_of("G2")
-    lin, tr = evaluate_word(system, (0, 1, 2))
-    assert ball.length_of(lin, tr) == 3
-    lin, tr = evaluate_word(system, (0, 1, 1, 2))  # reduces to length 2
-    assert ball.length_of(lin, tr) == 2
-
-
-def test_length_of_misses():
-    system = system_of("G2")
-    small = enumerate_ball(system, 5)
-    big = enumerate_ball(system, 8)
-    # 2*I is no group element, but its hyperplane count lies inside the ball
-    lin, tr = 2 * np.eye(2, dtype=np.int64), np.zeros(2, dtype=np.int64)
-    assert weyl._coxeter_length(system, lin, tr) <= small.radius
-    assert small.length_of(lin, tr) is None
-    assert small.length_of(lin.tolist(), tr.tolist()) is None
-    word = big.geodesic(7, 0)
-    assert len(word) == 7 and is_reduced(system, word)
-    lin, tr = evaluate_word(system, word)
-    assert small.length_of(lin, tr) is None
-    assert big.length_of(lin.tolist(), tr.tolist()) == 7
-    for length, lv in enumerate(big.levels):
-        for i in range(len(lv)):
-            assert big.length_of(lv.lin[i], lv.tr[i]) == length
-            assert small.length_of(lv.lin[i], lv.tr[i]) == (None if length > 5 else length)
-
-
 def test_jsonl_export_roundtrip():
     system = system_of("C2")
     ball = enumerate_ball(system, 3)
