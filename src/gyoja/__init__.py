@@ -76,9 +76,11 @@ _LAZY = {
             "NotReducedWordError",
             "count_multilengths",
             "enumerate_ball",
+            "enumerate_levels",
             "evaluate_word",
             "is_reduced",
             "multilength_of_word",
+            "write_jsonl",
         ),
         "weyl",
     ),
@@ -134,6 +136,7 @@ __all__ = [
     "distinction_value",
     "distinction_value_witnessed",
     "enumerate_ball",
+    "enumerate_levels",
     "evaluate_word",
     "expected_distinguished",
     "exponents",
@@ -149,4 +152,5 @@ __all__ = [
     "steinberg_character",
     "tables_document",
     "validate_rep",
+    "write_jsonl",
 ]

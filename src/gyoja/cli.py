@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``enumerate``  -- enumerate a ball, stream it as JSON lines or summarize it,
+* ``enumerate``  -- enumerate a ball, stream it as JSON lines level by level,
+                    or summarize it,
 * ``series``     -- print the enumerated generating series (counting character
                     by default, or a sign character at a given q_o),
 * ``expand``     -- print the truncated expansion of the closed product formula,
@@ -125,30 +126,40 @@ def _series_json(series: TruncatedSeries) -> list:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from .weyl import enumerate_ball
+    from .weyl import count_multilengths, enumerate_levels, write_jsonl
 
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
-    try:
-        ball = enumerate_ball(system, args.degree, max_elements=args.cap)
-    except ResourceLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCES
+    if args.format == "text":
+        try:
+            counts = count_multilengths(system, args.degree, max_elements=args.cap)
+        except ResourceLimitExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RESOURCES
+        by_length = [0] * (args.degree + 1)
+        for multilength, count in counts.items():
+            by_length[sum(multilength)] += count
+        with _open_sink(args.output) as fp:
+            fp.write(f"type: {ctype.label}  radius: {args.degree}  elements: {sum(by_length)}\n")
+            fp.write("counts by length: " + ", ".join(str(c) for c in by_length) + "\n")
+        return EXIT_OK
+    # Each level is written as soon as it is built: when the cap fires, the
+    # sink holds the complete levels before it and no summary line.
     with _open_sink(args.output) as fp:
-        if args.format == "jsonl":
-            ball.export_jsonl(fp)
-            summary = {
-                "summary": {
-                    "type": ctype.label,
-                    "radius": ball.radius,
-                    "total": ball.total,
-                    "counts_by_length": list(ball.counts),
-                }
+        try:
+            by_length = write_jsonl(system, enumerate_levels(system, args.degree, max_elements=args.cap), fp)
+        except ResourceLimitExceeded as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RESOURCES
+        summary = {
+            "summary": {
+                "type": ctype.label,
+                "radius": args.degree,
+                "total": sum(by_length),
+                "counts_by_length": by_length,
             }
-            fp.write(json.dumps(summary, separators=(",", ":")) + "\n")
-        else:
-            fp.write(f"type: {ctype.label}  radius: {ball.radius}  elements: {ball.total}\n")
-            fp.write("counts by length: " + ", ".join(str(c) for c in ball.counts) + "\n")
+        }
+        fp.write(json.dumps(summary, separators=(",", ":")) + "\n")
     return EXIT_OK
 
 
@@ -159,6 +170,8 @@ def cmd_series(args: argparse.Namespace) -> int:
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
     if args.character.strip().lower() == "counting":
+        if args.qo is not None:
+            raise _UsageError("--qo applies only to a sign character")
         rep, q_o = COUNTING, None
     else:
         try:
@@ -167,7 +180,10 @@ def cmd_series(args: argparse.Namespace) -> int:
             raise _UsageError(str(exc)) from exc
         if args.qo is None:
             raise _UsageError("a sign character needs --qo")
-        q_o = _parse_qo_list(args.qo)[0]
+        q_o_values = _parse_qo_list(args.qo)
+        if len(q_o_values) > 1:
+            raise _UsageError(f"series takes one q_o value, got {args.qo!r}")
+        q_o = q_o_values[0]
     try:
         counts = count_multilengths(system, args.degree, max_elements=args.cap)
         series = character_series(counts, rep, system.m, args.degree, q_o)
@@ -272,6 +288,8 @@ def _write_classify_text(fp: IO[str], rows) -> None:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    if args.all_types and args.type:
+        raise _UsageError("give --type LABEL or --all-types, not both")
     if args.all_types:
         types = [parse_cartan_type(lbl) for lbl in ALL_TYPES]
     elif args.type:
@@ -356,7 +374,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("series", help="print the enumerated generating series")
     common(p)
     p.add_argument("--character", default="counting", help='"counting" or a sign vector like "[-1,1]"')
-    p.add_argument("--qo", default=None, help="q_o (needed for a sign character)")
+    p.add_argument("--qo", default=None, help="one q_o value (needed for a sign character, rejected otherwise)")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_series, requires_type=True)
 

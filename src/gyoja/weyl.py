@@ -21,14 +21,19 @@ hyperplanes separating the alcove point from its image, which is how
 Levels are sorted by numeric lexicographic order of the flattened
 (matrix, translation) row, so two runs produce byte-identical balls.
 
-``Ball.export_jsonl`` formats each level from what is new in it: geodesics
-are carried as strings from the previous level only, and each distinct
-multilength, matrix row and matrix of a level is rendered once.
+Levels stream: :func:`enumerate_levels` yields each level as soon as it is
+built and keeps only the last one, and :func:`write_jsonl` writes each level
+as it arrives, from what is new in it: geodesics are carried as strings from
+the previous level only, and each distinct multilength, matrix row and
+matrix of a level is rendered once.  Together they hold two levels, never
+the ball.  :func:`enumerate_ball` keeps every level, for the callers that
+need a :class:`Ball`, and ``Ball.export_jsonl`` writes through the same
+:func:`write_jsonl`.
 
 Counting needs no ball: :func:`count_multilengths` walks a breadth-first
 search by left multiplication on the alcove point alone and keeps s*w only
 when s is the smallest left descent of s*w, so each element is produced
-exactly once and nothing is sorted.  ``enumerate_ball`` keeps its sorted
+exactly once and nothing is sorted.  ``enumerate_levels`` keeps its sorted
 right multiplication, because its geodesics and canonical order are what
 the jsonl export pins.
 """
@@ -36,7 +41,7 @@ the jsonl export pins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -52,9 +57,11 @@ __all__ = [
     "element_cap",
     "count_multilengths",
     "enumerate_ball",
+    "enumerate_levels",
     "evaluate_word",
     "is_reduced",
     "multilength_of_word",
+    "write_jsonl",
 ]
 
 
@@ -153,42 +160,8 @@ class Ball:
         return out
 
     def export_jsonl(self, fp: IO[str]) -> int:
-        """Stream the ball, one element per line; returns the line count.
-
-        The bytes are those of ``json.dumps(el.as_json_dict(),
-        separators=(",", ":"))`` for each element in canonical order.  Each
-        level formats only what is new in it: a geodesic is the parent's
-        string from the previous level plus one letter, each distinct
-        multilength and matrix row is rendered once per level, and each
-        distinct matrix once by joining its row strings.  A level is sorted
-        by matrix first and row ids follow row order, so equal matrices are
-        adjacent runs of row-id tuples.  Translations are formatted
-        directly.  Lines are assembled from these strings and
-        written in chunks of at most ``_EXPORT_CHUNK_ROWS``, so the extra
-        memory is one level's strings.
-        """
-        n = self.system.rank
-        geo = [""]
-        for length, lv in enumerate(self.levels):
-            if length:
-                sep = "," if length > 1 else ""
-                tails = [sep + str(s) for s in range(self.system.num_gens)]
-                geo = [geo[p] + tails[s] for p, s in zip(lv.parent.tolist(), lv.letter.tolist())]
-            multilengths, ml_ids = _distinct_rows(lv.multilength)
-            ml_text = _render_rows(multilengths)
-            rows, row_ids = _distinct_rows(lv.lin.reshape(-1, n))
-            mats, mat_ids = _adjacent_runs(row_ids.reshape(-1, n))
-            row_text = np.array(_render_rows(rows), dtype=object)
-            mat_text = ["[" + ",".join(mat) + "]" for mat in row_text[mats].tolist()]
-            head = f'{{"length":{length},"multilength":'
-            ml_ids, mat_ids = ml_ids.tolist(), mat_ids.tolist()
-            for lo in range(0, len(lv), _EXPORT_CHUNK_ROWS):
-                hi = lo + _EXPORT_CHUNK_ROWS
-                parts = zip(ml_ids[lo:hi], geo[lo:hi], mat_ids[lo:hi], _render_rows(lv.tr[lo:hi]))
-                fp.write("".join([
-                    f'{head}{ml_text[a]},"geodesic":[{g}],"matrix":{mat_text[b]},"translation":{t}}}\n'
-                    for a, g, b, t in parts
-                ]))
+        """Write the ball with :func:`write_jsonl`; returns the line count."""
+        write_jsonl(self.system, self.levels, fp)
         return self.total
 
     def __repr__(self) -> str:
@@ -287,77 +260,190 @@ def enumerate_ball(
     radius: int,
     max_elements: int | None = None,
 ) -> Ball:
-    """Breadth-first closure of the identity under the generators.
+    """The ball of :func:`enumerate_levels`, with every level kept.
 
-    Each step keys every candidate (frontier element f, generator s) by the
-    integer point f(s(D*p)) = M_f @ alcove_images[s] + D*t_f, which
-    determines the element (see :class:`AffineCoxeterSystem`).  The previous
-    level's points are prepended, the keys packed into int64 words and
-    stably sorted, and the first member of every run of equal keys is kept
-    unless it is a previous-level point; so the first occurrence in
-    generation order wins and geodesics are deterministic.  Affine maps are
-    built for the kept elements only.
+    Raises :class:`ResourceLimitExceeded` carrying the completed radius and
+    the partial ball (the levels enumerated before the cap) instead of
+    silently truncating, and ValueError as :func:`enumerate_levels`.
+    """
+    levels: list[_Level] = []
+    try:
+        levels.extend(enumerate_levels(system, radius, max_elements))
+    except ResourceLimitExceeded as exc:
+        exc.partial = Ball(system, levels)
+        raise
+    return Ball(system, levels)
 
-    Raises :class:`ResourceLimitExceeded` (carrying the completed radius and
-    the partial ball) instead of silently truncating when the element cap
-    (argument, else GYOJA_MAX_ELEMENTS, else 5,000,000) would be passed.
-    Raises ValueError for a cap that is not an integer >= 1.
+
+def enumerate_levels(
+    system: AffineCoxeterSystem,
+    radius: int,
+    max_elements: int | None = None,
+) -> Iterator[_Level]:
+    """The levels 0..radius of the ball, each yielded as soon as it is built.
+
+    Breadth-first closure of the identity under the generators, one
+    :func:`_next_level` step per level.  Between two levels the generator
+    holds only the last level and the alcove points of the last two, so a
+    caller that drops each level after use holds two levels, never the ball.
+
+    Raises :class:`ResourceLimitExceeded` (carrying the completed radius,
+    with no partial ball) when a level would pass the element cap
+    (argument, else GYOJA_MAX_ELEMENTS, else 5,000,000), before that level
+    is built; the levels up to the completed radius have been yielded.
+    Raises ValueError at the call for a negative radius or for a cap that
+    is not an integer >= 1.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    cap = element_cap(max_elements)
-    n = system.rank
-    ngens = system.num_gens
-    m = system.m
-    class_onehot = np.zeros((ngens, m), dtype=np.int64)
-    for s in range(ngens):
-        class_onehot[s, system.partition.class_of[s]] = 1
+    return _walk_levels(system, radius, element_cap(max_elements))
 
-    identity = _Level(
+
+def _walk_levels(system: AffineCoxeterSystem, radius: int, cap: int) -> Iterator[_Level]:
+    n, m = system.rank, system.m
+    class_onehot = np.zeros((system.num_gens, m), dtype=np.int64)
+    for s in range(system.num_gens):
+        class_onehot[s, system.partition.class_of[s]] = 1
+    level = _Level(
         lin=np.eye(n, dtype=np.int64)[None, :, :],
         tr=np.zeros((1, n), dtype=np.int64),
         parent=np.full(1, -1, dtype=np.int64),
         letter=np.full(1, -1, dtype=np.int64),
         multilength=np.zeros((1, m), dtype=np.int64),
     )
-    levels = [identity]
+    yield level
     prev_points = np.zeros((0, n), dtype=np.int64)
     cur_points = system.alcove_point[None, :]
     total = 1
-
     for depth in range(radius):
-        frontier = levels[-1]
-        # Candidate f * ngens + s is frontier element f times generator s.
-        points = frontier.lin @ system.alcove_images.T
-        points += system.alcove_scale * frontier.tr[:, :, None]
-        points = np.concatenate([prev_points, points.transpose(0, 2, 1).reshape(-1, n)])
-        order, first = _sort_runs(points)
-        kept = order[first]
-        # A run led by a previous-level point is a step back towards the identity.
-        kept = kept[kept >= len(prev_points)] - len(prev_points)
-        if total + len(kept) > cap:
-            partial = Ball(system, levels)
-            raise ResourceLimitExceeded(depth, cap, partial)
-        parent, letter = kept // ngens, kept % ngens
-        base = frontier.lin[parent]
-        lin = base @ system.gen_linear[letter]
-        tr = np.einsum("kab,kb->ka", base, system.gen_translation[letter]) + frontier.tr[parent]
-        # Canonical order: lexicographic in the flattened (matrix, translation) row.
-        rows = np.concatenate([lin.reshape(-1, n * n), tr], axis=1)
-        canon = np.lexsort(_pack(rows)[::-1])
-        parent, letter = parent[canon], letter[canon]
-        level = _Level(
-            lin=lin[canon],
-            tr=tr[canon],
-            parent=parent,
-            letter=letter,
-            multilength=frontier.multilength[parent] + class_onehot[letter],
-        )
-        levels.append(level)
+        step = _next_level(system, class_onehot, level, prev_points, cap - total)
+        if step is None:
+            raise ResourceLimitExceeded(depth, cap)
+        prev_points, (level, cur_points) = cur_points, step
         total += len(level)
-        prev_points, cur_points = cur_points, points[len(prev_points) + kept[canon]]
+        yield level
 
-    return Ball(system, levels)
+
+def _next_level(
+    system: AffineCoxeterSystem,
+    class_onehot: np.ndarray,
+    frontier: _Level,
+    prev_points: np.ndarray,
+    room: int,
+) -> tuple[_Level, np.ndarray] | None:
+    """The level after ``frontier`` and its alcove points; None if it has more than ``room`` elements.
+
+    Its temporaries (the candidates and their sort, the maps before the
+    canonical sort) are freed when it returns, before the level is handed
+    on; the helpers free theirs in turn, so the candidates are gone before
+    the maps are built, and the gathered parents before they are sorted.
+    """
+    kept, points = _new_candidates(system, frontier, prev_points)
+    if len(kept) > room:
+        return None
+    parent, letter = np.divmod(kept, system.num_gens)
+    lin, tr = _right_products(system, frontier, parent, letter)
+    # Canonical order: lexicographic in the flattened (matrix, translation) row.
+    canon = np.lexsort(_pack(np.concatenate([lin.reshape(len(lin), -1), tr], axis=1))[::-1])
+    parent, letter = parent[canon], letter[canon]
+    level = _Level(
+        lin=lin[canon],
+        tr=tr[canon],
+        parent=parent,
+        letter=letter,
+        multilength=frontier.multilength[parent] + class_onehot[letter],
+    )
+    return level, points[canon]
+
+
+def _new_candidates(
+    system: AffineCoxeterSystem, frontier: _Level, prev_points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The new elements among the frontier's children, in generation order, and their alcove points.
+
+    Candidate f * ngens + s is frontier element f times generator s, keyed
+    by the integer point f(s(D*p)) = M_f @ alcove_images[s] + D*t_f, which
+    determines the element (see :class:`AffineCoxeterSystem`).  The keys
+    are written after the previous level's points, packed into int64 words
+    and stably sorted, and the first member of every run of equal keys is
+    kept unless it is a previous-level point; so the first occurrence in
+    generation order wins and geodesics are deterministic.  Returns the
+    kept candidate numbers and their points.
+    """
+    n, ngens, back = system.rank, system.num_gens, len(prev_points)
+    points = np.empty((back + len(frontier) * ngens, n), dtype=np.int64)
+    points[:back] = prev_points
+    children = points[back:].reshape(len(frontier), ngens, n)
+    np.matmul(system.alcove_images, frontier.lin.transpose(0, 2, 1), out=children)
+    children += system.alcove_scale * frontier.tr[:, None, :]
+    order, first = _sort_runs(points)
+    kept = order[first]
+    # A run led by a previous-level point is a step back towards the identity.
+    kept = kept[kept >= back]
+    return kept - back, points[kept]
+
+
+def _right_products(
+    system: AffineCoxeterSystem, frontier: _Level, parent: np.ndarray, letter: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The affine maps of frontier[parent[i]] * s_letter[i], that is x -> M (A_s x + b_s) + t."""
+    base = frontier.lin[parent]
+    lin = base @ system.gen_linear[letter]
+    tr = np.einsum("kab,kb->ka", base, system.gen_translation[letter]) + frontier.tr[parent]
+    return lin, tr
+
+
+def write_jsonl(system: AffineCoxeterSystem, levels: Iterable[_Level], fp: IO[str]) -> list[int]:
+    """Write levels 0, 1, ... as JSON lines, each as it arrives; returns each level's size.
+
+    The bytes are those of ``json.dumps(el.as_json_dict(),
+    separators=(",", ":"))`` for each element in canonical order.  Each
+    level formats only what is new in it (see :func:`_write_level`), and
+    only the previous level's geodesic strings are carried to the next, so
+    with the levels of :func:`enumerate_levels` a level is on ``fp`` before
+    the next one is built.  An exception raised by ``levels`` propagates
+    after the levels before it have been written in full.
+    """
+    counts: list[int] = []
+    geo = [""]
+    for length, lv in enumerate(levels):
+        geo = _write_level(system, length, lv, geo, fp)
+        counts.append(len(lv))
+    return counts
+
+
+def _write_level(system: AffineCoxeterSystem, length: int, lv: _Level, geo: list[str], fp: IO[str]) -> list[str]:
+    """Write one level; ``geo`` holds the previous level's geodesic strings, the return value this level's.
+
+    A geodesic is the parent's string plus one letter.  Each distinct
+    multilength and matrix row is rendered once per level, and each distinct
+    matrix once by joining its row strings.  A level is sorted by matrix
+    first and row ids follow row order, so equal matrices are adjacent runs
+    of row-id tuples.  Translations are formatted directly.  Lines are
+    assembled from these strings and written in chunks of at most
+    ``_EXPORT_CHUNK_ROWS``.
+    """
+    n = system.rank
+    if length:
+        sep = "," if length > 1 else ""
+        tails = [sep + str(s) for s in range(system.num_gens)]
+        geo = [geo[p] + tails[s] for p, s in zip(lv.parent.tolist(), lv.letter.tolist())]
+    multilengths, ml_ids = _distinct_rows(lv.multilength)
+    ml_text = _render_rows(multilengths)
+    rows, row_ids = _distinct_rows(lv.lin.reshape(-1, n))
+    mats, mat_ids = _adjacent_runs(row_ids.reshape(-1, n))
+    row_text = np.array(_render_rows(rows), dtype=object)
+    mat_text = ["[" + ",".join(mat) + "]" for mat in row_text[mats].tolist()]
+    head = f'{{"length":{length},"multilength":'
+    ml_ids, mat_ids = ml_ids.tolist(), mat_ids.tolist()
+    for lo in range(0, len(lv), _EXPORT_CHUNK_ROWS):
+        hi = lo + _EXPORT_CHUNK_ROWS
+        parts = zip(ml_ids[lo:hi], geo[lo:hi], mat_ids[lo:hi], _render_rows(lv.tr[lo:hi]))
+        fp.write("".join([
+            f'{head}{ml_text[a]},"geodesic":[{g}],"matrix":{mat_text[b]},"translation":{t}}}\n'
+            for a, g, b, t in parts
+        ]))
+    return geo
 
 
 def count_multilengths(

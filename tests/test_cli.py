@@ -1,7 +1,10 @@
 import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -9,6 +12,7 @@ import gyoja.cli as cli
 import gyoja.weyl as weyl
 from gyoja.closed_forms import bott_closed_form
 from gyoja.cartan import parse_cartan_type
+from conftest import system_of
 
 
 def run_cli(*argv, capsys):
@@ -45,6 +49,70 @@ def test_enumerate_jsonl(capsys):
     assert len(lines) == 1 + 3 + 5 + 1  # elements plus the summary line
     assert lines[-1]["summary"]["counts_by_length"] == [1, 3, 5]
     assert lines[0]["length"] == 0
+
+
+@pytest.mark.parametrize("label, radius", [("G2", 12), ("C3", 10), ("E8", 6), ("A1", 0)])
+def test_enumerate_text_summary_matches_ball_counts(label, radius, capsys):
+    ball = weyl.enumerate_ball(system_of(label), radius)
+    code, out, _ = run_cli("enumerate", "--type", label, "--degree", str(radius), capsys=capsys)
+    assert code == 0
+    assert out == (
+        f"type: {label}  radius: {radius}  elements: {ball.total}\n"
+        f"counts by length: {', '.join(map(str, ball.counts))}\n"
+    )
+
+
+@pytest.mark.parametrize("label, radius", [("A1", 0), ("G2", 30), ("C3", 26), ("E8", 6), ("B12", 4)])
+def test_enumerate_jsonl_stream_is_ball_export_plus_summary(label, radius, capsys):
+    ball = weyl.enumerate_ball(system_of(label), radius)
+    if label == "C3":
+        assert len(ball.levels[-1]) > weyl._EXPORT_CHUNK_ROWS  # the top level takes two chunks
+    buf = io.StringIO()
+    ball.export_jsonl(buf)
+    summary = {"type": label, "radius": radius, "total": ball.total, "counts_by_length": list(ball.counts)}
+    code, out, err = run_cli(
+        "enumerate", "--type", label, "--degree", str(radius), "--format", "jsonl", capsys=capsys
+    )
+    assert (code, err) == (0, "")
+    assert out == buf.getvalue() + json.dumps({"summary": summary}, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("sink", ["stdout", "output"])
+def test_enumerate_jsonl_cap_leaves_the_completed_levels(sink, tmp_path, capsys):
+    # A2 has 1, 3, 6, 9, 12, ... elements by length: radius 4 would pass 20.
+    completed = io.StringIO()
+    weyl.enumerate_ball(system_of("A2"), 3).export_jsonl(completed)
+    target = tmp_path / "out.jsonl"
+    argv = ["enumerate", "--type", "A2", "--degree", "10", "--cap", "20", "--format", "jsonl"]
+    if sink == "output":
+        target.write_text("old\n")
+        argv += ["--output", str(target)]
+    code, out, err = run_cli(*argv, capsys=capsys)
+    if sink == "output":
+        assert out == ""
+        out = target.read_text()
+    assert code == 2
+    assert err == "error: element cap 20 exceeded after completing radius 3\n"
+    assert out == completed.getvalue()
+    assert len(out.splitlines()) == 1 + 3 + 6 + 9 and '"summary"' not in out
+
+
+def test_enumerate_jsonl_streams_in_two_levels_of_memory():
+    # The level arrays of the whole C3/60 ball (118,241 elements) against the
+    # traced peak of the streamed CLI writing them to a null sink.
+    ball = weyl.enumerate_ball(system_of("C3"), 60)
+    ball_bytes = sum(
+        a.nbytes for lv in ball.levels for a in (lv.lin, lv.tr, lv.parent, lv.letter, lv.multilength)
+    )
+    del ball
+    tracemalloc.start()
+    try:
+        code = cli.main(["enumerate", "--type", "C3", "--degree", "60", "--format", "jsonl", "--output", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < ball_bytes / 2, (peak, ball_bytes)
 
 
 def test_enumerate_cap_exit_2(capsys):
@@ -173,6 +241,20 @@ def test_series_character_needs_qo(capsys):
     )
     assert code == 1
     assert "qo" in err
+
+
+def test_series_takes_one_qo(capsys):
+    code, out, err = run_cli(
+        "series", "--type", "A1", "--degree", "2", "--character", "[1,-1]", "--qo", "2,3", capsys=capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "usage error: series takes one q_o value, got '2,3'\n"
+
+
+def test_series_counting_rejects_qo(capsys):
+    code, out, err = run_cli("series", "--type", "A1", "--degree", "2", "--qo", "5", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "usage error: --qo applies only to a sign character\n"
 
 
 def test_series_json_format(capsys):
@@ -342,6 +424,12 @@ def test_classify_qo_validation(capsys):
     assert code == 1
 
 
+def test_classify_rejects_type_with_all_types(capsys):
+    code, out, err = run_cli("classify", "--all-types", "--type", "G2", "--qo", "2", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err == "usage error: give --type LABEL or --all-types, not both\n"
+
+
 def test_tables_json(capsys):
     code, out, _ = run_cli("tables", "--type", "C3", capsys=capsys)
     assert code == 0
@@ -372,6 +460,21 @@ def test_unusable_output_fails_before_the_work(monkeypatch, tmp_path, capsys, co
     target = tmp_path / "missing" / "x.txt" if where == "missing_dir" else tmp_path
     code, out, err = run_cli(
         command, "--type", "E8", "--degree", "10", "--output", str(target), capsys=capsys
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("usage error: cannot open output")
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unusable_output_fails_before_the_jsonl_stream(monkeypatch, tmp_path, capsys, where):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration called")
+
+    monkeypatch.setattr(weyl, "enumerate_levels", refuse)
+    target = tmp_path / "missing" / "x.jsonl" if where == "missing_dir" else tmp_path
+    code, out, err = run_cli(
+        "enumerate", "--type", "E8", "--degree", "10", "--format", "jsonl", "--output", str(target),
+        capsys=capsys,
     )
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("usage error: cannot open output")

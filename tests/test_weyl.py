@@ -14,6 +14,7 @@ from gyoja.weyl import (
     ResourceLimitExceeded,
     count_multilengths,
     enumerate_ball,
+    enumerate_levels,
     evaluate_word,
     is_reduced,
     multilength_of_word,
@@ -266,6 +267,22 @@ def test_counter_cap_matches_enumeration():
     assert str(err) == str(ball_exc.value)
     assert (err.completed_radius, err.cap, err.partial) == (2, 15, None)
     assert sum(count_multilengths(system, 3, max_elements=1 + 3 + 6 + 9).values()) == 19
+
+
+def test_levels_cap_fires_after_the_completed_levels():
+    levels = enumerate_levels(system_of("A2"), 10, max_elements=15)
+    assert [len(next(levels)) for _ in range(3)] == [1, 3, 6]
+    with pytest.raises(ResourceLimitExceeded) as exc_info:
+        next(levels)
+    err = exc_info.value
+    assert (err.completed_radius, err.cap, err.partial) == (2, 15, None)
+
+
+def test_levels_reject_bad_arguments_at_the_call():
+    with pytest.raises(ValueError, match="radius"):
+        enumerate_levels(system_of("A2"), -1)
+    with pytest.raises(ValueError, match="element cap"):
+        enumerate_levels(system_of("A2"), 3, max_elements=0)
 
 
 def test_cap_env_override(monkeypatch):
