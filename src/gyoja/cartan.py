@@ -342,10 +342,9 @@ class AffineCoxeterSystem:
     the extended Cartan matrix as a tuple of int tuples, and the Coxeter
     matrix and class partition are read off it.  The array attributes
     ``pairing``, ``highest_root``, ``gen_linear``, ``gen_translation``,
-    ``alcove_point``, ``alcove_images``, ``positive_root_pairings``,
-    ``descent_normals`` and ``descent_offsets`` are read-only int64 numpy
-    arrays of the same tables, built on first access; only code that does
-    array work imports numpy.
+    ``alcove_point``, ``alcove_images`` and ``positive_root_pairings`` are
+    read-only int64 numpy arrays of the same tables, built on first access;
+    only code that does array work imports numpy.
 
     ``alcove_point`` is D*p for the interior point p of the fundamental
     alcove with <alpha_i, p> = 1/h (h the Coxeter number, D =
@@ -354,13 +353,6 @@ class AffineCoxeterSystem:
     root hyperplanes separating p from w(p).  Row ``a`` of
     ``positive_root_pairings`` is (<alpha, alpha_k^vee>)_k for the a-th
     positive root alpha, so that <alpha, x> is that row times x.
-
-    ``descent_normals`` F and ``descent_offsets`` c decide left descents:
-    s is a left descent of w iff F[s] . y < c[s] for y = w(D*p).  With
-    u_s = D*p - s(D*p), both y - s(y) and u_s are multiples of the coroot
-    of s, so their coordinate dot product is negative exactly when the wall
-    of s separates y from D*p; expanding s(y) = A_s y + D*b_s gives
-    F[s] = u_s - A_s^T u_s and c[s] = D*b_s . u_s.
     """
 
     pairing = _Int64Table()
@@ -370,8 +362,6 @@ class AffineCoxeterSystem:
     alcove_point = _Int64Table()
     alcove_images = _Int64Table()
     positive_root_pairings = _Int64Table()
-    descent_normals = _Int64Table()
-    descent_offsets = _Int64Table()
 
     def __init__(self, ctype: CartanType):
         self.ctype = ctype
@@ -395,11 +385,6 @@ class AffineCoxeterSystem:
         images = [
             tuple(x + scale * v for x, v in zip(_matvec(A, point), b)) for A, b in zip(gens_lin, gens_tr)
         ]
-        u = [tuple(p - x for p, x in zip(point, image)) for image in images]
-        normals = [
-            tuple(u_s[i] - sum(A[j][i] * u_s[j] for j in range(n)) for i in range(n))
-            for A, u_s in zip(gens_lin, u)
-        ]
 
         self._pairing = P
         self._highest_root = theta
@@ -410,8 +395,6 @@ class AffineCoxeterSystem:
         self._alcove_point = point
         self._alcove_images = tuple(images)
         self._positive_root_pairings = tuple(_matvec(P, rc) for rc, _ in roots if min(rc) >= 0)
-        self._descent_normals = tuple(normals)
-        self._descent_offsets = tuple(scale * sum(x * y for x, y in zip(b, u_s)) for b, u_s in zip(gens_tr, u))
         self.extended_cartan = _extended_cartan_matrix(P, theta, theta_covec)
         self.coxeter_matrix = _coxeter_matrix(self.extended_cartan)
         self.partition = conjugacy_partition(self.coxeter_matrix)

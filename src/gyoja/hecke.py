@@ -45,7 +45,7 @@ import numpy as np
 
 from .cartan import INFINITE_BOND, AffineCoxeterSystem, ClassPartition, SignCharacter
 from .series import TruncatedSeries
-from .weyl import Ball
+from .weyl import Ball, count_multilengths
 
 __all__ = [
     "COUNTING",
@@ -354,16 +354,26 @@ def gyoja_series(
     raise TypeError(f"cannot form a series for {type(rep).__name__}")
 
 
-def partial_sums_at_point(ball: Ball, eps: SignCharacter, q_o: int) -> list[Fraction]:
-    """Partial sums S_k = sum over length <= k of r(e_w) * q_o^(-l(w)).
+def partial_sums_at_point(
+    system: AffineCoxeterSystem | Ball, eps: SignCharacter, q_o: int, radius: int | None = None
+) -> list[Fraction]:
+    """Partial sums S_k = sum over length <= k of r(e_w) * q_o^(-l(w)), for k = 0..radius.
 
     The limit, when the character is a discrete series one, is the value the
     closed forms compute directly; the sequence is a convergence diagnostic.
+    The sums need only the number of elements per multilength, which
+    :func:`~gyoja.weyl.count_multilengths` counts without a ball.  A
+    :class:`~gyoja.weyl.Ball` may stand for its system and, when ``radius``
+    is not given, its radius; its elements are not read.
     """
     if q_o < 2:
         raise ValueError("q_o must be >= 2")
-    by_length = [Fraction(0)] * (ball.radius + 1)
-    for ml, count in ball.multilength_counts().items():
+    if isinstance(system, Ball):
+        system, radius = system.system, system.radius if radius is None else radius
+    if radius is None:
+        raise ValueError("partial sums over a system need a radius")
+    by_length = [Fraction(0)] * (radius + 1)
+    for ml, count in count_multilengths(system, radius).items():
         length = sum(ml)
         by_length[length] += count * char_value_e_w(eps, ml, q_o) * Fraction(1, q_o) ** length
     sums = []

@@ -8,6 +8,7 @@ from conftest import get_ball
 from gyoja.cartan import (
     SignCharacter,
     borel_discrete_series_list,
+    build_affine_system,
     parse_cartan_type,
     steinberg_character,
 )
@@ -218,7 +219,7 @@ def test_coefficient_value_on_cell_examples():
 def test_cell_sums_reproduce_partial_sums():
     ball = get_ball("C2", 6)
     eps = SignCharacter((-1, -1, 1))
-    sums = partial_sums_at_point(ball, eps, 2)
+    sums = partial_sums_at_point(ball.system, eps, 2, radius=ball.radius)
     acc = Fraction(0)
     by_hand = []
     for k in range(ball.radius + 1):
@@ -234,11 +235,11 @@ def test_partial_sums_converge_to_distinction_value():
     # Steinberg: strictly shrinking error; others: shrinking windowed max
     for label in ("A1", "C2", "G2"):
         ctype = parse_cartan_type(label)
-        ball = get_ball(label, 14)
+        system = build_affine_system(ctype)
         for eps in borel_discrete_series_list(ctype):
             for q_o in (2, 3):
                 value = distinction_value(ctype, eps, q_o)
-                sums = partial_sums_at_point(ball, eps, q_o)
+                sums = partial_sums_at_point(system, eps, q_o, radius=14)
                 errors = [abs(s - value) for s in sums]
                 if eps.is_steinberg:
                     assert all(errors[k] > errors[k + 1] for k in range(14)), (label, q_o)

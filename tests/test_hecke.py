@@ -167,7 +167,7 @@ def test_non_commuting_rep_series_matches_geodesic_products():
 def test_steinberg_series_specializes_to_alternating_sums():
     ball = get_ball("A1", 8)
     st = steinberg_character(parse_cartan_type("A1"))
-    sums = partial_sums_at_point(ball, st, 2)
+    sums = partial_sums_at_point(ball.system, st, 2, radius=ball.radius)
     acc = Fraction(0)
     expected = []
     for k, count in enumerate(ball.counts):
@@ -177,9 +177,8 @@ def test_steinberg_series_specializes_to_alternating_sums():
 
 
 def test_a1_steinberg_partial_sums_prefix():
-    ball = get_ball("A1", 4)
     st = steinberg_character(parse_cartan_type("A1"))
-    sums = partial_sums_at_point(ball, st, 2)
+    sums = partial_sums_at_point(system_of("A1"), st, 2, radius=4)
     assert sums[:5] == [
         Fraction(1),
         Fraction(0),
@@ -191,14 +190,20 @@ def test_a1_steinberg_partial_sums_prefix():
 
 def test_partial_sums_start_at_one():
     for label, eps in (("A1", (-1, -1)), ("G2", (-1, 1)), ("C2", (-1, -1, 1))):
-        ball = get_ball(label, 2)
-        sums = partial_sums_at_point(ball, SignCharacter(eps), 3)
+        sums = partial_sums_at_point(system_of(label), SignCharacter(eps), 3, radius=2)
         assert sums[0] == 1
 
 
+def test_partial_sums_of_a_ball_are_those_of_its_system_and_radius():
+    ball = get_ball("G2", 5)
+    eps = SignCharacter((-1, 1))
+    assert partial_sums_at_point(ball, eps, 2) == partial_sums_at_point(ball.system, eps, 2, radius=ball.radius)
+    with pytest.raises(ValueError, match="radius"):
+        partial_sums_at_point(ball.system, eps, 2)
+
+
 def test_b3_nonsteinberg_partial_sums_trend_to_zero():
-    ball = get_ball("B3", 10)
-    sums = partial_sums_at_point(ball, SignCharacter((-1, 1)), 2)
+    sums = partial_sums_at_point(system_of("B3"), SignCharacter((-1, 1)), 2, radius=10)
     assert abs(sums[10]) < Fraction(1, 16) < abs(sums[0])
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -147,18 +148,32 @@ def test_hyperplane_length_matches_every_ball_element(label, radius):
 
 
 @pytest.mark.parametrize("label, radius", [("G2", 8), ("C3", 6), ("F4", 5), ("E8", 4)])
-def test_descent_values_match_hyperplane_lengths(label, radius):
-    # s is a left descent of w (F_s . w(D*p) < c_s) iff l(s*w) < l(w)
+def test_numbers_game_vectors_decide_left_descents(label, radius):
+    # v_t = h * alpha_t(w(p)) for the affine simple roots alpha_0 = 1 - theta,
+    # alpha_1, ..., alpha_n, read off each element's affine map: the identity's
+    # vector is all ones, s is a left descent of w (v_s < 0) iff l(s*w) < l(w),
+    # and the vector of s*w is v - v_s * a[s] for the extended Cartan matrix a
     system = system_of(label)
-    for lv in enumerate_ball(system, radius).levels:
-        points = lv.lin @ system.alcove_point + system.alcove_scale * lv.tr
-        descents = points @ system.descent_normals.T < system.descent_offsets
-        length = weyl._coxeter_length(system, lv.lin, lv.tr)
+    h = int(system.highest_root.sum()) + 1
+    cartan = np.array(system.extended_cartan, dtype=np.int64)
+
+    def vectors(lin, tr):
+        point = lin @ system.alcove_point + system.alcove_scale * tr  # w(D*p)
+        finite, rest = np.divmod(h * (point @ system.pairing), system.alcove_scale)
+        assert not rest.any()
+        return np.concatenate([h - finite @ system.highest_root[:, None], finite], axis=1)
+
+    for length, lv in enumerate(enumerate_ball(system, radius).levels):
+        v = vectors(lv.lin, lv.tr)
+        if length == 0:
+            assert np.array_equal(v, np.ones((1, system.num_gens), dtype=np.int64))
+        current = weyl._coxeter_length(system, lv.lin, lv.tr)
         for s in range(system.num_gens):
             lin = system.gen_linear[s] @ lv.lin
             tr = lv.tr @ system.gen_linear[s].T + system.gen_translation[s]
-            shorter = weyl._coxeter_length(system, lin, tr) < length
-            assert np.array_equal(descents[:, s], shorter), (label, s)
+            shorter = weyl._coxeter_length(system, lin, tr) < current
+            assert np.array_equal(v[:, s] < 0, shorter), (label, s)
+            assert np.array_equal(vectors(lin, tr), v - v[:, s, None] * cartan[s]), (label, s)
 
 
 def test_long_word_needs_no_ball(monkeypatch):
@@ -255,6 +270,40 @@ def test_counter_a1_takes_no_step_back():
         (0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1, (1, 2): 1, (2, 2): 2, (3, 2): 1, (2, 3): 1,
     }
     assert count_multilengths(system_of("A1"), 0) == {(0, 0): 1}
+
+
+def test_counter_a1_widens_past_int16():
+    # the vectors of length k have entries of size 2k + 1, past the int16
+    # range from length 16,384 on, so the counts are exact only if it widens
+    radius = 16500
+    expected = {(0, 0): 1}
+    for k in range(1, radius + 1):
+        for ml in sorted({(k - k // 2, k // 2), (k // 2, k - k // 2)}):
+            expected[ml] = 2 if k % 2 == 0 else 1
+    assert list(count_multilengths(system_of("A1"), radius).items()) == list(expected.items())
+
+
+def test_vector_dtype_holds_one_step():
+    # with max|a_st| = 2 an entry of 10,922 steps to at most 32,766
+    assert weyl._vector_dtype(2, 10_922) is np.int16
+    assert weyl._vector_dtype(2, 10_923) is np.int32
+    assert weyl._vector_dtype(3, 2**31 // 4) is np.int64
+    with pytest.raises(OverflowError):
+        weyl._vector_dtype(3, 2**63 // 4)
+
+
+def test_counter_memory_stays_small():
+    # the ball E8/12 has 202,683 elements; int16 vectors and int64 keys for
+    # one level at a time stay far below the 34 MiB of the alcove-point walk
+    system = system_of("E8")
+    count_multilengths(system, 2)
+    tracemalloc.start()
+    try:
+        count_multilengths(system, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_counter_cap_matches_enumeration():
