@@ -131,11 +131,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
     if args.format == "text":
-        try:
-            counts = count_multilengths(system, args.degree, max_elements=args.cap)
-        except ResourceLimitExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCES
+        counts = count_multilengths(system, args.degree, max_elements=args.cap)
         by_length = [0] * (args.degree + 1)
         for multilength, count in counts.items():
             by_length[sum(multilength)] += count
@@ -146,11 +142,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # Each level is written as soon as it is built: when the cap fires, the
     # sink holds the complete levels before it and no summary line.
     with _open_sink(args.output) as fp:
-        try:
-            by_length = write_jsonl(system, enumerate_levels(system, args.degree, max_elements=args.cap), fp)
-        except ResourceLimitExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RESOURCES
+        by_length = write_jsonl(system, enumerate_levels(system, args.degree, max_elements=args.cap), fp)
         summary = {
             "summary": {
                 "type": ctype.label,
@@ -184,14 +176,10 @@ def cmd_series(args: argparse.Namespace) -> int:
         if len(q_o_values) > 1:
             raise _UsageError(f"series takes one q_o value, got {args.qo!r}")
         q_o = q_o_values[0]
-    try:
-        counts = count_multilengths(system, args.degree, max_elements=args.cap)
-        series = character_series(counts, rep, system.m, args.degree, q_o)
-    except ResourceLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCES
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        if len(rep.signs) != system.m:
+            raise _UsageError("multilength / sign vector dimension mismatch")
+    counts = count_multilengths(system, args.degree, max_elements=args.cap)
+    series = character_series(counts, rep, system.m, args.degree, q_o)
     with _open_sink(args.output) as fp:
         if args.format == "json":
             json.dump({"type": ctype.label, "degree": args.degree, "terms": _series_json(series)}, fp, indent=2)
@@ -204,11 +192,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     ctype = _parse_type(args.type)
     form = growth_closed_form(ctype)
-    try:
-        series = form.expand(args.degree, max_terms=args.cap)
-    except ResourceLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCES
+    series = form.expand(args.degree, max_terms=args.cap)
     with _open_sink(args.output) as fp:
         if args.format == "json":
             json.dump(
@@ -234,13 +218,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
-    try:
-        counts = count_multilengths(system, args.degree, max_elements=args.cap)
-    except ResourceLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCES
+    counts = count_multilengths(system, args.degree, max_elements=args.cap)
     enumerated = TruncatedSeries(system.m, args.degree, counts)
-    calibration = calibrate_indexing(ctype, min(args.degree, 6))
+    calibration = calibrate_indexing(ctype)
     expanded = growth_closed_form(ctype).expand(args.degree).permute_variables(calibration.binding)
     if system.m == 1:
         binding_text = "single class; identity binding"
@@ -422,7 +402,12 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 raise _UsageError(str(exc)) from exc
         _check_sink(args.output)  # before the work, not after it
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except ResourceLimitExceeded as exc:
+            # what a command wrote before the cap (complete jsonl levels) is flushed below
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_RESOURCES
         sys.stdout.flush()  # a reader that has gone away shows here, not at exit
         return code
     except _UsageError as exc:

@@ -87,13 +87,13 @@ def parse_sign_vector(text: str) -> SignCharacter:
 # ---------------------------------------------------------------------------
 
 
-def char_value_e_s(eps: SignCharacter, class_index: int, q_o: int) -> Fraction:
+def char_value_e_s(eps: SignCharacter, class_index: int, q_o: int) -> int:
     """Value on a generator of class i: -1 when eps_i = -1, q = q_o^2 when +1."""
     s = eps.signs[class_index]
-    return Fraction(s * q_o ** (s + 1))
+    return s * q_o ** (s + 1)
 
 
-def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> Fraction:
+def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> int:
     """Value on e_w from the class-graded length vector of w.
 
     Multiplicativity along a reduced word gives
@@ -103,9 +103,9 @@ def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> 
         raise ValueError("q_o must be >= 2 (a residue field size)")
     if len(multilength) != len(eps.signs):
         raise ValueError("multilength / sign vector dimension mismatch")
-    value = Fraction(1)
+    value = 1
     for s, li in zip(eps.signs, multilength):
-        value *= Fraction(s * q_o ** (s + 1)) ** li
+        value *= (s * q_o ** (s + 1)) ** li
     return value
 
 

@@ -7,10 +7,6 @@ the error (the CLI, the closed-form expansion) does not import numpy.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .weyl import Ball
 
 __all__ = ["DEFAULT_MAX_ELEMENTS", "ResourceLimitExceeded", "element_cap"]
 
@@ -39,10 +35,9 @@ def element_cap(max_elements: int | None = None) -> int:
 
 
 class ResourceLimitExceeded(RuntimeError):
-    """The element cap was hit; carries the ball completed so far."""
+    """The element cap was hit; carries the radius completed before it and the cap."""
 
-    def __init__(self, completed_radius: int, cap: int, partial: Ball | None = None):
+    def __init__(self, completed_radius: int, cap: int):
         super().__init__(f"element cap {cap} exceeded after completing radius {completed_radius}")
         self.completed_radius = completed_radius
         self.cap = cap
-        self.partial = partial

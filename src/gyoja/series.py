@@ -87,7 +87,7 @@ class TruncatedSeries:
         bound = self._check_compatible(other)
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
+            out[exp] = out.get(exp, 0) + c
         return TruncatedSeries(self.nvars, bound, out)
 
     def __neg__(self) -> "TruncatedSeries":

@@ -264,17 +264,10 @@ def enumerate_ball(
 ) -> Ball:
     """The ball of :func:`enumerate_levels`, with every level kept.
 
-    Raises :class:`ResourceLimitExceeded` carrying the completed radius and
-    the partial ball (the levels enumerated before the cap) instead of
-    silently truncating, and ValueError as :func:`enumerate_levels`.
+    Raises :class:`ResourceLimitExceeded` and ValueError as
+    :func:`enumerate_levels`, instead of silently truncating.
     """
-    levels: list[_Level] = []
-    try:
-        levels.extend(enumerate_levels(system, radius, max_elements))
-    except ResourceLimitExceeded as exc:
-        exc.partial = Ball(system, levels)
-        raise
-    return Ball(system, levels)
+    return Ball(system, list(enumerate_levels(system, radius, max_elements)))
 
 
 def enumerate_levels(
@@ -289,10 +282,10 @@ def enumerate_levels(
     holds only the last level and the alcove points of the last two, so a
     caller that drops each level after use holds two levels, never the ball.
 
-    Raises :class:`ResourceLimitExceeded` (carrying the completed radius,
-    with no partial ball) when a level would pass the element cap
-    (argument, else GYOJA_MAX_ELEMENTS, else 5,000,000), before that level
-    is built; the levels up to the completed radius have been yielded.
+    Raises :class:`ResourceLimitExceeded` (carrying the completed radius)
+    when a level would pass the element cap (argument, else
+    GYOJA_MAX_ELEMENTS, else 5,000,000), before that level is built; the
+    levels up to the completed radius have been yielded.
     Raises ValueError at the call for a negative radius or for a cap that
     is not an integer >= 1.
     """
@@ -475,8 +468,8 @@ def count_multilengths(
     the next level: one step changes an entry by at most max|a_st| * max|v|
     (see :func:`_vector_dtype`), so no value wraps.
 
-    Raises :class:`ResourceLimitExceeded` (with no partial ball) when the
-    element cap would be passed, and ValueError as :func:`enumerate_ball`.
+    Raises :class:`ResourceLimitExceeded` when the element cap would be
+    passed, and ValueError as :func:`enumerate_ball`.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")

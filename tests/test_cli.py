@@ -123,7 +123,7 @@ def test_enumerate_cap_exit_2(capsys):
     assert "cap" in err
 
 
-@pytest.mark.parametrize("command", ["check", "series"])
+@pytest.mark.parametrize("command", ["check", "series", "enumerate"])
 def test_check_and_series_cap_exit_2(command, capsys):
     code, out, err = run_cli(command, "--type", "A2", "--degree", "10", "--cap", "20", capsys=capsys)
     assert (code, out) == (2, "")
@@ -251,6 +251,19 @@ def test_series_takes_one_qo(capsys):
     assert err == "usage error: series takes one q_o value, got '2,3'\n"
 
 
+def test_series_sign_vector_mismatch_exit_1_before_counting(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("counting called")
+
+    monkeypatch.setattr(weyl, "count_multilengths", refuse)
+    code, out, err = run_cli(
+        "series", "--type", "G2", "--degree", "10", "--cap", "3", "--character", "[-1,1,1]", "--qo", "2",
+        capsys=capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == "usage error: multilength / sign vector dimension mismatch\n"
+
+
 def test_series_counting_rejects_qo(capsys):
     code, out, err = run_cli("series", "--type", "A1", "--degree", "2", "--qo", "5", capsys=capsys)
     assert (code, out) == (1, "")
@@ -337,9 +350,12 @@ def test_check_identity_exit_0(label, capsys):
 
 
 def test_check_c2_reports_calibration(capsys):
-    code, out, _ = run_cli("check", "--type", "C2", "--degree", "6", capsys=capsys)
-    assert code == 0
-    assert "calibration: t1<-S2 t2<-S1 t3<-S3" in out
+    # the binding is the calibrated one at every degree, also where the
+    # enumeration is too short to tell the bindings apart
+    for degree in (0, 1, 6):
+        code, out, _ = run_cli("check", "--type", "C2", "--degree", str(degree), capsys=capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "calibration: t1<-S2 t2<-S1 t3<-S3"
 
 
 def test_check_mismatch_exit_3(monkeypatch, capsys):
@@ -454,8 +470,6 @@ def test_unusable_output_fails_before_the_work(monkeypatch, tmp_path, capsys, co
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration called")
 
-    # cli imports these from gyoja.weyl when a command runs, so patch them there.
-    monkeypatch.setattr(weyl, "enumerate_ball", refuse)
     monkeypatch.setattr(weyl, "count_multilengths", refuse)
     target = tmp_path / "missing" / "x.txt" if where == "missing_dir" else tmp_path
     code, out, err = run_cli(

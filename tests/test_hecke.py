@@ -10,7 +10,9 @@ from gyoja.cartan import SignCharacter, parse_cartan_type, steinberg_character
 from gyoja.hecke import (
     COUNTING,
     MatrixRep,
+    char_value_e_s,
     char_value_e_w,
+    character_series,
     counting_series,
     eval_rep_on_word,
     gyoja_series,
@@ -19,6 +21,7 @@ from gyoja.hecke import (
     validate_rep,
 )
 from gyoja.series import TruncatedSeries
+from gyoja.weyl import count_multilengths
 
 
 def test_trivial_hecke_character_passes():
@@ -87,6 +90,16 @@ def test_char_value_examples():
         char_value_e_w(st, (1, 1), 1)
     with pytest.raises(ValueError):
         char_value_e_w(st, (1, 1, 1), 2)
+
+
+def test_sign_character_series_has_int_coefficients():
+    system = system_of("G2")
+    eps = SignCharacter((-1, 1))
+    assert [type(char_value_e_s(eps, i, 3)) for i in range(2)] == [int, int]
+    series = character_series(count_multilengths(system, 6), eps, system.m, 6, 3)
+    assert series.coeffs and all(type(c) is int for c in series.coeffs.values())
+    total = TruncatedSeries(system.m, 6, {}) + series
+    assert total == series and all(type(c) is int for c in total.coeffs.values())
 
 
 def test_char_value_agrees_with_1x1_matrix_path():

@@ -220,16 +220,16 @@ def test_levels_are_lexicographically_sorted():
         assert all(tuple(rows[i]) < tuple(rows[i + 1]) for i in range(len(lv) - 1))
 
 
-def test_resource_cap_raises_with_partial_ball(golden_counts):
+def test_resource_cap_raises_after_the_completed_radius(golden_counts):
     system = system_of("A2")
     golden = golden_counts["A2"]["counts"]
     with pytest.raises(ResourceLimitExceeded) as exc_info:
         enumerate_ball(system, 10, max_elements=15)
     err = exc_info.value
     # 1 + 3 + 6 = 10 <= 15 but adding length 3 (9 more) would pass the cap
-    assert err.completed_radius == 2
-    assert err.partial is not None
-    assert list(err.partial.counts) == golden[:3]
+    assert (err.completed_radius, err.cap) == (2, 15)
+    # a cap equal to the ball's size does not fire
+    assert list(enumerate_ball(system, 3, max_elements=1 + 3 + 6 + 9).counts) == golden[:4]
 
 
 # The pairs the key-first enumeration was compared on, at full radius.
@@ -314,7 +314,7 @@ def test_counter_cap_matches_enumeration():
         count_multilengths(system, 10, max_elements=15)
     err = exc_info.value
     assert str(err) == str(ball_exc.value)
-    assert (err.completed_radius, err.cap, err.partial) == (2, 15, None)
+    assert (err.completed_radius, err.cap) == (2, 15)
     assert sum(count_multilengths(system, 3, max_elements=1 + 3 + 6 + 9).values()) == 19
 
 
@@ -324,7 +324,7 @@ def test_levels_cap_fires_after_the_completed_levels():
     with pytest.raises(ResourceLimitExceeded) as exc_info:
         next(levels)
     err = exc_info.value
-    assert (err.completed_radius, err.cap, err.partial) == (2, 15, None)
+    assert (err.completed_radius, err.cap) == (2, 15)
 
 
 def test_levels_reject_bad_arguments_at_the_call():
