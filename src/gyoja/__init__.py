@@ -52,9 +52,10 @@ from .distinction import (
 from .limits import ResourceLimitExceeded
 from .series import TruncatedSeries
 
-# Names of the modules that do array work, resolved on first access (PEP 562)
-# so that ``import gyoja`` does not import numpy.
+# Names resolved on first access (PEP 562), so that ``import gyoja`` does not
+# import numpy (hecke, weyl) or the counter that only the counting commands use.
 _LAZY = {
+    "count_multilengths": "counting",
     **dict.fromkeys(
         (
             "COUNTING",
@@ -74,7 +75,6 @@ _LAZY = {
             "Ball",
             "GroupElement",
             "NotReducedWordError",
-            "count_multilengths",
             "enumerate_ball",
             "enumerate_levels",
             "evaluate_word",

@@ -126,11 +126,11 @@ def _series_json(series: TruncatedSeries) -> list:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from .weyl import count_multilengths, enumerate_levels, write_jsonl
-
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
     if args.format == "text":
+        from .counting import count_multilengths
+
         counts = count_multilengths(system, args.degree, max_elements=args.cap)
         by_length = [0] * (args.degree + 1)
         for multilength, count in counts.items():
@@ -139,6 +139,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             fp.write(f"type: {ctype.label}  radius: {args.degree}  elements: {sum(by_length)}\n")
             fp.write("counts by length: " + ", ".join(str(c) for c in by_length) + "\n")
         return EXIT_OK
+    from .weyl import enumerate_levels, write_jsonl
+
     # Each level is written as soon as it is built: when the cap fires, the
     # sink holds the complete levels before it and no summary line.
     with _open_sink(args.output) as fp:
@@ -156,8 +158,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from .counting import count_multilengths
     from .hecke import COUNTING, character_series, parse_sign_vector
-    from .weyl import count_multilengths
 
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
@@ -214,7 +216,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    from .weyl import count_multilengths
+    from .counting import count_multilengths
 
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)

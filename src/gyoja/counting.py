@@ -1,0 +1,132 @@
+"""Class-graded growth counts of an affine Weyl group, in plain integers.
+
+:func:`count_multilengths` counts the elements of each multilength in the
+ball of a radius without walking the ball.  For J a set of generators and
+K = J minus {i}, every w in W_J is uniquely u*v with v in W_K and u in W_J^K,
+the elements that are shortest in their coset u*W_K, and l(w) = l(u) + l(v)
+(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, Prop. 2.4.4).  A reduced
+word of u followed by one of v is a reduced word of w, so the per-class
+letter counts add too.  Down the chain S, S - {0}, S - {0, 1}, ..., {} this
+writes W as a product of coset sets, the affine group's counts are the
+product of theirs, and only the coset representatives are walked: the first
+set, W^(S - {0}), is infinite and grows with the radius, the others are
+finite and small.
+
+W_J^K is walked as the W_J-orbit of a point x with alpha_t(x) = 1 for t = i
+and 0 for the other t in J, by the numbers game on the rows and columns of
+``extended_cartan`` in J (Bjorner-Brenti, section 4.3).  The representative
+u is carried as the vector v_t = alpha_t(u(x)); v_t < 0 iff t is a left
+descent of u, v_t > 0 iff t*u is a longer representative, and v_t = 0 iff
+t*u lies in the coset of u.  Since alpha_t o s = alpha_t - a[s][t] * alpha_s,
+the vector of s*u is v - v_s * a[s].  The walk fires s only where v_s > 0
+and keeps s*u only when s is its smallest left descent, so every
+representative of length k + 1 is produced once, from one of length k.
+
+A multilength (l_1, ..., l_m) is kept as the integer key with digits
+l_1 ... l_m in base radius + 1, most significant first.  No digit of an
+element of the ball reaches the base, so keys add as multilengths do and
+sort as they do lexicographically.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+from typing import Iterator, Sequence
+
+from .cartan import AffineCoxeterSystem
+from .limits import ResourceLimitExceeded, element_cap
+
+__all__ = ["count_multilengths"]
+
+Levels = Sequence[dict[int, int]]  # levels[k] maps a multilength key to a count of length-k elements
+
+
+def count_multilengths(
+    system: AffineCoxeterSystem,
+    radius: int,
+    max_elements: int | None = None,
+) -> dict[tuple[int, ...], int]:
+    """Number of elements of each class-graded length vector in the ball.
+
+    The same dict as ``enumerate_ball(system, radius).multilength_counts()``,
+    in the same order (by length, then lexicographic), as the product of the
+    coset sets of the module docstring.  The finite ones are multiplied
+    first.  Then the infinite one is walked level by level, and each degree
+    of the product is formed as soon as its level is known, so the cap is
+    checked before the next level is walked.
+
+    Raises :class:`ResourceLimitExceeded` when the ball of some radius
+    k <= ``radius`` has more elements than the cap (argument, else
+    GYOJA_MAX_ELEMENTS, else 5,000,000), carrying k - 1 as the completed
+    radius.  Raises ValueError for a negative radius or for a cap that is
+    not an integer >= 1.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    cap = element_cap(max_elements)
+    m, radix = system.m, radius + 1
+    places = [radix ** (m - 1 - c) for c in range(m)]
+    steps = [places[c] for c in system.partition.class_of]
+    finite = _finite_levels(system, radius, steps)
+    walked: list[dict[int, int]] = []
+    out: dict[tuple[int, ...], int] = {}
+    total = 0
+    for k, level in enumerate(islice(_coset_levels(system, range(system.num_gens), steps), radius + 1)):
+        walked.append(level)
+        counts = _degree(walked, finite, k)
+        total += sum(counts.values())
+        if total > cap:
+            raise ResourceLimitExceeded(k - 1, cap)
+        for key in sorted(counts):
+            out[tuple([key // place % radix for place in places])] = counts[key]
+    return out
+
+
+def _finite_levels(system: AffineCoxeterSystem, radius: int, steps: list[int]) -> list[dict[int, int]]:
+    """Levels 0..radius of W_(S - {0}), the finite Weyl group, as the product of its coset sets."""
+    levels: list[dict[int, int]] = [{0: 1}]
+    for i in range(1, system.num_gens):
+        factor = list(islice(_coset_levels(system, range(i, system.num_gens), steps), radius + 1))
+        levels = [_degree(levels, factor, k) for k in range(min(len(levels) + len(factor) - 1, radius + 1))]
+    return levels
+
+
+def _coset_levels(system: AffineCoxeterSystem, nodes: Sequence[int], steps: list[int]) -> Iterator[dict[int, int]]:
+    """Levels of W_J^K for J = ``nodes`` and K = J minus its first node, as multilength counts.
+
+    Each representative is held as its numbers-game vector over J (see the
+    module docstring) and its multilength key; level k is yielded before
+    level k + 1 is walked.  A finite J stops after its longest level.
+    """
+    a = system.extended_cartan
+    moves = [(s, [a[letter][t] for t in nodes], steps[letter]) for s, letter in enumerate(nodes)]
+    vectors, keys = [(1,) + (0,) * (len(nodes) - 1)], [0]
+    while keys:
+        counts: dict[int, int] = {}
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+        yield counts
+        next_vectors, next_keys = [], []
+        for v, key in zip(vectors, keys):
+            for s, row, step in moves:
+                vs = v[s]
+                if vs > 0:
+                    child = [x - vs * r for x, r in zip(v, row)]
+                    for t in range(s):
+                        if child[t] < 0:
+                            break  # t < s is a left descent of s*u
+                    else:
+                        next_vectors.append(tuple(child))
+                        next_keys.append(key + step)
+        vectors, keys = next_vectors, next_keys
+
+
+def _degree(a: Levels, b: Levels, k: int) -> dict[int, int]:
+    """Degree k of the product of two count series given by levels."""
+    out: dict[int, int] = {}
+    for j in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
+        for key_b, count_b in b[k - j].items():
+            for key_a, count_a in a[j].items():
+                key = key_a + key_b
+                out[key] = out.get(key, 0) + count_a * count_b
+    return out

@@ -14,8 +14,9 @@ assumes.  The attached generating function
     L(t, r) = sum_w r(e_w) * t_1^(l_1(w)) ... t_m^(l_m(w))
 
 is accumulated here from enumeration (a ball, or the per-multilength counts
-of ``weyl.count_multilengths``), never from the closed forms, so the two
-modules stay independent checks of one another.  A matrix
+of ``counting.count_multilengths``, which walks parabolic coset
+representatives), never from the closed forms, so the two modules stay
+independent checks of one another.  A matrix
 representation is summed along the ball's BFS tree: an element's geodesic
 is its parent's plus one letter, so r(e_w) = r(e_parent) r(e_s) costs one
 matrix product per element.
@@ -44,8 +45,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .cartan import INFINITE_BOND, AffineCoxeterSystem, ClassPartition, SignCharacter
+from .counting import count_multilengths
 from .series import TruncatedSeries
-from .weyl import Ball, count_multilengths
+from .weyl import Ball
 
 __all__ = [
     "COUNTING",
@@ -362,7 +364,7 @@ def partial_sums_at_point(
     The limit, when the character is a discrete series one, is the value the
     closed forms compute directly; the sequence is a convergence diagnostic.
     The sums need only the number of elements per multilength, which
-    :func:`~gyoja.weyl.count_multilengths` counts without a ball.  A
+    :func:`~gyoja.counting.count_multilengths` counts without a ball.  A
     :class:`~gyoja.weyl.Ball` may stand for its system and, when ``radius``
     is not given, its radius; its elements are not read.
     """

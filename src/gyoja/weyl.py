@@ -30,12 +30,8 @@ the ball.  :func:`enumerate_ball` keeps every level, for the callers that
 need a :class:`Ball`, and ``Ball.export_jsonl`` writes through the same
 :func:`write_jsonl`.
 
-Counting needs no ball: :func:`count_multilengths` plays the numbers game
-on the extended Cartan matrix, a breadth-first search by left
-multiplication that carries each element as one small-integer vector, the
-values of the affine simple roots at w(p), whose signs are its left
-descents.  It keeps s*w only when s is the smallest left descent of s*w,
-so each element is produced exactly once and nothing is sorted.
+Counting needs no ball: :func:`gyoja.counting.count_multilengths` counts
+multilengths from the parabolic factorization of the group, in plain ints.
 ``enumerate_levels`` keeps its sorted right multiplication, because its
 geodesics and canonical order are what the jsonl export pins.
 """
@@ -57,7 +53,6 @@ __all__ = [
     "GroupElement",
     "Ball",
     "element_cap",
-    "count_multilengths",
     "enumerate_ball",
     "enumerate_levels",
     "evaluate_word",
@@ -439,82 +434,6 @@ def _write_level(system: AffineCoxeterSystem, length: int, lv: _Level, geo: list
             for a, g, b, t in parts
         ]))
     return geo
-
-
-def count_multilengths(
-    system: AffineCoxeterSystem,
-    radius: int,
-    max_elements: int | None = None,
-) -> dict[tuple[int, ...], int]:
-    """Number of elements of each class-graded length vector in the ball.
-
-    The same dict as ``enumerate_ball(system, radius).multilength_counts()``,
-    from the numbers game on the extended Cartan matrix a: no matrix,
-    geodesic, previous level or sort.  An element w is carried only as its
-    vector v with v_t = h * alpha_t(w(p)) over the affine simple roots
-    alpha_0 = 1 - theta, alpha_1, ..., alpha_n, for the alcove point p with
-    alpha_t(p) = 1/h, so the identity is all ones.  No entry is 0, since p
-    lies on no wall, and s is a left descent of w iff v_s < 0.  Since
-    alpha_t o s = alpha_t - a[s][t] * alpha_s, the vector of s*w is
-    v - v_s * a[s].  The BFS multiplies on the left and keeps the candidate
-    s*w iff s is the smallest left descent of s*w, that is iff v_s > 0 and
-    no t < s has a negative entry after the step.  So every element of
-    length k+1 is produced once, from its smallest left descent, and no
-    step goes back towards the identity.  Each element
-    carries its multilength key (the parent's plus the step of its letter's
-    class), and a level is counted with one ``np.unique``.
-
-    Vectors are held in the narrowest of int16, int32 and int64 that holds
-    the next level: one step changes an entry by at most max|a_st| * max|v|
-    (see :func:`_vector_dtype`), so no value wraps.
-
-    Raises :class:`ResourceLimitExceeded` when the element cap would be
-    passed, and ValueError as :func:`enumerate_ball`.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    cap = element_cap(max_elements)
-    m, radix = system.m, radius + 1
-    steps = _class_steps(m, radix)[list(system.partition.class_of)]
-    cartan = np.array(system.extended_cartan, dtype=np.int64)
-    bound = int(np.abs(cartan).max())
-    vectors = np.ones((1, system.num_gens), dtype=np.int16)
-    a = cartan.astype(vectors.dtype)
-    keys = np.zeros(1, dtype=np.int64)
-    out: dict[tuple[int, ...], int] = {}
-    _add_level_counts(out, keys, 0, radix, m)
-    total = 1
-    for depth in range(radius):
-        dtype = _vector_dtype(bound, int(np.abs(vectors).max()))
-        if dtype != vectors.dtype:
-            vectors, a = vectors.astype(dtype), cartan.astype(dtype)
-        parts = []
-        for s in range(system.num_gens):
-            up = vectors[:, s] > 0  # s is a left descent of s*w iff it is none of w
-            moved = vectors[up]
-            moved -= moved[:, s, None] * a[s]
-            first = (moved[:, :s] > 0).all(axis=1)  # no smaller left descent
-            parts.append((moved[first], keys[up][first] + steps[s]))
-        vectors, keys = (np.concatenate(arrays) for arrays in zip(*parts))
-        if total + len(keys) > cap:
-            raise ResourceLimitExceeded(depth, cap)
-        _add_level_counts(out, keys, depth + 1, radix, m)
-        total += len(keys)
-    return out
-
-
-def _vector_dtype(bound: int, largest: int) -> type:
-    """The narrowest of int16, int32, int64 that holds one numbers-game step.
-
-    An entry of v - v_s * a[s] is at most ``(1 + bound) * largest`` in
-    absolute value, for ``bound`` = max|a_st| and ``largest`` = max|v|, and
-    so is every intermediate product.
-    """
-    need = (1 + bound) * largest
-    for dtype in (np.int16, np.int32, np.int64):
-        if need <= np.iinfo(dtype).max:
-            return dtype
-    raise OverflowError(f"numbers-game entries of size {largest} do not fit in int64")
 
 
 def evaluate_word(system: AffineCoxeterSystem, word: tuple[int, ...] | list[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import gyoja.cli as cli
+import gyoja.counting as counting
 import gyoja.weyl as weyl
 from gyoja.closed_forms import bott_closed_form
 from gyoja.cartan import parse_cartan_type
@@ -255,7 +256,7 @@ def test_series_sign_vector_mismatch_exit_1_before_counting(monkeypatch, capsys)
     def refuse(*args, **kwargs):
         raise AssertionError("counting called")
 
-    monkeypatch.setattr(weyl, "count_multilengths", refuse)
+    monkeypatch.setattr(counting, "count_multilengths", refuse)
     code, out, err = run_cli(
         "series", "--type", "G2", "--degree", "10", "--cap", "3", "--character", "[-1,1,1]", "--qo", "2",
         capsys=capsys,
@@ -470,7 +471,7 @@ def test_unusable_output_fails_before_the_work(monkeypatch, tmp_path, capsys, co
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration called")
 
-    monkeypatch.setattr(weyl, "count_multilengths", refuse)
+    monkeypatch.setattr(counting, "count_multilengths", refuse)
     target = tmp_path / "missing" / "x.txt" if where == "missing_dir" else tmp_path
     code, out, err = run_cli(
         command, "--type", "E8", "--degree", "10", "--output", str(target), capsys=capsys
@@ -538,6 +539,11 @@ _WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\nfrom gyoja.cli import
     + [
         ["classify", "--all-types", "--qo", "2,3,4,5,7", "--expect-paper", "--format", fmt]
         for fmt in ("text", "json", "csv", "markdown")
+    ]
+    + [
+        ["check", "--type", "E8", "--degree", "10"],
+        ["check", "--type", "C2", "--degree", "7"],
+        ["enumerate", "--type", "E8", "--degree", "12"],
     ],
 )
 def test_version_expand_and_tables_run_without_numpy(argv):
@@ -564,3 +570,15 @@ def test_array_names_import_numpy_on_first_access():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False True\n"
+
+
+def test_counter_leaves_numpy_unimported():
+    code = (
+        "import sys, gyoja\n"
+        "from gyoja.cartan import build_affine_system, parse_cartan_type\n"
+        "counts = gyoja.count_multilengths(build_affine_system(parse_cartan_type('C3')), 6)\n"
+        "print(sum(counts.values()), 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "161 False\n"

@@ -21,9 +21,10 @@ from gyoja.closed_forms import (
     macdonald_closed_form,
 )
 from gyoja.cli import ALL_TYPES
+from gyoja.counting import count_multilengths
 from gyoja.hecke import counting_series
+from gyoja.limits import ResourceLimitExceeded
 from gyoja.series import TruncatedSeries, geometric, one
-from gyoja.weyl import ResourceLimitExceeded, count_multilengths
 
 
 def _factor_multiset(factors):

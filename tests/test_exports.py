@@ -6,14 +6,14 @@ import gyoja
 def test_every_exported_name_resolves():
     modules = [gyoja] + [
         importlib.import_module(f"gyoja.{name}")
-        for name in ("cartan", "closed_forms", "distinction", "hecke", "limits", "series", "weyl")
+        for name in ("cartan", "closed_forms", "counting", "distinction", "hecke", "limits", "series", "weyl")
     ]
     missing = [(m.__name__, name) for m in modules for name in m.__all__ if not hasattr(m, name)]
     assert missing == []
 
 
 def test_lazy_names_are_the_defining_modules_objects():
-    # gyoja resolves the weyl and hecke names through its module __getattr__.
+    # gyoja resolves the counting, weyl and hecke names through its module __getattr__.
     for name, module in gyoja._LAZY.items():
         assert name in gyoja.__all__ and name in dir(gyoja)
         assert getattr(gyoja, name) is getattr(importlib.import_module(f"gyoja.{module}"), name)

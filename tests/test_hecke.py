@@ -7,6 +7,7 @@ import pytest
 from _oracles import brute_force_elements, random_validated_rep
 from conftest import get_ball, system_of
 from gyoja.cartan import SignCharacter, parse_cartan_type, steinberg_character
+from gyoja.counting import count_multilengths
 from gyoja.hecke import (
     COUNTING,
     MatrixRep,
@@ -21,7 +22,6 @@ from gyoja.hecke import (
     validate_rep,
 )
 from gyoja.series import TruncatedSeries
-from gyoja.weyl import count_multilengths
 
 
 def test_trivial_hecke_character_passes():

@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -9,11 +11,13 @@ import pytest
 
 from _oracles import brute_force_counts, brute_force_elements, word_multilength
 from conftest import get_ball, system_of
-from gyoja import weyl
+from gyoja import counting, weyl
+from gyoja.cartan import exponents
+from gyoja.cli import ALL_TYPES
+from gyoja.counting import count_multilengths
 from gyoja.weyl import (
     NotReducedWordError,
     ResourceLimitExceeded,
-    count_multilengths,
     enumerate_ball,
     enumerate_levels,
     evaluate_word,
@@ -273,8 +277,8 @@ def test_counter_a1_takes_no_step_back():
 
 
 def test_counter_a1_widens_past_int16():
-    # the vectors of length k have entries of size 2k + 1, past the int16
-    # range from length 16,384 on, so the counts are exact only if it widens
+    # exact counts far out: numbers-game entries grow with the length and
+    # pass the int16 range from length 16,384 on
     radius = 16500
     expected = {(0, 0): 1}
     for k in range(1, radius + 1):
@@ -283,18 +287,9 @@ def test_counter_a1_widens_past_int16():
     assert list(count_multilengths(system_of("A1"), radius).items()) == list(expected.items())
 
 
-def test_vector_dtype_holds_one_step():
-    # with max|a_st| = 2 an entry of 10,922 steps to at most 32,766
-    assert weyl._vector_dtype(2, 10_922) is np.int16
-    assert weyl._vector_dtype(2, 10_923) is np.int32
-    assert weyl._vector_dtype(3, 2**31 // 4) is np.int64
-    with pytest.raises(OverflowError):
-        weyl._vector_dtype(3, 2**63 // 4)
-
-
 def test_counter_memory_stays_small():
-    # the ball E8/12 has 202,683 elements; int16 vectors and int64 keys for
-    # one level at a time stay far below the 34 MiB of the alcove-point walk
+    # the ball E8/12 has 202,683 elements, but only coset representatives of
+    # length <= 12 are held, far below the 34 MiB of the alcove-point walk
     system = system_of("E8")
     count_multilengths(system, 2)
     tracemalloc.start()
@@ -306,16 +301,45 @@ def test_counter_memory_stays_small():
     assert peak < 12 * 2**20
 
 
-def test_counter_cap_matches_enumeration():
-    system = system_of("A2")
+@pytest.mark.parametrize(
+    "label, cap", [("A2", 15), ("A2", 19), ("G2", 40), ("C3", 100), ("C3", 1000), ("E8", 100), ("E8", 5000)]
+)
+def test_counter_cap_matches_enumeration(label, cap):
+    system = system_of(label)
     with pytest.raises(ResourceLimitExceeded) as ball_exc:
-        enumerate_ball(system, 10, max_elements=15)
+        for _ in enumerate_levels(system, 40, max_elements=cap):
+            pass
     with pytest.raises(ResourceLimitExceeded) as exc_info:
-        count_multilengths(system, 10, max_elements=15)
+        count_multilengths(system, 40, max_elements=cap)
     err = exc_info.value
-    assert str(err) == str(ball_exc.value)
-    assert (err.completed_radius, err.cap) == (2, 15)
-    assert sum(count_multilengths(system, 3, max_elements=1 + 3 + 6 + 9).values()) == 19
+    assert (err.completed_radius, err.cap, str(err)) == (ball_exc.value.completed_radius, cap, str(ball_exc.value))
+    # the completed ball fits under the same cap, also when it holds exactly cap elements
+    completed = sum(len(lv) for lv in enumerate_levels(system, err.completed_radius))
+    assert sum(count_multilengths(system, err.completed_radius, max_elements=cap).values()) == completed
+
+
+def test_counter_cap_fires_before_the_radius_is_walked():
+    # the cap is checked level by level, so a far radius costs nothing
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitExceeded) as exc_info:
+        count_multilengths(system_of("E8"), 10**5, max_elements=100)
+    assert time.perf_counter() - start < 2
+    assert (exc_info.value.completed_radius, exc_info.value.cap) == (2, 100)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES)
+def test_finite_chain_is_the_finite_weyl_group(label):
+    # the product of the finite coset sets is the finite Weyl group W_(S - {0}):
+    # prod(e_i + 1) elements and one longest element, at the multilength that
+    # cartan's root closure gives; a longer element would show at one more degree
+    system = system_of(label)
+    top = system.longest_multilength(range(1, system.num_gens))
+    radius = sum(top) + 1
+    places = [(radius + 1) ** (system.m - 1 - c) for c in range(system.m)]
+    levels = counting._finite_levels(system, radius, [places[c] for c in system.partition.class_of])
+    assert sum(sum(level.values()) for level in levels) == math.prod(e + 1 for e in exponents(system.ctype))
+    assert len(levels) == radius
+    assert levels[-1] == {sum(l * p for l, p in zip(top, places)): 1}
 
 
 def test_levels_cap_fires_after_the_completed_levels():
