@@ -43,7 +43,6 @@ from .distinction import (
     EvaluationPoint,
     NotDiscreteSeriesError,
     classify,
-    coefficient_value_on_cell,
     distinction_value,
     distinction_value_witnessed,
     expected_distinguished,
@@ -53,21 +52,15 @@ from .limits import ResourceLimitExceeded
 from .series import TruncatedSeries
 
 # Names resolved on first access (PEP 562), so that ``import gyoja`` does not
-# import numpy (hecke, weyl) or the counter that only the counting commands use.
+# import numpy (hecke, weyl) or the counter and characters that only the counting
+# commands use.
 _LAZY = {
-    "count_multilengths": "counting",
     **dict.fromkeys(
-        (
-            "COUNTING",
-            "MatrixRep",
-            "char_value_e_w",
-            "character_series",
-            "counting_series",
-            "gyoja_series",
-            "parse_sign_vector",
-            "partial_sums_at_point",
-            "validate_rep",
-        ),
+        ("COUNTING", "char_value_e_w", "character_series", "count_multilengths", "parse_sign_vector"),
+        "counting",
+    ),
+    **dict.fromkeys(
+        ("MatrixRep", "counting_series", "gyoja_series", "partial_sums_at_point", "validate_rep"),
         "hecke",
     ),
     **dict.fromkeys(
@@ -128,7 +121,6 @@ __all__ = [
     "char_value_e_w",
     "character_series",
     "classify",
-    "coefficient_value_on_cell",
     "conjugacy_partition",
     "count_multilengths",
     "counting_series",

@@ -18,13 +18,13 @@ tracking each root in simple-root coordinates together with its coroot in
 simple-coroot coordinates, so the highest root and the affine reflection come
 out exactly, with no table to transcribe.
 
-The tables are small (n <= 8 for the exceptional types) and are built in
-plain ints.  The Coxeter matrix is read off the extended Cartan matrix: the
-bond order m_st follows from a_st * a_ts = 4 cos^2(pi / m_st), so the
-products 0, 1, 2, 3, 4 give 2, 3, 4, 6 and an infinite bond.  The numpy
-arrays that enumeration works on are built from the same tables on first
-access, so reading the Coxeter matrix, the class partition or the generator
-actions (``expand``, ``tables``) does not import numpy.
+The tables are small (n <= 8 for the exceptional types) and are plain int
+tuples; this module does not import numpy, and the enumeration in
+:mod:`gyoja.weyl` builds the arrays it walks from them.  The Coxeter matrix
+is read off the extended Cartan matrix: the bond order m_st follows from
+a_st * a_ts = 4 cos^2(pi / m_st), so the products 0, 1, 2, 3, 4 give 2, 3,
+4, 6 and an infinite bond.  The exponents are read off the heights of the
+positive roots of the same closure.
 
 Node numbering: the affine node is always index 0, finite nodes 1..n follow
 Bourbaki, except that in type G2 node 1 is the long simple root (the one the
@@ -34,6 +34,7 @@ affine node attaches to).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -226,6 +227,17 @@ def _alcove_point(roots: Roots) -> tuple[int, tuple[int, ...]]:
     return 2 * h // g, tuple(x // g for x in two_rho)
 
 
+def _exponents(positive: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Exponents of the finite Weyl group from the positive roots, in root coordinates.
+
+    #{i : e_i >= k} is the number of positive roots of height k (Kostant,
+    Amer. J. Math. 81, 1959), so k is an exponent as many times as there
+    are more roots of height k than of height k + 1.
+    """
+    heights = Counter(map(sum, positive))
+    return tuple(k for k in sorted(heights) for _ in range(heights[k] - heights[k + 1]))
+
+
 # Bond order m_st from the Cartan product a_st * a_ts = 4 cos^2(pi / m_st).
 _BOND_OF_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6, 4: INFINITE_BOND}
 
@@ -306,27 +318,6 @@ class SignCharacter:
         return "(" + ",".join(f"{s:+d}" for s in self.signs) + ")"
 
 
-class _Int64Table:
-    """Read-only int64 array of the plain-int table ``_<name>``.
-
-    Built, and numpy imported, on first access; the array then sits in the
-    instance dict, which shadows this descriptor.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        import numpy as np
-
-        arr = np.array(getattr(obj, "_" + self.name), dtype=np.int64)
-        arr.setflags(write=False)
-        obj.__dict__[self.name] = arr
-        return arr
-
-
 def _matvec(M: Matrix, x: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(a * b for a, b in zip(row, x)) for row in M)
 
@@ -338,13 +329,12 @@ class AffineCoxeterSystem:
     the coroot lattice as ``x -> linear[s] @ x + translation[s]``, in
     simple-coroot coordinates.  Immutable after construction; safe to share.
 
-    The tables are computed in plain ints (n <= 8).  ``extended_cartan`` is
-    the extended Cartan matrix as a tuple of int tuples, and the Coxeter
-    matrix and class partition are read off it.  The array attributes
-    ``pairing``, ``highest_root``, ``gen_linear``, ``gen_translation``,
-    ``alcove_point``, ``alcove_images`` and ``positive_root_pairings`` are
-    read-only int64 numpy arrays of the same tables, built on first access;
-    only code that does array work imports numpy.
+    Every table is a plain int tuple (n <= 8 for the exceptional types):
+    ``pairing`` (P[i][j] = <alpha_j, alpha_i^vee>), ``highest_root`` (theta
+    in simple-root coordinates), ``gen_linear``, ``gen_translation``,
+    ``alcove_point``, ``alcove_images``, ``positive_root_pairings``,
+    ``extended_cartan``, ``coxeter_matrix`` and ``exponents``; the class
+    partition is read off the Coxeter matrix.
 
     ``alcove_point`` is D*p for the interior point p of the fundamental
     alcove with <alpha_i, p> = 1/h (h the Coxeter number, D =
@@ -354,14 +344,6 @@ class AffineCoxeterSystem:
     ``positive_root_pairings`` is (<alpha, alpha_k^vee>)_k for the a-th
     positive root alpha, so that <alpha, x> is that row times x.
     """
-
-    pairing = _Int64Table()
-    highest_root = _Int64Table()
-    gen_linear = _Int64Table()
-    gen_translation = _Int64Table()
-    alcove_point = _Int64Table()
-    alcove_images = _Int64Table()
-    positive_root_pairings = _Int64Table()
 
     def __init__(self, ctype: CartanType):
         self.ctype = ctype
@@ -386,15 +368,17 @@ class AffineCoxeterSystem:
             tuple(x + scale * v for x, v in zip(_matvec(A, point), b)) for A, b in zip(gens_lin, gens_tr)
         ]
 
-        self._pairing = P
-        self._highest_root = theta
-        self._gen_linear = tuple(gens_lin)
-        self._gen_translation = tuple(gens_tr)
+        self.pairing = P
+        self.highest_root = theta
+        self.gen_linear = tuple(gens_lin)
+        self.gen_translation = tuple(gens_tr)
         self.num_gens = n + 1
         self.alcove_scale = scale
-        self._alcove_point = point
-        self._alcove_images = tuple(images)
-        self._positive_root_pairings = tuple(_matvec(P, rc) for rc, _ in roots if min(rc) >= 0)
+        self.alcove_point = point
+        self.alcove_images = tuple(images)
+        positive = [rc for rc, _ in roots if min(rc) >= 0]
+        self.positive_root_pairings = tuple(_matvec(P, rc) for rc in positive)
+        self.exponents = _exponents(positive)
         self.extended_cartan = _extended_cartan_matrix(P, theta, theta_covec)
         self.coxeter_matrix = _coxeter_matrix(self.extended_cartan)
         self.partition = conjugacy_partition(self.coxeter_matrix)
@@ -485,30 +469,9 @@ def conjugacy_partition(coxeter_matrix: tuple[tuple[int, ...], ...]) -> ClassPar
     return ClassPartition(tuple(classes), tuple(class_of))
 
 
-# ---------------------------------------------------------------------------
-# Exponents (hard-coded; pinned by the expansion-vs-enumeration tests)
-# ---------------------------------------------------------------------------
-
-
 def exponents(ctype: CartanType) -> tuple[int, ...]:
     """Exponents m_1 <= ... <= m_n of the finite Weyl group of ``ctype``."""
-    n = ctype.rank
-    fam = ctype.family
-    if fam == "A":
-        return tuple(range(1, n + 1))
-    if fam in ("B", "C"):
-        return tuple(range(1, 2 * n, 2))
-    if fam == "D":
-        return tuple(sorted(list(range(1, 2 * n - 2, 2)) + [n - 1]))
-    if fam == "G":
-        return (1, 5)
-    if fam == "F":
-        return (1, 5, 7, 11)
-    return {
-        6: (1, 4, 5, 7, 8, 11),
-        7: (1, 5, 7, 9, 11, 13, 17),
-        8: (1, 7, 11, 13, 17, 19, 23, 29),
-    }[n]
+    return build_affine_system(ctype).exponents
 
 
 # ---------------------------------------------------------------------------
@@ -578,10 +541,10 @@ def tables_document(ctype: CartanType) -> dict:
         "class_partition": [list(c) for c in system.partition.classes],
         "m": system.m,
         "exponents": list(exponents(ctype)),
-        "highest_root": list(system._highest_root),
+        "highest_root": list(system.highest_root),
         "generator_actions": [
             {"matrix": [list(row) for row in matrix], "translation": list(translation)}
-            for matrix, translation in zip(system._gen_linear, system._gen_translation)
+            for matrix, translation in zip(system.gen_linear, system.gen_translation)
         ],
         "discrete_series_characters": [list(c.signs) for c in borel_discrete_series_list(ctype)],
     }

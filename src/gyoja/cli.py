@@ -158,8 +158,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    from .counting import count_multilengths
-    from .hecke import COUNTING, character_series, parse_sign_vector
+    from .counting import COUNTING, character_series, count_multilengths, parse_sign_vector
 
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)

@@ -26,17 +26,36 @@ A multilength (l_1, ..., l_m) is kept as the integer key with digits
 l_1 ... l_m in base radius + 1, most significant first.  No digit of an
 element of the ball reaches the base, so keys add as multilengths do and
 sort as they do lexicographically.
+
+The degree-1 characters of the Hecke algebra live here too, since their
+series need only these counts: a sign character's value on e_w depends on
+the multilength of w alone (:func:`char_value_e_w`), and
+:func:`character_series` weights each count by it.  The *counting
+character* ``COUNTING`` sends every e_w to 1 -- not a Hecke representation
+at all, but exactly the functional that degenerates L(t, r) into the growth
+series W(t) -- and is kept distinct from the trivial Hecke character, which
+sends every e_s to q.  Nothing here imports numpy, so ``gyoja series``
+runs on plain ints end to end.
 """
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .cartan import AffineCoxeterSystem
+from .cartan import AffineCoxeterSystem, SignCharacter
 from .limits import ResourceLimitExceeded, element_cap
+from .series import TruncatedSeries
 
-__all__ = ["count_multilengths"]
+__all__ = [
+    "COUNTING",
+    "CountingCharacter",
+    "char_value_e_s",
+    "char_value_e_w",
+    "character_series",
+    "count_multilengths",
+    "parse_sign_vector",
+]
 
 Levels = Sequence[dict[int, int]]  # levels[k] maps a multilength key to a count of length-k elements
 
@@ -130,3 +149,71 @@ def _degree(a: Levels, b: Levels, k: int) -> dict[int, int]:
                 key = key_a + key_b
                 out[key] = out.get(key, 0) + count_a * count_b
     return out
+
+
+# ---------------------------------------------------------------------------
+# Degree-1 characters
+# ---------------------------------------------------------------------------
+
+
+class CountingCharacter:
+    """Formal functional e_w -> 1; turns L(t, r) into the growth series W(t)."""
+
+    def __repr__(self) -> str:
+        return "COUNTING"
+
+
+COUNTING = CountingCharacter()
+
+
+def parse_sign_vector(text: str) -> SignCharacter:
+    """Parse "[-1,1]" or "-1,1" into a SignCharacter."""
+    body = text.strip().removeprefix("[").removesuffix("]")
+    try:
+        signs = tuple(int(p) for p in body.replace(" ", "").split(",") if p)
+    except ValueError as exc:
+        raise ValueError(f"cannot parse sign vector {text!r}") from exc
+    return SignCharacter(signs)
+
+
+def char_value_e_s(eps: SignCharacter, class_index: int, q_o: int) -> int:
+    """Value on a generator of class i: -1 when eps_i = -1, q = q_o^2 when +1."""
+    s = eps.signs[class_index]
+    return s * q_o ** (s + 1)
+
+
+def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> int:
+    """Value on e_w from the class-graded length vector of w.
+
+    Multiplicativity along a reduced word gives
+    r(e_w) = prod_i (eps_i * q_o^(eps_i + 1))^(l_i(w)).
+    """
+    if q_o < 2:
+        raise ValueError("q_o must be >= 2 (a residue field size)")
+    if len(multilength) != len(eps.signs):
+        raise ValueError("multilength / sign vector dimension mismatch")
+    value = 1
+    for s, li in zip(eps.signs, multilength):
+        value *= (s * q_o ** (s + 1)) ** li
+    return value
+
+
+def character_series(
+    counts: Mapping[tuple[int, ...], int],
+    rep: CountingCharacter | SignCharacter,
+    m: int,
+    bound: int,
+    q_o: int | None = None,
+) -> TruncatedSeries:
+    """L(t, r) of a scalar character from the number of elements per multilength.
+
+    ``COUNTING`` gives the growth series W(t); a sign character (requires
+    ``q_o``) weights each count by its value r(e_w) = :func:`char_value_e_w`.
+    """
+    if isinstance(rep, CountingCharacter):
+        return TruncatedSeries(m, bound, counts)
+    if q_o is None:
+        raise ValueError("a sign character needs q_o")
+    return TruncatedSeries(
+        m, bound, {ml: count * char_value_e_w(rep, ml, q_o) for ml, count in counts.items()}
+    )

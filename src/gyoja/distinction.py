@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import TYPE_CHECKING
 
 from .cartan import (
     CartanType,
@@ -38,9 +37,6 @@ from .cartan import (
     build_affine_system,
 )
 from .closed_forms import PoleError, calibrate_indexing, growth_closed_form
-
-if TYPE_CHECKING:
-    from .weyl import GroupElement
 
 __all__ = [
     "NotDiscreteSeriesError",
@@ -54,7 +50,6 @@ __all__ = [
     "robustness_check",
     "RobustnessReport",
     "BindingOutcome",
-    "coefficient_value_on_cell",
     "verdict_json_dict",
     "render_markdown_table",
 ]
@@ -235,23 +230,6 @@ def robustness_check(ctype: CartanType, eps: SignCharacter, q_o: int = 2) -> Rob
             f"class-to-variable binding: {outcomes}"
         )
     return RobustnessReport(ctype, eps, q_o, tuple(outcomes), verdicts.pop())
-
-
-# ---------------------------------------------------------------------------
-# Cell-by-cell coefficient values
-# ---------------------------------------------------------------------------
-
-
-def coefficient_value_on_cell(eps: SignCharacter, element: GroupElement, q_o: int) -> Fraction:
-    """Contribution of one double-cell to the invariant functional.
-
-    The cell indexed by w carries measure q_o^(l(w)), the normalized
-    coefficient value on it is r(e_w) / q^(l(w)) with q = q_o^2, so the
-    contribution is r(e_w) * q_o^(-l(w)).
-    """
-    from .hecke import char_value_e_w
-
-    return char_value_e_w(eps, element.multilength, q_o) * Fraction(1, q_o) ** element.length
 
 
 # ---------------------------------------------------------------------------

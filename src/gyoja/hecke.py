@@ -16,7 +16,10 @@ assumes.  The attached generating function
 is accumulated here from enumeration (a ball, or the per-multilength counts
 of ``counting.count_multilengths``, which walks parabolic coset
 representatives), never from the closed forms, so the two modules stay
-independent checks of one another.  A matrix
+independent checks of one another.  The degree-1 characters, and their
+series from those counts, are plain-int work and live in
+:mod:`gyoja.counting`; this module adds matrix representations and the
+series over a ball.  A matrix
 representation is summed along the ball's BFS tree: an element's geodesic
 is its parent's plus one letter, so r(e_w) = r(e_parent) r(e_s) costs one
 matrix product per element.
@@ -26,12 +29,6 @@ denominator d, so r(e_s) = N_s / d, as object arrays of Python ints (entries
 grow like q^l, so never int64).  Every product, relation check and series
 sum runs in ints: a product of k generators is an integer matrix over d^k,
 and an exact ``Fraction`` is formed only for what is returned.
-
-Two different "trivial" objects are kept deliberately distinct: the trivial
-*Hecke character* sends every e_s to q (a valid representation), while the
-*counting character* sends every e_w to 1 -- not a Hecke representation at
-all, but exactly the functional that degenerates L(t, r) into the growth
-series W(t).  Use ``COUNTING`` for the latter.
 """
 
 from __future__ import annotations
@@ -40,75 +37,30 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cartan import INFINITE_BOND, AffineCoxeterSystem, ClassPartition, SignCharacter
-from .counting import count_multilengths
+from .counting import (
+    COUNTING,
+    CountingCharacter,
+    char_value_e_s,
+    char_value_e_w,
+    character_series,
+    count_multilengths,
+)
 from .series import TruncatedSeries
 from .weyl import Ball
 
 __all__ = [
-    "COUNTING",
-    "CountingCharacter",
     "MatrixRep",
     "RepValidationReport",
     "validate_rep",
-    "char_value_e_w",
-    "character_series",
     "counting_series",
     "gyoja_series",
     "partial_sums_at_point",
-    "parse_sign_vector",
 ]
-
-
-class CountingCharacter:
-    """Formal functional e_w -> 1; turns L(t, r) into the growth series W(t)."""
-
-    def __repr__(self) -> str:
-        return "COUNTING"
-
-
-COUNTING = CountingCharacter()
-
-
-def parse_sign_vector(text: str) -> SignCharacter:
-    """Parse "[-1,1]" or "-1,1" into a SignCharacter."""
-    body = text.strip().removeprefix("[").removesuffix("]")
-    try:
-        signs = tuple(int(p) for p in body.replace(" ", "").split(",") if p)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse sign vector {text!r}") from exc
-    return SignCharacter(signs)
-
-
-# ---------------------------------------------------------------------------
-# Degree-1 characters
-# ---------------------------------------------------------------------------
-
-
-def char_value_e_s(eps: SignCharacter, class_index: int, q_o: int) -> int:
-    """Value on a generator of class i: -1 when eps_i = -1, q = q_o^2 when +1."""
-    s = eps.signs[class_index]
-    return s * q_o ** (s + 1)
-
-
-def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> int:
-    """Value on e_w from the class-graded length vector of w.
-
-    Multiplicativity along a reduced word gives
-    r(e_w) = prod_i (eps_i * q_o^(eps_i + 1))^(l_i(w)).
-    """
-    if q_o < 2:
-        raise ValueError("q_o must be >= 2 (a residue field size)")
-    if len(multilength) != len(eps.signs):
-        raise ValueError("multilength / sign vector dimension mismatch")
-    value = 1
-    for s, li in zip(eps.signs, multilength):
-        value *= (s * q_o ** (s + 1)) ** li
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -280,27 +232,6 @@ def eval_rep_on_word(rep: MatrixRep, word: Sequence[int]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Generating series
 # ---------------------------------------------------------------------------
-
-
-def character_series(
-    counts: Mapping[tuple[int, ...], int],
-    rep: CountingCharacter | SignCharacter,
-    m: int,
-    bound: int,
-    q_o: int | None = None,
-) -> TruncatedSeries:
-    """L(t, r) of a scalar character from the number of elements per multilength.
-
-    ``COUNTING`` gives the growth series W(t); a sign character (requires
-    ``q_o``) weights each count by its value r(e_w) = :func:`char_value_e_w`.
-    """
-    if isinstance(rep, CountingCharacter):
-        return TruncatedSeries(m, bound, counts)
-    if q_o is None:
-        raise ValueError("a sign character needs q_o")
-    return TruncatedSeries(
-        m, bound, {ml: count * char_value_e_w(rep, ml, q_o) for ml, count in counts.items()}
-    )
 
 
 def counting_series(ball: Ball, bound: int | None = None) -> TruncatedSeries:

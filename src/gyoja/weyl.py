@@ -38,8 +38,9 @@ geodesics and canonical order are what the jsonl export pins.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -148,12 +149,14 @@ class Ball:
     # -- aggregates ------------------------------------------------------
 
     def multilength_counts(self) -> dict[tuple[int, ...], int]:
-        """Number of elements per class-graded length vector."""
-        m, radix = self.system.m, self.radius + 1
-        steps = _class_steps(m, radix)
+        """Number of elements per class-graded length vector, by length and then lexicographic.
+
+        A tally of the elements' multilengths, level by level: the
+        independent check of :func:`gyoja.counting.count_multilengths`.
+        """
         out: dict[tuple[int, ...], int] = {}
-        for length, lv in enumerate(self.levels):
-            _add_level_counts(out, lv.multilength @ steps, length, radix, m)
+        for lv in self.levels:
+            out.update(sorted(Counter(map(tuple, lv.multilength.tolist())).items()))
         return out
 
     def export_jsonl(self, fp: IO[str]) -> int:
@@ -163,31 +166,6 @@ class Ball:
 
     def __repr__(self) -> str:
         return f"Ball({self.system.ctype.label}, radius={self.radius}, total={self.total})"
-
-
-def _class_steps(m: int, radix: int) -> np.ndarray:
-    """Place value of each class in a level's multilength key (see :func:`_add_level_counts`)."""
-    return np.array([radix ** (m - 2 - c) for c in range(m - 1)] + [0], dtype=np.int64)
-
-
-def _add_level_counts(
-    out: dict[tuple[int, ...], int], keys: np.ndarray, length: int, radix: int, m: int
-) -> None:
-    """Add one level's multilength counts to ``out``, from one key per element.
-
-    The key of (l_1, ..., l_m) is l_1 ... l_(m-1) read as digits in base
-    ``radix``, most significant first; l_m is what is left of ``length``.
-    Keys are counted with one ``np.unique``, whose sort costs the level's
-    size and not the (mostly empty) key range, and decoded in increasing
-    order, which is lexicographic order on the multilength.
-    """
-    found, counts = np.unique(keys, return_counts=True)
-    columns, rest = [], found
-    for _ in range(m - 1):
-        rest, digit = np.divmod(rest, radix)
-        columns.insert(0, digit)
-    columns.append(length - sum(columns, np.zeros_like(found)))
-    out.update(zip(zip(*[c.tolist() for c in columns]), counts.tolist()))
 
 
 def _pack(cols: np.ndarray) -> np.ndarray:
@@ -289,11 +267,23 @@ def enumerate_levels(
     return _walk_levels(system, radius, element_cap(max_elements))
 
 
+class _Generators(NamedTuple):
+    """The generator tables one walk reads at every level, as int64 arrays."""
+
+    images: np.ndarray  # (g, n): alcove_images, s(D*p) for each generator s
+    lin: np.ndarray  # (g, n, n): gen_linear
+    tr: np.ndarray  # (g, n): gen_translation
+    classes: np.ndarray  # (g, m): row s is the multilength of s
+
+
 def _walk_levels(system: AffineCoxeterSystem, radius: int, cap: int) -> Iterator[_Level]:
     n, m = system.rank, system.m
-    class_onehot = np.zeros((system.num_gens, m), dtype=np.int64)
-    for s in range(system.num_gens):
-        class_onehot[s, system.partition.class_of[s]] = 1
+    gens = _Generators(
+        images=np.array(system.alcove_images, dtype=np.int64),
+        lin=np.array(system.gen_linear, dtype=np.int64),
+        tr=np.array(system.gen_translation, dtype=np.int64),
+        classes=np.eye(m, dtype=np.int64)[list(system.partition.class_of)],
+    )
     level = _Level(
         lin=np.eye(n, dtype=np.int64)[None, :, :],
         tr=np.zeros((1, n), dtype=np.int64),
@@ -303,10 +293,10 @@ def _walk_levels(system: AffineCoxeterSystem, radius: int, cap: int) -> Iterator
     )
     yield level
     prev_points = np.zeros((0, n), dtype=np.int64)
-    cur_points = system.alcove_point[None, :]
+    cur_points = np.array([system.alcove_point], dtype=np.int64)
     total = 1
     for depth in range(radius):
-        step = _next_level(system, class_onehot, level, prev_points, cap - total)
+        step = _next_level(system, gens, level, prev_points, cap - total)
         if step is None:
             raise ResourceLimitExceeded(depth, cap)
         prev_points, (level, cur_points) = cur_points, step
@@ -316,7 +306,7 @@ def _walk_levels(system: AffineCoxeterSystem, radius: int, cap: int) -> Iterator
 
 def _next_level(
     system: AffineCoxeterSystem,
-    class_onehot: np.ndarray,
+    gens: _Generators,
     frontier: _Level,
     prev_points: np.ndarray,
     room: int,
@@ -328,11 +318,11 @@ def _next_level(
     on; the helpers free theirs in turn, so the candidates are gone before
     the maps are built, and the gathered parents before they are sorted.
     """
-    kept, points = _new_candidates(system, frontier, prev_points)
+    kept, points = _new_candidates(system, gens.images, frontier, prev_points)
     if len(kept) > room:
         return None
     parent, letter = np.divmod(kept, system.num_gens)
-    lin, tr = _right_products(system, frontier, parent, letter)
+    lin, tr = _right_products(gens, frontier, parent, letter)
     # Canonical order: lexicographic in the flattened (matrix, translation) row.
     canon = np.lexsort(_pack(np.concatenate([lin.reshape(len(lin), -1), tr], axis=1))[::-1])
     parent, letter = parent[canon], letter[canon]
@@ -341,18 +331,18 @@ def _next_level(
         tr=tr[canon],
         parent=parent,
         letter=letter,
-        multilength=frontier.multilength[parent] + class_onehot[letter],
+        multilength=frontier.multilength[parent] + gens.classes[letter],
     )
     return level, points[canon]
 
 
 def _new_candidates(
-    system: AffineCoxeterSystem, frontier: _Level, prev_points: np.ndarray
+    system: AffineCoxeterSystem, images: np.ndarray, frontier: _Level, prev_points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The new elements among the frontier's children, in generation order, and their alcove points.
 
     Candidate f * ngens + s is frontier element f times generator s, keyed
-    by the integer point f(s(D*p)) = M_f @ alcove_images[s] + D*t_f, which
+    by the integer point f(s(D*p)) = M_f @ images[s] + D*t_f, which
     determines the element (see :class:`AffineCoxeterSystem`).  The keys
     are written after the previous level's points, packed into int64 words
     and stably sorted, and the first member of every run of equal keys is
@@ -364,7 +354,7 @@ def _new_candidates(
     points = np.empty((back + len(frontier) * ngens, n), dtype=np.int64)
     points[:back] = prev_points
     children = points[back:].reshape(len(frontier), ngens, n)
-    np.matmul(system.alcove_images, frontier.lin.transpose(0, 2, 1), out=children)
+    np.matmul(images, frontier.lin.transpose(0, 2, 1), out=children)
     children += system.alcove_scale * frontier.tr[:, None, :]
     order, first = _sort_runs(points)
     kept = order[first]
@@ -374,12 +364,12 @@ def _new_candidates(
 
 
 def _right_products(
-    system: AffineCoxeterSystem, frontier: _Level, parent: np.ndarray, letter: np.ndarray
+    gens: _Generators, frontier: _Level, parent: np.ndarray, letter: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The affine maps of frontier[parent[i]] * s_letter[i], that is x -> M (A_s x + b_s) + t."""
     base = frontier.lin[parent]
-    lin = base @ system.gen_linear[letter]
-    tr = np.einsum("kab,kb->ka", base, system.gen_translation[letter]) + frontier.tr[parent]
+    lin = base @ gens.lin[letter]
+    tr = np.einsum("kab,kb->ka", base, gens.tr[letter]) + frontier.tr[parent]
     return lin, tr
 
 
@@ -444,8 +434,8 @@ def evaluate_word(system: AffineCoxeterSystem, word: tuple[int, ...] | list[int]
     for s in word:
         if not 0 <= s < system.num_gens:
             raise ValueError(f"generator index {s} out of range for {system.ctype.label}")
-        tr = lin @ system.gen_translation[s] + tr
-        lin = lin @ system.gen_linear[s]
+        tr = lin @ np.array(system.gen_translation[s], dtype=np.int64) + tr
+        lin = lin @ np.array(system.gen_linear[s], dtype=np.int64)
     return lin, tr
 
 
@@ -457,8 +447,8 @@ def _coxeter_length(system: AffineCoxeterSystem, lin: np.ndarray, tr: np.ndarray
     sum over alpha > 0 of |floor(<alpha, w(p)>)|.  Accepts one map or a
     stack of them (``lin`` of shape (..., n, n), ``tr`` of shape (..., n)).
     """
-    point = lin @ system.alcove_point + system.alcove_scale * tr
-    heights = point @ system.positive_root_pairings.T
+    point = lin @ np.array(system.alcove_point, dtype=np.int64) + system.alcove_scale * tr
+    heights = point @ np.array(system.positive_root_pairings, dtype=np.int64).T
     return np.abs(heights // system.alcove_scale).sum(axis=-1)
 
 

@@ -29,14 +29,15 @@ def brute_force_elements(system: AffineCoxeterSystem, max_len: int):
     element, so the per-element word lists are the full reduced-word sets.
     """
     n = system.rank
+    gen_lin, gen_tr = np.array(system.gen_linear), np.array(system.gen_translation)
     found: dict[bytes, tuple[int, list[tuple[int, ...]]]] = {}
     for k in range(max_len + 1):
         for word in product(range(system.num_gens), repeat=k):
             lin = np.eye(n, dtype=np.int64)
             tr = np.zeros(n, dtype=np.int64)
             for s in word:
-                tr = lin @ system.gen_translation[s] + tr
-                lin = lin @ system.gen_linear[s]
+                tr = lin @ gen_tr[s] + tr
+                lin = lin @ gen_lin[s]
             key = element_key(lin, tr)
             if key not in found:
                 found[key] = (k, [word])
@@ -61,7 +62,7 @@ def coxeter_matrix_by_generator_orders(system: AffineCoxeterSystem, max_order: i
     read, so this checks the library's bond orders from the generator actions.
     """
     eye = np.eye(system.rank, dtype=np.int64)
-    lin, tr = system.gen_linear, system.gen_translation
+    lin, tr = np.array(system.gen_linear), np.array(system.gen_translation)
     rows = []
     for s in range(system.num_gens):
         row = []
@@ -81,6 +82,29 @@ def word_multilength(system: AffineCoxeterSystem, word: tuple[int, ...]) -> tupl
     for s in word:
         counts[system.partition.class_of[s]] += 1
     return tuple(counts)
+
+
+def exponents_table(family: str, n: int) -> tuple[int, ...]:
+    """Exponents m_1 <= ... <= m_n of the finite Weyl group of X_n, as tabulated.
+
+    Bourbaki, *Lie Groups and Lie Algebras*, Ch. VI, Plates I-IX; the
+    library derives them from root heights instead.
+    """
+    if family == "A":
+        return tuple(range(1, n + 1))
+    if family in ("B", "C"):
+        return tuple(range(1, 2 * n, 2))
+    if family == "D":
+        return tuple(sorted(list(range(1, 2 * n - 2, 2)) + [n - 1]))
+    if family == "G":
+        return (1, 5)
+    if family == "F":
+        return (1, 5, 7, 11)
+    return {
+        6: (1, 4, 5, 7, 8, 11),
+        7: (1, 5, 7, 9, 11, 13, 17),
+        8: (1, 7, 11, 13, 17, 19, 23, 29),
+    }[n]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from _oracles import coxeter_matrix_by_generator_orders
+from _oracles import coxeter_matrix_by_generator_orders, exponents_table
 
 from gyoja.cartan import (
     INFINITE_BOND,
@@ -167,8 +167,8 @@ def test_generators_are_involutions():
         s = build_affine_system(parse_cartan_type(label))
         eye = np.eye(s.rank, dtype=np.int64)
         for i in range(s.num_gens):
-            M = s.gen_linear[i]
-            v = s.gen_translation[i]
+            M = np.array(s.gen_linear[i])
+            v = np.array(s.gen_translation[i])
             assert np.array_equal(M @ M, eye), (label, i)
             assert not (M @ v + v).any(), (label, i)
 
@@ -177,8 +177,9 @@ def test_alcove_point_is_rho_over_h():
     # <alpha_i, D*p> = D/h for every simple root, with h = 1 + height(theta)
     for label in ALL_LABELS:
         s = build_affine_system(parse_cartan_type(label))
-        h = int(s.highest_root.sum()) + 1
-        assert np.array_equal(h * (s.pairing.T @ s.alcove_point), np.full(s.rank, s.alcove_scale)), label
+        h = sum(s.highest_root) + 1
+        point = np.array(s.pairing).T @ s.alcove_point
+        assert np.array_equal(h * point, np.full(s.rank, s.alcove_scale)), label
         ctype = parse_cartan_type(label)
         assert len(s.positive_root_pairings) == POSITIVE_ROOT_COUNT[ctype.family](ctype.rank), label
 
@@ -188,7 +189,7 @@ def test_generator_reflections_fix_a_hyperplane():
         s = build_affine_system(parse_cartan_type(label))
         eye = np.eye(s.rank, dtype=np.int64)
         for i in range(s.num_gens):
-            assert np.linalg.matrix_rank(s.gen_linear[i] - eye) == 1, (label, i)
+            assert np.linalg.matrix_rank(np.array(s.gen_linear[i]) - eye) == 1, (label, i)
 
 
 def test_cn_partition_stable_under_end_swap():
@@ -223,6 +224,19 @@ def test_exponent_examples():
     assert exponents(parse_cartan_type("D4")) == (1, 3, 3, 5)
     assert exponents(parse_cartan_type("G2")) == (1, 5)
     assert exponents(parse_cartan_type("E8")) == (1, 7, 11, 13, 17, 19, 23, 29)
+
+
+@pytest.mark.parametrize(
+    "label",
+    [f"A{n}" for n in range(1, 13)]
+    + [f"B{n}" for n in range(3, 13)]
+    + [f"C{n}" for n in range(2, 13)]
+    + [f"D{n}" for n in range(4, 13)]
+    + ["E6", "E7", "E8", "F4", "G2"],
+)
+def test_exponents_from_root_heights_match_the_table(label):
+    ctype = parse_cartan_type(label)
+    assert exponents(ctype) == exponents_table(ctype.family, ctype.rank)
 
 
 def test_exponent_invariants():

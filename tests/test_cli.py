@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -544,6 +546,8 @@ _WITHOUT_NUMPY = "import sys\nsys.modules['numpy'] = None\nfrom gyoja.cli import
         ["check", "--type", "E8", "--degree", "10"],
         ["check", "--type", "C2", "--degree", "7"],
         ["enumerate", "--type", "E8", "--degree", "12"],
+        ["series", "--type", "C2", "--degree", "10"],
+        ["series", "--type", "G2", "--degree", "8", "--character", "[-1,1]", "--qo", "3", "--format", "json"],
     ],
 )
 def test_version_expand_and_tables_run_without_numpy(argv):
@@ -582,3 +586,21 @@ def test_counter_leaves_numpy_unimported():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "161 False\n"
+
+
+def test_only_the_array_modules_import_numpy():
+    # weyl (enumeration) and hecke (MatrixRep) walk arrays; every other
+    # module works in plain ints, so an import of numpy anywhere else,
+    # even inside a function, is a regression
+    importers = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.stem)
+    assert importers == {"weyl", "hecke"}

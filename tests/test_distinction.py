@@ -13,13 +13,13 @@ from gyoja.cartan import (
     steinberg_character,
 )
 from gyoja.closed_forms import CalibrationResult, ClosedForm, Factor
+from gyoja.counting import char_value_e_w
 from gyoja.distinction import (
     BindingDependentVerdictError,
     DistinctionVerdict,
     EvaluationPoint,
     NotDiscreteSeriesError,
     classify,
-    coefficient_value_on_cell,
     distinction_value,
     distinction_value_witnessed,
     expected_distinguished,
@@ -205,17 +205,6 @@ def test_binding_dependent_verdict_is_a_hard_failure(monkeypatch):
         robustness_check(ctype, SignCharacter((-1, -1, 1)), 2)
 
 
-def test_coefficient_value_on_cell_examples():
-    ball = get_ball("G2", 6)
-    st = steinberg_character(parse_cartan_type("G2"))
-    identity = ball.element(0, 0)
-    assert coefficient_value_on_cell(st, identity, 5) == 1
-    for el in ball:
-        if el.length > 4:
-            break
-        assert coefficient_value_on_cell(st, el, 3) == Fraction(-1, 3) ** el.length
-
-
 def test_cell_sums_reproduce_partial_sums():
     ball = get_ball("C2", 6)
     eps = SignCharacter((-1, -1, 1))
@@ -223,10 +212,9 @@ def test_cell_sums_reproduce_partial_sums():
     acc = Fraction(0)
     by_hand = []
     for k in range(ball.radius + 1):
-        acc += sum(
-            coefficient_value_on_cell(eps, ball.element(k, i), 2)
-            for i in range(ball.counts[k])
-        )
+        for i in range(ball.counts[k]):
+            el = ball.element(k, i)
+            acc += char_value_e_w(eps, el.multilength, 2) * Fraction(1, 2) ** el.length
         by_hand.append(acc)
     assert by_hand == sums
 

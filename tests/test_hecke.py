@@ -7,17 +7,19 @@ import pytest
 from _oracles import brute_force_elements, random_validated_rep
 from conftest import get_ball, system_of
 from gyoja.cartan import SignCharacter, parse_cartan_type, steinberg_character
-from gyoja.counting import count_multilengths
-from gyoja.hecke import (
+from gyoja.counting import (
     COUNTING,
-    MatrixRep,
     char_value_e_s,
     char_value_e_w,
     character_series,
+    count_multilengths,
+    parse_sign_vector,
+)
+from gyoja.hecke import (
+    MatrixRep,
     counting_series,
     eval_rep_on_word,
     gyoja_series,
-    parse_sign_vector,
     partial_sums_at_point,
     validate_rep,
 )

@@ -158,14 +158,16 @@ def test_numbers_game_vectors_decide_left_descents(label, radius):
     # vector is all ones, s is a left descent of w (v_s < 0) iff l(s*w) < l(w),
     # and the vector of s*w is v - v_s * a[s] for the extended Cartan matrix a
     system = system_of(label)
-    h = int(system.highest_root.sum()) + 1
+    h = sum(system.highest_root) + 1
     cartan = np.array(system.extended_cartan, dtype=np.int64)
+    pairing, theta = np.array(system.pairing), np.array(system.highest_root)
+    gen_lin, gen_tr = np.array(system.gen_linear), np.array(system.gen_translation)
 
     def vectors(lin, tr):
         point = lin @ system.alcove_point + system.alcove_scale * tr  # w(D*p)
-        finite, rest = np.divmod(h * (point @ system.pairing), system.alcove_scale)
+        finite, rest = np.divmod(h * (point @ pairing), system.alcove_scale)
         assert not rest.any()
-        return np.concatenate([h - finite @ system.highest_root[:, None], finite], axis=1)
+        return np.concatenate([h - finite @ theta[:, None], finite], axis=1)
 
     for length, lv in enumerate(enumerate_ball(system, radius).levels):
         v = vectors(lv.lin, lv.tr)
@@ -173,8 +175,8 @@ def test_numbers_game_vectors_decide_left_descents(label, radius):
             assert np.array_equal(v, np.ones((1, system.num_gens), dtype=np.int64))
         current = weyl._coxeter_length(system, lv.lin, lv.tr)
         for s in range(system.num_gens):
-            lin = system.gen_linear[s] @ lv.lin
-            tr = lv.tr @ system.gen_linear[s].T + system.gen_translation[s]
+            lin = gen_lin[s] @ lv.lin
+            tr = lv.tr @ gen_lin[s].T + gen_tr[s]
             shorter = weyl._coxeter_length(system, lin, tr) < current
             assert np.array_equal(v[:, s] < 0, shorter), (label, s)
             assert np.array_equal(vectors(lin, tr), v - v[:, s, None] * cartan[s]), (label, s)
