@@ -13,7 +13,7 @@ data assembled here:
 
 Simple roots are taken in their usual Euclidean realizations (scaled by 2
 where half-integer coordinates would otherwise appear; only pairing ratios
-matter).  The full root system is generated from them by reflection closure,
+matter).  The positive roots are raised from them by simple reflections,
 tracking each root in simple-root coordinates together with its coroot in
 simple-coroot coordinates, so the highest root and the affine reflection come
 out exactly, with no table to transcribe.
@@ -23,8 +23,8 @@ tuples; this module does not import numpy, and the enumeration in
 :mod:`gyoja.weyl` builds the arrays it walks from them.  The Coxeter matrix
 is read off the extended Cartan matrix: the bond order m_st follows from
 a_st * a_ts = 4 cos^2(pi / m_st), so the products 0, 1, 2, 3, 4 give 2, 3,
-4, 6 and an infinite bond.  The exponents are read off the heights of the
-positive roots of the same closure.
+4, 6 and an infinite bond.  The exponents are read off the root heights, and
+the longest elements of the finite parabolic subgroups need no roots at all.
 
 Node numbering: the affine node is always index 0, finite nodes 1..n follow
 Bourbaki, except that in type G2 node 1 is the long simple root (the one the
@@ -159,7 +159,7 @@ def _simple_root_vectors(ctype: CartanType) -> list[list[int]]:
 
 
 Matrix = tuple[tuple[int, ...], ...]
-Roots = list[tuple[tuple[int, ...], tuple[int, ...]]]
+Roots = list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
 
 
 def _pairing_matrix(ctype: CartanType) -> Matrix:
@@ -178,33 +178,41 @@ def _pairing_matrix(ctype: CartanType) -> Matrix:
     return tuple(rows)
 
 
-def _root_closure(P: Matrix) -> Roots:
-    """All roots as (root coords, coroot coords of the coroot), by closure."""
+def _positive_roots(P: Matrix) -> Roots:
+    """Positive roots beta, sorted, as (root coords, coroot coords, (<beta, alpha_k^vee>)_k).
+
+    s_i raises a positive root beta with <beta, alpha_i^vee> < 0 to a higher
+    one, and every positive root that is not simple is raised so from a lower
+    one (s_i of it, for an i where it pairs positively); so these raisings,
+    from the simple roots, find exactly the positive roots.
+    """
     n = len(P)
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    frontier = []
+    columns = list(zip(*P))  # columns[i][k] = <alpha_i, alpha_k^vee>
+    seen = {}
     for i in range(n):
-        rc = tuple(1 if k == i else 0 for k in range(n))
-        seen[rc] = rc
-        frontier.append((rc, rc))
+        unit = tuple(int(k == i) for k in range(n))
+        seen[unit] = (unit, columns[i])
+    frontier = list(seen)
     while frontier:
         new = []
-        for rc, cc in frontier:
-            for i in range(n):
-                # <beta, alpha_i^vee> and <alpha_i, beta^vee>
-                pair_r = sum(P[i][j] * rc[j] for j in range(n))
-                pair_c = sum(P[k][i] * cc[k] for k in range(n))
-                rc2 = rc[:i] + (rc[i] - pair_r,) + rc[i + 1 :]
-                cc2 = cc[:i] + (cc[i] - pair_c,) + cc[i + 1 :]
-                if rc2 not in seen:
-                    seen[rc2] = cc2
-                    new.append((rc2, cc2))
+        for rc in frontier:
+            cc, pairs = seen[rc]
+            for i, pair in enumerate(pairs):
+                if pair < 0:
+                    raised = rc[:i] + (rc[i] - pair,) + rc[i + 1 :]
+                    if raised not in seen:
+                        pair_c = sum(x * y for x, y in zip(columns[i], cc))  # <alpha_i, beta^vee>
+                        seen[raised] = (
+                            cc[:i] + (cc[i] - pair_c,) + cc[i + 1 :],
+                            tuple(x - pair * y for x, y in zip(pairs, columns[i])),
+                        )
+                        new.append(raised)
         frontier = new
-    return sorted(seen.items())
+    return sorted((rc, cc, pairs) for rc, (cc, pairs) in seen.items())
 
 
-def _highest_root(roots: Roots) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Highest root (root coords) and its coroot (coroot coords), from the closure."""
+def _highest_root(roots: Roots) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The entry of the highest root, the one root of greatest height; no s_i raises it further."""
     best = max(roots, key=lambda rc: sum(rc[0]))
     top = [rc for rc in roots if sum(rc[0]) == sum(best[0])]
     if len(top) != 1:
@@ -221,8 +229,8 @@ def _alcove_point(roots: Roots) -> tuple[int, tuple[int, ...]]:
     affine Weyl group, acting simply transitively on alcoves, moves it to
     pairwise distinct points.  D is the least integer making D*p integral.
     """
-    two_rho = tuple(map(sum, zip(*(cc for rc, cc in roots if min(rc) >= 0))))
-    h = max(sum(rc) for rc, _ in roots) + 1
+    two_rho = tuple(map(sum, zip(*(cc for _, cc, _ in roots))))
+    h = max(sum(rc) for rc, _, _ in roots) + 1
     g = math.gcd(2 * h, *two_rho)
     return 2 * h // g, tuple(x // g for x in two_rho)
 
@@ -350,10 +358,9 @@ class AffineCoxeterSystem:
         self.rank = ctype.rank
         n = self.rank
         P = _pairing_matrix(ctype)
-        roots = _root_closure(P)
-        theta, theta_covec = _highest_root(roots)
-        # theta as a functional on the coroot lattice: f[k] = <theta, alpha_k^vee>
-        f = _matvec(P, theta)
+        roots = _positive_roots(P)
+        # f is theta as a functional on the coroot lattice: f[k] = <theta, alpha_k^vee>
+        theta, theta_covec, f = _highest_root(roots)
         eye = [[int(a == b) for b in range(n)] for a in range(n)]
 
         gens_lin = [tuple(tuple(eye[a][b] - theta_covec[a] * f[b] for b in range(n)) for a in range(n))]
@@ -376,9 +383,8 @@ class AffineCoxeterSystem:
         self.alcove_scale = scale
         self.alcove_point = point
         self.alcove_images = tuple(images)
-        positive = [rc for rc, _ in roots if min(rc) >= 0]
-        self.positive_root_pairings = tuple(_matvec(P, rc) for rc in positive)
-        self.exponents = _exponents(positive)
+        self.positive_root_pairings = tuple(pairs for _, _, pairs in roots)
+        self.exponents = _exponents([rc for rc, _, _ in roots])
         self.extended_cartan = _extended_cartan_matrix(P, theta, theta_covec)
         self.coxeter_matrix = _coxeter_matrix(self.extended_cartan)
         self.partition = conjugacy_partition(self.coxeter_matrix)
@@ -392,40 +398,32 @@ class AffineCoxeterSystem:
     def longest_multilength(self, nodes: Iterable[int]) -> tuple[int, ...]:
         """Multilength of the longest element w0(J) of the parabolic W_J, J = ``nodes``.
 
-        The reflections met along a reduced word of w0(J) are the reflections
-        in the positive roots of J, each once, and each lies in the class of
-        the letter it is met at.  So the class-c length of w0(J) is the
-        number of positive roots whose reflection is in class c.  They are
-        found by a closure under the simple reflections of J on J's rows of
-        ``extended_cartan``, each root tagged with the class of the simple
-        root it is an image of.  J must be a proper subset of the
-        generators: W_J is then finite, and W itself has no longest element.
+        The numbers game on J's rows of ``extended_cartan`` (see
+        :mod:`gyoja.counting`) starts at v = (1, ..., 1), a regular point of
+        W_J's fundamental chamber, so no v_s is ever 0.  Firing an s with
+        v_s > 0 (v <- v - v_s * a[s]) lengthens the element by s, whose class
+        is tallied.  J must be a proper subset of the generators, so W_J is
+        finite and the walk stops, where every v_s < 0: at the one element
+        with all of J as left descents, w0(J).  Firing s changes v only at s
+        and its neighbours, so the nodes to try are kept on a stack.
         """
         nodes = sorted(set(nodes))
+        if any(s not in range(self.num_gens) for s in nodes):
+            raise ValueError(f"nodes must lie in 0..{self.num_gens - 1}, got {nodes}")
         if len(nodes) == self.num_gens:
             raise ValueError("an affine Weyl group has no longest element; need a proper subset")
-        a = [[self.extended_cartan[s][t] for t in nodes] for s in nodes]
-        class_of = self.partition.class_of
-        unit = [tuple(int(i == j) for j in range(len(nodes))) for i in range(len(nodes))]
-        tags = {root: class_of[s] for root, s in zip(unit, nodes)}
-        frontier = list(unit)
-        while frontier:
-            new = []
-            for root in frontier:
-                for i, row in enumerate(a):
-                    if root == unit[i]:
-                        continue  # the one positive root s_i makes negative
-                    pair = sum(x * y for x, y in zip(row, root))
-                    image = root[:i] + (root[i] - pair,) + root[i + 1 :]
-                    if image not in tags:
-                        tags[image] = tags[root]
-                        new.append(image)
-                    elif tags[image] != tags[root]:
-                        raise AssertionError("a root reflection lies in two classes")
-            frontier = new
-        out = [0] * self.m
-        for tag in tags.values():
-            out[tag] += 1
+        a = self.extended_cartan
+        bonds = [[(k, a[s][t]) for k, t in enumerate(nodes) if a[s][t]] for s in nodes]
+        v, out = [1] * len(nodes), [0] * self.m
+        ready = list(range(len(nodes)))
+        while ready:
+            i = ready.pop()
+            if (vs := v[i]) > 0:
+                out[self.partition.class_of[nodes[i]]] += 1
+                for k, r in bonds[i]:
+                    v[k] -= vs * r
+                    if v[k] > 0:
+                        ready.append(k)
         return tuple(out)
 
     def __repr__(self) -> str:

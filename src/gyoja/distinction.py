@@ -87,8 +87,8 @@ class DistinctionVerdict:
     zero_witness: str | None
 
     def __post_init__(self) -> None:
-        if not self.distinguished:
-            assert self.zero_witness is not None
+        if not self.distinguished and self.zero_witness is None:
+            raise AssertionError("a zero verdict needs a zero witness")
 
     @property
     def distinguished(self) -> bool:

@@ -108,6 +108,77 @@ def exponents_table(family: str, n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Root closures
+# ---------------------------------------------------------------------------
+
+
+def root_closure(P: tuple[tuple[int, ...], ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every root as a sorted (root coords, coroot coords) pair, by closure.
+
+    P[i][j] = <alpha_j, alpha_i^vee>.  Every root found is reflected in every
+    simple reflection, negative roots included, until nothing new appears;
+    the library raises positive roots only.
+    """
+    n = len(P)
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
+    frontier = []
+    for i in range(n):
+        rc = tuple(int(k == i) for k in range(n))
+        seen[rc] = rc
+        frontier.append((rc, rc))
+    while frontier:
+        new = []
+        for rc, cc in frontier:
+            for i in range(n):
+                # <beta, alpha_i^vee> and <alpha_i, beta^vee>
+                pair_r = sum(P[i][j] * rc[j] for j in range(n))
+                pair_c = sum(P[k][i] * cc[k] for k in range(n))
+                rc2 = rc[:i] + (rc[i] - pair_r,) + rc[i + 1 :]
+                cc2 = cc[:i] + (cc[i] - pair_c,) + cc[i + 1 :]
+                if rc2 not in seen:
+                    seen[rc2] = cc2
+                    new.append((rc2, cc2))
+        frontier = new
+    return sorted(seen.items())
+
+
+def longest_multilength_by_root_closure(system: AffineCoxeterSystem, nodes) -> tuple[int, ...]:
+    """Multilength of w0(J), J = ``nodes``, by counting J's positive roots per class.
+
+    The reflections met along a reduced word of w0(J) are the reflections in
+    the positive roots of J, each once, and each lies in the class of the
+    letter it is met at.  The roots are found by a closure under J's simple
+    reflections on J's rows of ``extended_cartan``, each root tagged with the
+    class of the simple root it is an image of; a root reached with two tags
+    raises AssertionError.
+    """
+    nodes = sorted(set(nodes))
+    a = [[system.extended_cartan[s][t] for t in nodes] for s in nodes]
+    class_of = system.partition.class_of
+    unit = [tuple(int(i == j) for j in range(len(nodes))) for i in range(len(nodes))]
+    tags = {root: class_of[s] for root, s in zip(unit, nodes)}
+    frontier = list(unit)
+    while frontier:
+        new = []
+        for root in frontier:
+            for i, row in enumerate(a):
+                if root == unit[i]:
+                    continue  # the one positive root s_i makes negative
+                pair = sum(x * y for x, y in zip(row, root))
+                image = root[:i] + (root[i] - pair,) + root[i + 1 :]
+                if image not in tags:
+                    tags[image] = tags[root]
+                    new.append(image)
+                elif tags[image] != tags[root]:
+                    raise AssertionError("a root reflection lies in two classes")
+        frontier = new
+    out = [0] * system.m
+    for tag in tags.values():
+        out[tag] += 1
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Random validated matrix representations
 # ---------------------------------------------------------------------------
 

@@ -1,9 +1,16 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
-from _oracles import coxeter_matrix_by_generator_orders, exponents_table
+from _oracles import (
+    coxeter_matrix_by_generator_orders,
+    exponents_table,
+    longest_multilength_by_root_closure,
+    root_closure,
+)
 
+from gyoja import cartan
 from gyoja.cartan import (
     INFINITE_BOND,
     CartanType,
@@ -19,6 +26,13 @@ from gyoja.cartan import (
 from gyoja.cli import ALL_TYPES
 
 ALL_LABELS = ["A1", "A2", "A3", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "E6", "E7", "E8", "F4", "G2"]
+RANK_SWEEP_LABELS = (
+    [f"A{n}" for n in range(1, 13)]
+    + [f"B{n}" for n in range(3, 13)]
+    + [f"C{n}" for n in range(2, 13)]
+    + [f"D{n}" for n in range(4, 13)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 # classical constants used as independent checks on the exponent tables
 POSITIVE_ROOT_COUNT = {
@@ -121,6 +135,10 @@ def test_longest_multilength_counts_positive_roots(label):
         assert s.longest_multilength([node]) == tuple(unit)
     with pytest.raises(ValueError):
         s.longest_multilength(range(s.num_gens))
+    with pytest.raises(ValueError):
+        s.longest_multilength([-1])
+    with pytest.raises(ValueError):
+        s.longest_multilength([s.num_gens])
 
 
 @pytest.mark.parametrize(
@@ -139,6 +157,28 @@ def test_longest_multilength_counts_positive_roots(label):
 )
 def test_longest_multilength_splits_roots_by_class(label, nodes, expected):
     assert build_affine_system(parse_cartan_type(label)).longest_multilength(nodes) == expected
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["A1", "A2", "A3", "A5", "B3", "B4", "B6", "C2", "C3", "C4", "C5", "D4", "D5", "D7", "E6", "E7", "E8", "F4", "G2"],
+)
+def test_longest_multilength_matches_the_root_closure(label):
+    s = build_affine_system(parse_cartan_type(label))
+    for size in range(s.num_gens):
+        for nodes in combinations(range(s.num_gens), size):
+            assert s.longest_multilength(nodes) == longest_multilength_by_root_closure(s, nodes), nodes
+
+
+@pytest.mark.parametrize("label", RANK_SWEEP_LABELS)
+def test_raised_roots_are_the_positive_half_of_the_closure(label):
+    P = cartan._pairing_matrix(parse_cartan_type(label))
+    raised = cartan._positive_roots(P)
+    closure = root_closure(P)
+    assert [(rc, cc) for rc, cc, _ in raised] == [(rc, cc) for rc, cc in closure if min(rc) >= 0]
+    assert len(closure) == 2 * len(raised)
+    for rc, _, pairs in raised:
+        assert pairs == tuple(sum(p * x for p, x in zip(row, rc)) for row in P), rc
 
 
 def test_f4_partition():
@@ -226,14 +266,7 @@ def test_exponent_examples():
     assert exponents(parse_cartan_type("E8")) == (1, 7, 11, 13, 17, 19, 23, 29)
 
 
-@pytest.mark.parametrize(
-    "label",
-    [f"A{n}" for n in range(1, 13)]
-    + [f"B{n}" for n in range(3, 13)]
-    + [f"C{n}" for n in range(2, 13)]
-    + [f"D{n}" for n in range(4, 13)]
-    + ["E6", "E7", "E8", "F4", "G2"],
-)
+@pytest.mark.parametrize("label", RANK_SWEEP_LABELS)
 def test_exponents_from_root_heights_match_the_table(label):
     ctype = parse_cartan_type(label)
     assert exponents(ctype) == exponents_table(ctype.family, ctype.rank)

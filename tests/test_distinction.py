@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -126,6 +128,31 @@ def test_verdict_invariants_enforced():
     assert (zero.distinguished, zero.multiplicity_interval, zero.is_steinberg) == (False, (0, 1), False)
     nonzero = DistinctionVerdict(g2, SignCharacter((-1, -1)), 2, Fraction(7, 33), None)
     assert (nonzero.distinguished, nonzero.multiplicity_interval, nonzero.is_steinberg) == (True, (1, 1), True)
+
+
+def test_verdict_invariant_holds_under_python_O():
+    code = (
+        "from fractions import Fraction\n"
+        "from gyoja.cartan import SignCharacter, parse_cartan_type\n"
+        "from gyoja.distinction import DistinctionVerdict\n"
+        "DistinctionVerdict(parse_cartan_type('C2'), SignCharacter((-1, -1, -1)), 2, Fraction(0), None)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "AssertionError: a zero verdict needs a zero witness" in proc.stderr
+
+
+def test_high_rank_verdicts_match_the_classification():
+    verdicts = [
+        v
+        for label in ("C12", "B12", "C20", "B20", "C30", "B30")
+        for q_o in (2, 3)
+        for v in classify(parse_cartan_type(label), q_o)
+    ]
+    assert len(verdicts) == 36
+    for v in verdicts:
+        assert v.distinguished == expected_distinguished(v.ctype, v.epsilon), v
+        assert v.distinguished or v.zero_witness is not None, v
 
 
 def test_off_list_characters_are_gated():
