@@ -56,13 +56,17 @@ from .series import TruncatedSeries
 # commands use.
 _LAZY = {
     **dict.fromkeys(
-        ("COUNTING", "char_value_e_w", "character_series", "count_multilengths", "parse_sign_vector"),
+        (
+            "COUNTING",
+            "char_value_e_w",
+            "character_series",
+            "count_multilengths",
+            "parse_sign_vector",
+            "partial_sums_at_point",
+        ),
         "counting",
     ),
-    **dict.fromkeys(
-        ("MatrixRep", "counting_series", "gyoja_series", "partial_sums_at_point", "validate_rep"),
-        "hecke",
-    ),
+    **dict.fromkeys(("MatrixRep", "counting_series", "gyoja_series", "validate_rep"), "hecke"),
     **dict.fromkeys(
         (
             "Ball",

@@ -11,12 +11,12 @@ data assembled here:
 * the sign characters of the Iwahori-Hecke algebra whose modules are
   discrete series (Borel's classification).
 
-Simple roots are taken in their usual Euclidean realizations (scaled by 2
-where half-integer coordinates would otherwise appear; only pairing ratios
-matter).  The positive roots are raised from them by simple reflections,
-tracking each root in simple-root coordinates together with its coroot in
-simple-coroot coordinates, so the highest root and the affine reflection come
-out exactly, with no table to transcribe.
+The pairings P[i][j] = <alpha_j, alpha_i^vee> of the simple roots are read
+off the Dynkin diagram, a list of bonds with their length ratios; no root
+coordinates are transcribed.  The positive roots are raised from the simple
+ones by simple reflections, tracking each root in simple-root coordinates
+together with its coroot in simple-coroot coordinates, so the highest root
+and the affine reflection come out exactly, with no table to transcribe.
 
 The tables are small (n <= 8 for the exceptional types) and are plain int
 tuples; this module does not import numpy, and the enumeration in
@@ -108,74 +108,36 @@ def parse_cartan_type(label: str) -> CartanType:
 # ---------------------------------------------------------------------------
 
 
-def _simple_root_vectors(ctype: CartanType) -> list[list[int]]:
-    """Simple roots in an integer ambient realization (doubled when needed)."""
-    n = ctype.rank
-    fam = ctype.family
-
-    def chain(dim: int) -> list[list[int]]:
-        roots = []
-        for i in range(n - 1):
-            v = [0] * dim
-            v[i], v[i + 1] = 1, -1
-            roots.append(v)
-        return roots
-
-    if fam == "A":
-        roots = chain(n + 1)
-        v = [0] * (n + 1)
-        v[n - 1], v[n] = 1, -1
-        return roots + [v] if n >= 2 else [[1, -1]]
-    if fam == "B":
-        last = [0] * n
-        last[n - 1] = 1
-        return chain(n) + [last]
-    if fam == "C":
-        last = [0] * n
-        last[n - 1] = 2
-        return chain(n) + [last]
-    if fam == "D":
-        last = [0] * n
-        last[n - 2] = last[n - 1] = 1
-        return chain(n) + [last]
-    if fam == "G":
-        # Node 1 long (the affine node attaches to it), node 2 short.
-        return [[-2, 1, 1], [1, -1, 0]]
-    if fam == "F":
-        # Doubled coordinates; nodes 1,2 long, 3,4 short.
-        return [[0, 2, -2, 0], [0, 0, 2, -2], [0, 0, 0, 2], [1, -1, -1, -1]]
-    # E6/E7/E8, doubled coordinates inside the E8 realization.
-    e8 = [
-        [1, -1, -1, -1, -1, -1, -1, 1],
-        [2, 2, 0, 0, 0, 0, 0, 0],
-        [-2, 2, 0, 0, 0, 0, 0, 0],
-        [0, -2, 2, 0, 0, 0, 0, 0],
-        [0, 0, -2, 2, 0, 0, 0, 0],
-        [0, 0, 0, -2, 2, 0, 0, 0],
-        [0, 0, 0, 0, -2, 2, 0, 0],
-        [0, 0, 0, 0, 0, -2, 2, 0],
-    ]
-    return e8[:n]
-
-
 Matrix = tuple[tuple[int, ...], ...]
 Roots = list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
 
 
 def _pairing_matrix(ctype: CartanType) -> Matrix:
-    """P[i][j] = <alpha_j, alpha_i^vee>, 1-based nodes stored 0-based."""
-    roots = _simple_root_vectors(ctype)
-    rows = []
-    for ri in roots:
-        nrm = sum(x * x for x in ri)
-        row = []
-        for rj in roots:
-            num = 2 * sum(a * b for a, b in zip(ri, rj))
-            if num % nrm != 0:
-                raise AssertionError(f"non-integral pairing for {ctype}")
-            row.append(num // nrm)
-        rows.append(tuple(row))
-    return tuple(rows)
+    """P[i][j] = <alpha_j, alpha_i^vee>, read off the Dynkin diagram; nodes 1..n stored 0..n-1.
+
+    A bond (i, j, k) joins node i to node j with |alpha_i|^2 = k * |alpha_j|^2,
+    so <alpha_j, alpha_i^vee> = -1 and <alpha_i, alpha_j^vee> = -k.  The bonds
+    are those of Bourbaki, *Lie Groups and Lie Algebras*, Ch. VI, Plates I-IX:
+    a chain, which each family edits.
+    """
+    n, fam = ctype.rank, ctype.family
+    bonds = [(i, i + 1, 1) for i in range(n - 1)]
+    if fam == "B":
+        bonds[-1] = (n - 2, n - 1, 2)  # alpha_n short
+    elif fam == "C":
+        bonds[-1] = (n - 1, n - 2, 2)  # alpha_n long
+    elif fam == "D":
+        bonds[-1] = (n - 3, n - 1, 1)  # the fork
+    elif fam == "E":
+        bonds[:2] = [(0, 2, 1), (1, 3, 1)]  # 1-3 and 2-4, then 3-4, 4-5, ...
+    elif fam == "F":
+        bonds[1] = (1, 2, 2)  # nodes 1, 2 long, 3, 4 short
+    elif fam == "G":
+        bonds = [(0, 1, 3)]  # node 1 long
+    P = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j, k in bonds:
+        P[i][j], P[j][i] = -1, -k
+    return tuple(map(tuple, P))
 
 
 def _positive_roots(P: Matrix) -> Roots:

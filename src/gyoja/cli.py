@@ -93,7 +93,7 @@ def _check_sink(path: str | None) -> None:
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
-    elif not os.path.exists(parent):
+    elif not path or not os.path.exists(parent):
         code = errno.ENOENT
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR

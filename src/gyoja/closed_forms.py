@@ -234,9 +234,6 @@ class ClosedForm:
             raise AssertionError("a vanishing numerator factor left a nonzero value")
         return value, witness
 
-    def evaluate(self, point: Sequence[Fraction | int]) -> Fraction:
-        return self.evaluate_witnessed(point)[0]
-
     def __str__(self) -> str:
         def side(factors: tuple[Factor, ...]) -> str:
             if not factors:

@@ -34,18 +34,23 @@ the multilength of w alone (:func:`char_value_e_w`), and
 character* ``COUNTING`` sends every e_w to 1 -- not a Hecke representation
 at all, but exactly the functional that degenerates L(t, r) into the growth
 series W(t) -- and is kept distinct from the trivial Hecke character, which
-sends every e_s to q.  Nothing here imports numpy, so ``gyoja series``
-runs on plain ints end to end.
+sends every e_s to q.  A character's partial sums at a point
+(:func:`partial_sums_at_point`) need only these counts too.  Nothing here
+imports numpy, so ``gyoja series`` runs on plain ints end to end.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator, Mapping, Sequence
+from fractions import Fraction
+from itertools import accumulate, islice
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .cartan import AffineCoxeterSystem, SignCharacter
 from .limits import ResourceLimitExceeded, element_cap
 from .series import TruncatedSeries
+
+if TYPE_CHECKING:
+    from .weyl import Ball
 
 __all__ = [
     "COUNTING",
@@ -55,6 +60,7 @@ __all__ = [
     "character_series",
     "count_multilengths",
     "parse_sign_vector",
+    "partial_sums_at_point",
 ]
 
 Levels = Sequence[dict[int, int]]  # levels[k] maps a multilength key to a count of length-k elements
@@ -217,3 +223,29 @@ def character_series(
     return TruncatedSeries(
         m, bound, {ml: count * char_value_e_w(rep, ml, q_o) for ml, count in counts.items()}
     )
+
+
+def partial_sums_at_point(
+    system: AffineCoxeterSystem | Ball, eps: SignCharacter, q_o: int, radius: int | None = None
+) -> list[Fraction]:
+    """Partial sums S_k = sum over length <= k of r(e_w) * q_o^(-l(w)), for k = 0..radius.
+
+    The limit, when the character is a discrete series one, is the value the
+    closed forms compute directly; the sequence is a convergence diagnostic.
+    The sums need only the number of elements per multilength, which
+    :func:`count_multilengths` counts without a ball.  Any other argument
+    than a system is read as a :class:`~gyoja.weyl.Ball`, which stands for
+    its system and, when ``radius`` is not given, its radius; its elements
+    are not read.
+    """
+    if q_o < 2:
+        raise ValueError("q_o must be >= 2")
+    if not isinstance(system, AffineCoxeterSystem):
+        system, radius = system.system, system.radius if radius is None else radius
+    if radius is None:
+        raise ValueError("partial sums over a system need a radius")
+    by_length = [Fraction(0)] * (radius + 1)
+    for ml, count in count_multilengths(system, radius).items():
+        length = sum(ml)
+        by_length[length] += count * char_value_e_w(eps, ml, q_o) * Fraction(1, q_o) ** length
+    return list(accumulate(by_length))

@@ -16,10 +16,11 @@ assumes.  The attached generating function
 is accumulated here from enumeration (a ball, or the per-multilength counts
 of ``counting.count_multilengths``, which walks parabolic coset
 representatives), never from the closed forms, so the two modules stay
-independent checks of one another.  The degree-1 characters, and their
-series from those counts, are plain-int work and live in
-:mod:`gyoja.counting`; this module adds matrix representations and the
-series over a ball.  A matrix
+independent checks of one another.  The degree-1 characters, their series
+from those counts and their partial sums at a point are plain-int work and
+live in :mod:`gyoja.counting` (``partial_sums_at_point`` is re-exported
+here); this module adds matrix representations and the series over a ball,
+and imports :mod:`gyoja.weyl` only for type checking.  A matrix
 representation is summed along the ball's BFS tree: an element's geodesic
 is its parent's plus one letter, so r(e_w) = r(e_parent) r(e_s) costs one
 matrix product per element.
@@ -37,7 +38,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -46,12 +47,13 @@ from .counting import (
     COUNTING,
     CountingCharacter,
     char_value_e_s,
-    char_value_e_w,
     character_series,
-    count_multilengths,
+    partial_sums_at_point,
 )
 from .series import TruncatedSeries
-from .weyl import Ball
+
+if TYPE_CHECKING:
+    from .weyl import Ball
 
 __all__ = [
     "MatrixRep",
@@ -265,6 +267,8 @@ def gyoja_series(
         return character_series(ball.multilength_counts(), rep, m, bound, q_o)
     if isinstance(rep, MatrixRep):
         nums = rep.numerators
+        if len(nums) != ball.system.num_gens:
+            raise ValueError(f"expected {ball.system.num_gens} generator matrices, got {len(nums)}")
         acc: dict[tuple[int, ...], np.ndarray] = {}
         vals = [np.eye(rep.dimension, dtype=object)]
         for length, lv in enumerate(ball.levels[: bound + 1]):
@@ -285,33 +289,3 @@ def gyoja_series(
                 )
         return out
     raise TypeError(f"cannot form a series for {type(rep).__name__}")
-
-
-def partial_sums_at_point(
-    system: AffineCoxeterSystem | Ball, eps: SignCharacter, q_o: int, radius: int | None = None
-) -> list[Fraction]:
-    """Partial sums S_k = sum over length <= k of r(e_w) * q_o^(-l(w)), for k = 0..radius.
-
-    The limit, when the character is a discrete series one, is the value the
-    closed forms compute directly; the sequence is a convergence diagnostic.
-    The sums need only the number of elements per multilength, which
-    :func:`~gyoja.counting.count_multilengths` counts without a ball.  A
-    :class:`~gyoja.weyl.Ball` may stand for its system and, when ``radius``
-    is not given, its radius; its elements are not read.
-    """
-    if q_o < 2:
-        raise ValueError("q_o must be >= 2")
-    if isinstance(system, Ball):
-        system, radius = system.system, system.radius if radius is None else radius
-    if radius is None:
-        raise ValueError("partial sums over a system need a radius")
-    by_length = [Fraction(0)] * (radius + 1)
-    for ml, count in count_multilengths(system, radius).items():
-        length = sum(ml)
-        by_length[length] += count * char_value_e_w(eps, ml, q_o) * Fraction(1, q_o) ** length
-    sums = []
-    acc = Fraction(0)
-    for term in by_length:
-        acc += term
-        sums.append(acc)
-    return sums

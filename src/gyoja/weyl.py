@@ -27,8 +27,8 @@ as it arrives, from what is new in it: geodesics are carried as strings from
 the previous level only, and each distinct multilength, matrix row and
 matrix of a level is rendered once.  Together they hold two levels, never
 the ball.  :func:`enumerate_ball` keeps every level, for the callers that
-need a :class:`Ball`, and ``Ball.export_jsonl`` writes through the same
-:func:`write_jsonl`.
+need a :class:`Ball`; ``write_jsonl(ball.system, ball.levels, fp)`` writes
+one.
 
 Counting needs no ball: :func:`gyoja.counting.count_multilengths` counts
 multilengths from the parabolic factorization of the group, in plain ints.
@@ -158,11 +158,6 @@ class Ball:
         for lv in self.levels:
             out.update(sorted(Counter(map(tuple, lv.multilength.tolist())).items()))
         return out
-
-    def export_jsonl(self, fp: IO[str]) -> int:
-        """Write the ball with :func:`write_jsonl`; returns the line count."""
-        write_jsonl(self.system, self.levels, fp)
-        return self.total
 
     def __repr__(self) -> str:
         return f"Ball({self.system.ctype.label}, radius={self.radius}, total={self.total})"

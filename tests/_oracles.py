@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from gyoja.cartan import INFINITE_BOND, AffineCoxeterSystem
+from gyoja.cartan import INFINITE_BOND, AffineCoxeterSystem, CartanType
 from gyoja.hecke import MatrixRep
 
 
@@ -105,6 +105,76 @@ def exponents_table(family: str, n: int) -> tuple[int, ...]:
         7: (1, 5, 7, 9, 11, 13, 17),
         8: (1, 7, 11, 13, 17, 19, 23, 29),
     }[n]
+
+
+# ---------------------------------------------------------------------------
+# Euclidean realization
+# ---------------------------------------------------------------------------
+
+
+def euclidean_simple_roots(ctype: CartanType) -> list[list[int]]:
+    """Simple roots in their usual Euclidean realizations, as integer vectors.
+
+    Coordinates are doubled where half-integers would otherwise appear (F4
+    and E6-E8); only ratios of inner products matter.  Node numbering is the
+    library's: Bourbaki's, with node 1 the long root of G2.
+    """
+    n, fam = ctype.rank, ctype.family
+
+    def chain(dim: int) -> list[list[int]]:
+        roots = []
+        for i in range(n - 1):
+            v = [0] * dim
+            v[i], v[i + 1] = 1, -1
+            roots.append(v)
+        return roots
+
+    if fam == "A":
+        roots = chain(n + 1)
+        v = [0] * (n + 1)
+        v[n - 1], v[n] = 1, -1
+        return roots + [v] if n >= 2 else [[1, -1]]
+    if fam in "BCD":
+        last = [0] * n
+        if fam == "D":
+            last[n - 2] = last[n - 1] = 1
+        else:
+            last[n - 1] = 1 if fam == "B" else 2
+        return chain(n) + [last]
+    if fam == "G":
+        return [[-2, 1, 1], [1, -1, 0]]
+    if fam == "F":
+        return [[0, 2, -2, 0], [0, 0, 2, -2], [0, 0, 0, 2], [1, -1, -1, -1]]
+    e8 = [
+        [1, -1, -1, -1, -1, -1, -1, 1],
+        [2, 2, 0, 0, 0, 0, 0, 0],
+        [-2, 2, 0, 0, 0, 0, 0, 0],
+        [0, -2, 2, 0, 0, 0, 0, 0],
+        [0, 0, -2, 2, 0, 0, 0, 0],
+        [0, 0, 0, -2, 2, 0, 0, 0],
+        [0, 0, 0, 0, -2, 2, 0, 0],
+        [0, 0, 0, 0, 0, -2, 2, 0],
+    ]
+    return e8[:n]
+
+
+def euclidean_pairing_matrix(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
+    """P[i][j] = <alpha_j, alpha_i^vee> = 2 (alpha_i, alpha_j) / (alpha_i, alpha_i), by inner products.
+
+    Raises AssertionError when a pairing is not an integer.
+    """
+    roots = euclidean_simple_roots(ctype)
+    rows = []
+    for ri in roots:
+        nrm = sum(x * x for x in ri)
+        row = []
+        for rj in roots:
+            num = 2 * sum(a * b for a, b in zip(ri, rj))
+            if num % nrm != 0:
+                raise AssertionError(f"non-integral pairing for {ctype}")
+            row.append(num // nrm)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from _oracles import (
     coxeter_matrix_by_generator_orders,
+    euclidean_pairing_matrix,
     exponents_table,
     longest_multilength_by_root_closure,
     root_closure,
@@ -179,6 +180,12 @@ def test_raised_roots_are_the_positive_half_of_the_closure(label):
     assert len(closure) == 2 * len(raised)
     for rc, _, pairs in raised:
         assert pairs == tuple(sum(p * x for p, x in zip(row, rc)) for row in P), rc
+
+
+@pytest.mark.parametrize("label", RANK_SWEEP_LABELS + ["A30", "B30", "C30", "D30"])
+def test_diagram_pairing_matches_the_euclidean_realization(label):
+    ctype = parse_cartan_type(label)
+    assert cartan._pairing_matrix(ctype) == euclidean_pairing_matrix(ctype)
 
 
 def test_f4_partition():

@@ -71,7 +71,7 @@ def test_enumerate_jsonl_stream_is_ball_export_plus_summary(label, radius, capsy
     if label == "C3":
         assert len(ball.levels[-1]) > weyl._EXPORT_CHUNK_ROWS  # the top level takes two chunks
     buf = io.StringIO()
-    ball.export_jsonl(buf)
+    weyl.write_jsonl(ball.system, ball.levels, buf)
     summary = {"type": label, "radius": radius, "total": ball.total, "counts_by_length": list(ball.counts)}
     code, out, err = run_cli(
         "enumerate", "--type", label, "--degree", str(radius), "--format", "jsonl", capsys=capsys
@@ -84,7 +84,7 @@ def test_enumerate_jsonl_stream_is_ball_export_plus_summary(label, radius, capsy
 def test_enumerate_jsonl_cap_leaves_the_completed_levels(sink, tmp_path, capsys):
     # A2 has 1, 3, 6, 9, 12, ... elements by length: radius 4 would pass 20.
     completed = io.StringIO()
-    weyl.enumerate_ball(system_of("A2"), 3).export_jsonl(completed)
+    weyl.write_jsonl(system_of("A2"), weyl.enumerate_ball(system_of("A2"), 3).levels, completed)
     target = tmp_path / "out.jsonl"
     argv = ["enumerate", "--type", "A2", "--degree", "10", "--cap", "20", "--format", "jsonl"]
     if sink == "output":
@@ -468,13 +468,13 @@ def test_output_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["enumerate", "series", "check"])
-@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+@pytest.mark.parametrize("where", ["missing_dir", "directory", "empty"])
 def test_unusable_output_fails_before_the_work(monkeypatch, tmp_path, capsys, command, where):
     def refuse(*args, **kwargs):
         raise AssertionError("enumeration called")
 
     monkeypatch.setattr(counting, "count_multilengths", refuse)
-    target = tmp_path / "missing" / "x.txt" if where == "missing_dir" else tmp_path
+    target = {"missing_dir": tmp_path / "missing" / "x.txt", "directory": tmp_path, "empty": ""}[where]
     code, out, err = run_cli(
         command, "--type", "E8", "--degree", "10", "--output", str(target), capsys=capsys
     )
@@ -581,11 +581,28 @@ def test_counter_leaves_numpy_unimported():
         "import sys, gyoja\n"
         "from gyoja.cartan import build_affine_system, parse_cartan_type\n"
         "counts = gyoja.count_multilengths(build_affine_system(parse_cartan_type('C3')), 6)\n"
-        "print(sum(counts.values()), 'numpy' in sys.modules)"
+        "c2 = build_affine_system(parse_cartan_type('C2'))\n"
+        "sums = gyoja.partial_sums_at_point(c2, gyoja.steinberg_character(c2.ctype), 2, radius=6)\n"
+        "print(sum(counts.values()), len(sums), 'numpy' in sys.modules, 'gyoja.weyl' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "161 False\n"
+    assert proc.stdout == "161 7 False False\n"
+
+
+def test_hecke_leaves_weyl_unimported():
+    code = "import sys, gyoja.hecke\nprint('gyoja.weyl' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "(-1,-1) 7/33 True\n(-1,+1) 3/2 True\n"
 
 
 def test_only_the_array_modules_import_numpy():

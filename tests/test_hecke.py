@@ -300,6 +300,13 @@ def test_reps_compare_and_hash_by_value():
     assert rep != "not a rep"
 
 
+@pytest.mark.parametrize("label, expected, count", [("A1", 2, 3), ("G2", 3, 2)])
+def test_gyoja_series_rejects_a_rep_with_the_wrong_generator_count(label, expected, count):
+    rep = MatrixRep.make([[[-1]]] * count, q_o=2)
+    with pytest.raises(ValueError, match=f"expected {expected} generator matrices, got {count}"):
+        gyoja_series(get_ball(label, 4), rep)
+
+
 @pytest.mark.parametrize("letter", [-1, 3, 10])
 def test_eval_rejects_letters_out_of_range(letter):
     rep = MatrixRep.make([[[4]], [[-1]], [[4]]], q_o=2)
