@@ -277,8 +277,10 @@ class SignCharacter:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.signs or any(s not in (-1, 1) for s in self.signs):
-            raise ValueError(f"signs must be a nonempty tuple over {{-1,+1}}, got {self.signs}")
+        signs = tuple(self.signs)
+        if not signs or any(s not in (-1, 1) for s in signs):
+            raise ValueError(f"signs must be a nonempty tuple over {{-1,+1}}, got {signs}")
+        object.__setattr__(self, "signs", tuple(int(s) for s in signs))
 
     @property
     def is_steinberg(self) -> bool:

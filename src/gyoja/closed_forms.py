@@ -10,23 +10,24 @@ product expression:
   with two variables; Cn with three).
 
 Forms are kept verbatim as factor lists -- numerator and denominator are
-multisets of polynomials with constant term +1 (binomials ``1 +- monomial``
-and, in G2 and F4, a few longer monomial sums).
+multisets of :class:`Factor`, each the geometric sum 1 + x + ... + x^(k-1)
+of one signed monomial x = +-t^e: a binomial (k = 2) everywhere, and G2's
+two trinomials (k = 3).
 Nothing is expanded or simplified at construction time; equality of forms is
 decided by truncated expansion, and evaluation walks the factors so that an
 exact zero is always witnessed by a vanishing numerator factor, never by
 cancellation.
 
 :meth:`ClosedForm.expand` works in plain ints on one series held as a dict
-per total degree.  Every factor has constant term +1 and integer
-coefficients, so a numerator factor 1 + sum c*x^e is one shifted add of the
-accumulator per non-constant term, and a denominator factor is exact
-division, q[k] = a[k] - sum c*q[k - e], walked in increasing total degree so
-that each q[k] is final before anything reads it.  A factor of length L
-costs O(terms * L); a ``TruncatedSeries`` is built once, at the end.
+per total degree.  Every factor has constant term +1 and coefficients +-1,
+so a numerator factor 1 + sum c*t^e is one shifted add of the accumulator
+per non-constant term, and a denominator factor is exact division,
+q[m] = a[m] - sum c*q[m - e], walked in increasing total degree so that
+each q[m] is final before anything reads it.  A factor of k terms costs
+O(terms * k); a ``TruncatedSeries`` is built once, at the end.
 
-Evaluation works in integers too: at x_i = p_i / r_i a factor is one
-integer over prod r_i^E_i (E_i its top degree in x_i), the values are
+Evaluation works in integers too: where the monomial of a factor takes the
+value p / r, the factor is one integer over r^(k-1), the values are
 multiplied as one running numerator and denominator, and one ``Fraction``
 is built per value.
 
@@ -49,10 +50,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from numbers import Rational
 from typing import Iterable, Sequence
 
 from .cartan import CartanType, build_affine_system, exponents
-from .series import TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, render_monomial, term_order, var_names
+from .series import TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, render_monomial, var_names
 from .limits import ResourceLimitExceeded
 
 __all__ = [
@@ -99,55 +101,53 @@ class TermLimitExceeded(ResourceLimitExceeded):
 
 @dataclass(frozen=True)
 class Factor:
-    """Polynomial factor with constant term +1, e.g. (1 - t1^2*t2).
+    """The geometric sum 1 + x + ... + x^(k-1) of one monomial x = sign * t^exp.
 
-    ``terms`` maps exponent vectors to integer coefficients; the zero
-    exponent must be present with coefficient +1, so the factor is
-    invertible as a power series.
+    Every factor of the product formulas has this shape: a binomial
+    1 +- t^exp (k = 2), or one of G2's two trinomials (k = 3).  Its constant
+    term is +1, so it is invertible as a power series.
+
+    >>> print(Factor(2, (2, 1), -1))
+    (1 - t1^2·t2)
+    >>> print(Factor(2, (1, 1), 1, 3))
+    (1 + t1·t2 + t1^2·t2^2)
     """
 
     nvars: int
-    terms: tuple[tuple[Exponent, int], ...]
+    exp: Exponent
+    sign: int = 1
+    k: int = 2
 
-    @staticmethod
-    def make(nvars: int, terms: dict[Exponent, int]) -> "Factor":
-        zero_exp = (0,) * nvars
-        if terms.get(zero_exp) != 1:
-            raise ValueError(f"factor constant term must be +1, got {terms.get(zero_exp)}")
-        if any(len(e) != nvars or min(e) < 0 for e in terms):
-            raise ValueError("malformed exponent vector in factor")
-        items = tuple(sorted(((tuple(e), int(c)) for e, c in terms.items() if c != 0)))
-        return Factor(nvars, items)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exp", tuple(self.exp))
+        if len(self.exp) != self.nvars or not any(self.exp) or min(self.exp) < 0:
+            raise ValueError(f"factor exponent must be a nonzero, nonnegative {self.nvars}-vector, got {self.exp}")
+        if self.sign not in (-1, 1):
+            raise ValueError(f"factor sign must be -1 or +1, got {self.sign}")
+        if self.k < 2:
+            raise ValueError(f"factor needs k >= 2 terms, got {self.k}")
+
+    @property
+    def terms(self) -> tuple[tuple[Exponent, int], ...]:
+        """The (exponent, coefficient) pairs (i * exp, sign^i) for i < k, constant first."""
+        return tuple((tuple(i * e for e in self.exp), self.sign**i) for i in range(self.k))
 
     def _scaled_value(self, nums: Sequence[int], dens: Sequence[int]) -> tuple[int, int]:
-        """The value at x_i = nums[i] / dens[i] as integers (N, R) with value N / R.
+        """The value at t_i = nums[i] / dens[i] as integers (N, R) with value N / R.
 
-        R = prod dens[i]^E_i, where E_i is the top degree of x_i in the
-        factor, so each term c * prod x_i^e_i adds c * prod nums[i]^e_i *
-        dens[i]^(E_i - e_i) to N.  R > 0 when every dens[i] > 0.
+        There the monomial x is p / r, with p = sign * prod nums[i]^exp_i and
+        r = prod dens[i]^exp_i, so the geometric sum is N = sum_{i<k} p^i *
+        r^(k-1-i) over R = r^(k-1).  R > 0 when every dens[i] > 0.
         """
-        tops = [max(exp[i] for exp, _ in self.terms) for i in range(self.nvars)]
-        total = 0
-        for exp, c in self.terms:
-            for p, r, e, top in zip(nums, dens, exp, tops):
-                c *= p**e * r ** (top - e)
-            total += c
-        scale = 1
-        for r, top in zip(dens, tops):
-            scale *= r**top
-        return total, scale
+        p, r = self.sign, 1
+        for num, den, e in zip(nums, dens, self.exp):
+            p *= num**e
+            r *= den**e
+        return sum(p**i * r ** (self.k - 1 - i) for i in range(self.k)), r ** (self.k - 1)
 
     def __str__(self) -> str:
         names = var_names(self.nvars)
-        parts = []
-        for exp, c in sorted(self.terms, key=lambda item: term_order(item[0])):
-            mono = render_monomial(names, exp)
-            if not mono:
-                parts.append(str(c))
-            else:
-                sign = "+ " if c > 0 else "- "
-                mag = abs(c)
-                parts.append(sign + (mono if mag == 1 else f"{mag}·{mono}"))
+        parts = ["1"] + [("+ " if c > 0 else "- ") + render_monomial(names, exp) for exp, c in self.terms[1:]]
         return "(" + " ".join(parts) + ")"
 
 
@@ -158,16 +158,6 @@ def _count_terms(levels: list[dict], degrees: Iterable[int], cap: int | None) ->
         stored += len(levels[d])
         if cap is not None and stored > cap:
             raise TermLimitExceeded(d, cap)
-
-
-def _mono(nvars: int, sign: int, **powers: int) -> Factor:
-    """Factor 1 + sign * t1^a1*...*tm^am given powers as t1=, t2=, t3=."""
-    exp = [0] * nvars
-    for name, p in powers.items():
-        exp[int(name[1:]) - 1] = p
-    if not any(exp):
-        raise ValueError("monomial part must be non-constant")
-    return Factor.make(nvars, {(0,) * nvars: 1, tuple(exp): sign})
 
 
 @dataclass(frozen=True)
@@ -208,8 +198,13 @@ class ClosedForm:
         from cancellation.  Each factor's value is one integer over a power
         product of the coordinate denominators (``Factor._scaled_value``);
         one running numerator and denominator carry the product, and one
-        ``Fraction`` is built at the end.
+        ``Fraction`` is built at the end.  Coordinates must be exact
+        rationals (``int`` or ``Fraction``); a float raises ``ValueError``
+        rather than being read as its binary fraction.
         """
+        for x in point:
+            if not isinstance(x, Rational):
+                raise ValueError(f"point coordinates must be exact rationals, got {x!r}")
         pt = [Fraction(x) for x in point]
         if len(pt) != self.nvars:
             raise ValueError("point dimension mismatch")
@@ -270,9 +265,9 @@ def bott_closed_form(ctype: CartanType) -> ClosedForm:
     num = []
     den = []
     for e in exponents(ctype):
-        num.append(_mono(1, -1, t1=e + 1))
-        den.append(_mono(1, -1, t1=1))
-        den.append(_mono(1, -1, t1=e))
+        num.append(Factor(1, (e + 1,), -1))
+        den.append(Factor(1, (1,), -1))
+        den.append(Factor(1, (e,), -1))
     return ClosedForm(1, tuple(num), tuple(den))
 
 
@@ -289,61 +284,40 @@ def macdonald_closed_form(ctype: CartanType) -> ClosedForm:
         raise ValueError(f"{ctype.label} has a single generator class; use bott_closed_form")
 
     if fam == "A":  # A1
-        return ClosedForm(
-            2,
-            (_mono(2, 1, t1=1), _mono(2, 1, t2=1)),
-            (Factor.make(2, {(0, 0): 1, (1, 1): -1}),),
-        )
+        return ClosedForm(2, (Factor(2, (1, 0)), Factor(2, (0, 1))), (Factor(2, (1, 1), -1),))
     if fam == "G":
-        num = (
-            _mono(2, 1, t1=1),
-            Factor.make(2, {(0, 0): 1, (1, 0): 1, (2, 0): 1}),
-            _mono(2, 1, t2=1),
-            Factor.make(2, {(0, 0): 1, (1, 1): 1, (2, 2): 1}),
-        )
-        den = (
-            Factor.make(2, {(0, 0): 1, (2, 1): -1}),
-            Factor.make(2, {(0, 0): 1, (3, 2): -1}),
-        )
+        num = (Factor(2, (1, 0)), Factor(2, (1, 0), 1, 3), Factor(2, (0, 1)), Factor(2, (1, 1), 1, 3))
+        den = (Factor(2, (2, 1), -1), Factor(2, (3, 2), -1))
         return ClosedForm(2, num, den)
     if fam == "B":
-        num = [_mono(2, -1, t1=n)]
-        den = [_mono(2, -1, t1=1) for _ in range(n)]
-        num += [_mono(2, -1, t1=2 * i) for i in range(1, n)]
+        num = [Factor(2, (n, 0), -1)]
+        den = [Factor(2, (1, 0), -1) for _ in range(n)]
+        num += [Factor(2, (2 * i, 0), -1) for i in range(1, n)]
         for i in range(n):
-            num.append(Factor.make(2, {(0, 0): 1, (i, 1): 1}))
-            den.append(Factor.make(2, {(0, 0): 1, (n - 1 + i, 1): -1}))
+            num.append(Factor(2, (i, 1)))
+            den.append(Factor(2, (n - 1 + i, 1), -1))
         return ClosedForm(2, tuple(num), tuple(den))
     if fam == "F":
         num = []
         den = []
         for i in range(1, 4):
-            num.append(_mono(2, -1, t1=i + 1))
-            num.append(Factor.make(2, {(0, 0): 1, (i, 1): 1}))
-            num.append(_mono(2, -1, t2=i))
-            den.append(_mono(2, -1, t1=1))
-            den.append(_mono(2, -1, t2=1))
-        num += [
-            Factor.make(2, {(0, 0): 1, (1, 2): 1}),
-            Factor.make(2, {(0, 0): 1, (2, 2): 1}),
-            Factor.make(2, {(0, 0): 1, (3, 3): 1}),
-        ]
-        den += [
-            Factor.make(2, {(0, 0): 1, (3, 2): -1}),
-            Factor.make(2, {(0, 0): 1, (4, 3): -1}),
-            Factor.make(2, {(0, 0): 1, (5, 3): -1}),
-            Factor.make(2, {(0, 0): 1, (6, 5): -1}),
-        ]
+            num.append(Factor(2, (i + 1, 0), -1))
+            num.append(Factor(2, (i, 1)))
+            num.append(Factor(2, (0, i), -1))
+            den.append(Factor(2, (1, 0), -1))
+            den.append(Factor(2, (0, 1), -1))
+        num += [Factor(2, (1, 2)), Factor(2, (2, 2)), Factor(2, (3, 3))]
+        den += [Factor(2, (3, 2), -1), Factor(2, (4, 3), -1), Factor(2, (5, 3), -1), Factor(2, (6, 5), -1)]
         return ClosedForm(2, tuple(num), tuple(den))
     # Cn
     num = []
     den = []
     for i in range(n):
-        num.append(_mono(3, -1, t1=i + 1))
-        num.append(Factor.make(3, {(0, 0, 0): 1, (i, 1, 0): 1}))
-        num.append(Factor.make(3, {(0, 0, 0): 1, (i, 0, 1): 1}))
-        den.append(_mono(3, -1, t1=1))
-        den.append(Factor.make(3, {(0, 0, 0): 1, (n - 1 + i, 1, 1): -1}))
+        num.append(Factor(3, (i + 1, 0, 0), -1))
+        num.append(Factor(3, (i, 1, 0)))
+        num.append(Factor(3, (i, 0, 1)))
+        den.append(Factor(3, (1, 0, 0), -1))
+        den.append(Factor(3, (n - 1 + i, 1, 1), -1))
     return ClosedForm(3, tuple(num), tuple(den))
 
 

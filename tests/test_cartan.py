@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +26,7 @@ from gyoja.cartan import (
     tables_document,
 )
 from gyoja.cli import ALL_TYPES
+from gyoja.distinction import distinction_value
 
 ALL_LABELS = ["A1", "A2", "A3", "B3", "B4", "C2", "C3", "C4", "D4", "D5", "E6", "E7", "E8", "F4", "G2"]
 RANK_SWEEP_LABELS = (
@@ -325,6 +327,18 @@ def test_sign_character_validation():
         SignCharacter(())
     assert SignCharacter((-1, 1)).is_steinberg is False
     assert SignCharacter((-1, -1)).is_steinberg is True
+
+
+def test_sign_character_stores_a_tuple_of_ints():
+    from_list = SignCharacter([-1, 1])
+    from_gen = SignCharacter(s for s in (-1, 1))
+    assert from_list.signs == from_gen.signs == (-1, 1)
+    assert from_list == from_gen == SignCharacter((-1, 1))
+    assert hash(from_list) == hash(SignCharacter((-1, 1)))
+    with pytest.raises(ValueError, match=r"got \(1, 0\)"):
+        SignCharacter(s for s in (1, 0))
+    g2 = parse_cartan_type("G2")
+    assert distinction_value(g2, from_list, 2) == Fraction(3, 2)
 
 
 def test_tables_document_schema():

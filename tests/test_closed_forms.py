@@ -1,3 +1,5 @@
+import doctest
+import hashlib
 import random
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from math import prod
 
 import pytest
 
+import gyoja.closed_forms as closed_forms_module
 from conftest import get_ball
 from gyoja.cartan import build_affine_system, parse_cartan_type
 from gyoja.closed_forms import (
@@ -35,12 +38,27 @@ def _factor_multiset(factors):
 
 
 def test_factor_requires_unit_constant():
+    for bad in ((0,), (-1,), (1, 0)):
+        with pytest.raises(ValueError):
+            Factor(1, bad)
     with pytest.raises(ValueError):
-        Factor.make(1, {(0,): -1, (1,): 1})
+        Factor(1, (1,), 2)
     with pytest.raises(ValueError):
-        Factor.make(1, {(1,): 1})
-    f = Factor.make(1, {(0,): 1, (2,): -1})
+        Factor(1, (1,), 1, 1)
+    f = Factor(1, (2,), -1)
     assert str(f) == "(1 - t^2)"
+    assert f.terms == (((0,), 1), ((2,), -1))
+
+
+def test_factor_terms_are_a_geometric_sum():
+    f = Factor(2, (1, 2), -1, 3)
+    assert f.terms == (((0, 0), 1), ((1, 2), -1), ((2, 4), 1))
+    assert str(f) == "(1 - t1·t2^2 + t1^2·t2^4)"
+    assert f == Factor(2, [1, 2], -1, 3) and hash(f) == hash(Factor(2, [1, 2], -1, 3))
+
+
+def test_module_doctests():
+    assert doctest.testmod(closed_forms_module) == (0, 2)
 
 
 def test_bott_a2_factors_and_expansion():
@@ -107,7 +125,7 @@ def test_a1_expansion_example():
 def test_expand_geometric_inverse():
     from gyoja.closed_forms import ClosedForm
 
-    form = ClosedForm(1, (), (Factor.make(1, {(0,): 1, (1,): -1}),))
+    form = ClosedForm(1, (), (Factor(1, (1,), -1),))
     assert form.expand(3) == TruncatedSeries(1, 3, {(0,): 1, (1,): 1, (2,): 1, (3,): 1})
 
 
@@ -141,6 +159,15 @@ def test_evaluate_rejects_wrong_dimension():
     a1 = macdonald_closed_form(parse_cartan_type("A1"))
     with pytest.raises(ValueError):
         a1.evaluate_witnessed([Fraction(1, 2)])
+
+
+def test_evaluate_rejects_floats():
+    a1 = macdonald_closed_form(parse_cartan_type("A1"))
+    with pytest.raises(ValueError, match="exact rationals"):
+        a1.evaluate_witnessed((0.1, 0.2))
+    with pytest.raises(ValueError, match="exact rationals"):
+        a1.evaluate_witnessed((Fraction(1, 2), 0.5))
+    assert a1.evaluate_witnessed((2, Fraction(1, 3)))[0] == 12
 
 
 @pytest.mark.parametrize("label,degree", [("A1", 8), ("C2", 8), ("C3", 8), ("B3", 8), ("G2", 8), ("F4", 6)])
@@ -274,6 +301,15 @@ def test_render_canonical():
     assert str(form) == "(1 + t1)·(1 + t2) / (1 - t1·t2)"
     bott = bott_closed_form(parse_cartan_type("A2"))
     assert str(bott) == "(1 - t^2)·(1 - t^3) / (1 - t)^3·(1 - t^2)"
+
+
+RENDERED_LABELS = "A1 A2 A3 B3 B4 C2 C3 C4 D4 E6 E7 E8 F4 G2 A9 B12 C12 D12".split()
+
+
+def test_render_every_closed_form():
+    text = "".join(f"{label}: {growth_closed_form(parse_cartan_type(label))}\n" for label in RENDERED_LABELS)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c8842ef603f07833ad53e95be451c4007691e4de62892b5a1c5e0e0703745e18"
 
 
 # ---------------------------------------------------------------------------
