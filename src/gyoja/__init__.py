@@ -13,48 +13,40 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .cartan import (
-    AffineCoxeterSystem,
-    CartanType,
-    ClassPartition,
-    SignCharacter,
-    borel_discrete_series_list,
-    build_affine_system,
-    conjugacy_partition,
-    exponents,
-    parse_cartan_type,
-    steinberg_character,
-    tables_document,
-)
-from .closed_forms import (
-    CalibrationError,
-    ClosedForm,
-    Factor,
-    PoleError,
-    bott_closed_form,
-    calibrate_indexing,
-    diagram_growth_series,
-    growth_closed_form,
-    macdonald_closed_form,
-)
-from .distinction import (
-    BindingDependentVerdictError,
-    DistinctionVerdict,
-    EvaluationPoint,
-    NotDiscreteSeriesError,
-    classify,
-    distinction_value,
-    distinction_value_witnessed,
-    expected_distinguished,
-    robustness_check,
-)
-from .limits import ResourceLimitExceeded
-from .series import TruncatedSeries
-
-# Names resolved on first access (PEP 562), so that ``import gyoja`` does not
-# import numpy (hecke, weyl) or the counter and characters that only the counting
-# commands use.
+# Every public name and its defining module.  Names resolve on first access
+# (PEP 562), so ``import gyoja`` imports no submodule: not numpy (hecke,
+# weyl), and nothing that a command does not use.
 _LAZY = {
+    **dict.fromkeys(
+        (
+            "AffineCoxeterSystem",
+            "CartanType",
+            "ClassPartition",
+            "SignCharacter",
+            "borel_discrete_series_list",
+            "build_affine_system",
+            "conjugacy_partition",
+            "exponents",
+            "parse_cartan_type",
+            "steinberg_character",
+            "tables_document",
+        ),
+        "cartan",
+    ),
+    **dict.fromkeys(
+        (
+            "CalibrationError",
+            "ClosedForm",
+            "Factor",
+            "PoleError",
+            "bott_closed_form",
+            "calibrate_indexing",
+            "diagram_growth_series",
+            "growth_closed_form",
+            "macdonald_closed_form",
+        ),
+        "closed_forms",
+    ),
     **dict.fromkeys(
         (
             "COUNTING",
@@ -66,22 +58,27 @@ _LAZY = {
         ),
         "counting",
     ),
-    **dict.fromkeys(("MatrixRep", "counting_series", "gyoja_series", "validate_rep"), "hecke"),
     **dict.fromkeys(
         (
-            "Ball",
-            "GroupElement",
-            "NotReducedWordError",
-            "enumerate_ball",
-            "enumerate_levels",
-            "evaluate_word",
-            "is_reduced",
-            "multilength_of_word",
-            "write_jsonl",
+            "BindingDependentVerdictError",
+            "DistinctionVerdict",
+            "EvaluationPoint",
+            "NotDiscreteSeriesError",
+            "classify",
+            "distinction_value",
+            "distinction_value_witnessed",
+            "expected_distinguished",
+            "robustness_check",
         ),
-        "weyl",
+        "distinction",
     ),
+    **dict.fromkeys(("MatrixRep", "counting_series", "gyoja_series", "validate_rep"), "hecke"),
+    "ResourceLimitExceeded": "limits",
+    "TruncatedSeries": "series",
+    **dict.fromkeys(("Ball", "GroupElement", "enumerate_ball", "enumerate_levels", "write_jsonl"), "weyl"),
 }
+
+__all__ = ["__version__", *_LAZY]
 
 
 def __getattr__(name: str):
@@ -95,58 +92,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_LAZY})
-
-
-__all__ = [
-    "__version__",
-    "AffineCoxeterSystem",
-    "Ball",
-    "BindingDependentVerdictError",
-    "COUNTING",
-    "CalibrationError",
-    "CartanType",
-    "ClassPartition",
-    "ClosedForm",
-    "DistinctionVerdict",
-    "EvaluationPoint",
-    "Factor",
-    "GroupElement",
-    "MatrixRep",
-    "NotDiscreteSeriesError",
-    "NotReducedWordError",
-    "PoleError",
-    "ResourceLimitExceeded",
-    "SignCharacter",
-    "TruncatedSeries",
-    "borel_discrete_series_list",
-    "bott_closed_form",
-    "build_affine_system",
-    "calibrate_indexing",
-    "char_value_e_w",
-    "character_series",
-    "classify",
-    "conjugacy_partition",
-    "count_multilengths",
-    "counting_series",
-    "diagram_growth_series",
-    "distinction_value",
-    "distinction_value_witnessed",
-    "enumerate_ball",
-    "enumerate_levels",
-    "evaluate_word",
-    "expected_distinguished",
-    "exponents",
-    "growth_closed_form",
-    "gyoja_series",
-    "is_reduced",
-    "macdonald_closed_form",
-    "multilength_of_word",
-    "parse_cartan_type",
-    "parse_sign_vector",
-    "partial_sums_at_point",
-    "robustness_check",
-    "steinberg_character",
-    "tables_document",
-    "validate_rep",
-    "write_jsonl",
-]

@@ -255,7 +255,7 @@ def _write_classify_text(fp: IO[str], rows) -> None:
         table.append(
             [
                 v.ctype.label,
-                "(" + ",".join(f"{s:+d}" for s in v.epsilon.signs) + ")",
+                str(v.epsilon),
                 str(v.q_o),
                 str(v.value),
                 "yes" if v.distinguished else "no",

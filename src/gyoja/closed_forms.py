@@ -54,7 +54,7 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from .cartan import CartanType, build_affine_system, exponents
-from .series import TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, render_monomial, var_names
+from .series import Levels, TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, render_monomial, var_names
 from .limits import ResourceLimitExceeded
 
 __all__ = [
@@ -151,7 +151,7 @@ class Factor:
         return "(" + " ".join(parts) + ")"
 
 
-def _count_terms(levels: list[dict], degrees: Iterable[int], cap: int | None) -> None:
+def _count_terms(levels: Levels, degrees: Iterable[int], cap: int | None) -> None:
     """Walk ``degrees`` in order; raise once the terms stored up to one pass ``cap``."""
     stored = 0
     for d in degrees:
@@ -182,12 +182,12 @@ class ClosedForm:
         degree, and :class:`TermLimitExceeded` is raised as soon as they
         pass the cap.
         """
-        levels = [{(0,) * self.nvars: 1}] + [{} for _ in range(bound)]
+        levels = {0: {(0,) * self.nvars: 1}}
         for f in self.numerator:
-            _multiply_by(levels, _tail(f.terms))
-            _count_terms(levels, range(bound + 1), max_terms)
+            _multiply_by(levels, _tail(f.terms), bound)
+            _count_terms(levels, sorted(levels), max_terms)
         for f in self.denominator:
-            _count_terms(levels, _divide_by(levels, _tail(f.terms)), max_terms)
+            _count_terms(levels, _divide_by(levels, _tail(f.terms), bound), max_terms)
         return TruncatedSeries(self.nvars, bound, _merged(levels))
 
     def evaluate_witnessed(self, point: Sequence[Fraction | int]) -> tuple[Fraction, Factor | None]:
@@ -378,8 +378,8 @@ def diagram_growth_series(ctype: CartanType, degree: int) -> TruncatedSeries:
         connected = _connected_sets_containing(v, part, neighbours)
         for comp in connected - {part}:
             signed_sum(comp)  # sets inverses[comp]
-            levels = _by_degree(signed_sum(part - comp - _around(comp, neighbours)), degree)
-            _multiply_by(levels, _tail(inverses[comp].items()))
+            levels = _by_degree(signed_sum(part - comp - _around(comp, neighbours)))
+            _multiply_by(levels, _tail(inverses[comp].items()), degree)
             sign = -1 if len(comp) % 2 else 1
             for exp, c in _merged(levels).items():
                 out[exp] = out.get(exp, 0) + sign * c
@@ -389,8 +389,8 @@ def diagram_growth_series(ctype: CartanType, degree: int) -> TruncatedSeries:
                 inverses[part] = {exp: -sign * c for exp, c in out.items() if c}
                 out = {}  # Sigma(S) = 0
             else:
-                levels = _by_degree({exp: -sign * c for exp, c in out.items()}, degree)
-                for _ in _divide_by(levels, _tail([(system.longest_multilength(part), -sign)])):
+                levels = _by_degree({exp: -sign * c for exp, c in out.items()})
+                for _ in _divide_by(levels, _tail([(system.longest_multilength(part), -sign)]), degree):
                     pass
                 inverses[part] = _merged(levels)
                 for exp, c in inverses[part].items():
@@ -402,8 +402,8 @@ def diagram_growth_series(ctype: CartanType, degree: int) -> TruncatedSeries:
     inverse = inverses[nodes]
     if inverse.get(zero_exp) != 1:
         raise AssertionError("1/W must have constant term 1")
-    levels = [{zero_exp: 1}] + [{} for _ in range(degree)]
-    for _ in _divide_by(levels, _tail(inverse.items())):
+    levels = {0: {zero_exp: 1}}
+    for _ in _divide_by(levels, _tail(inverse.items()), degree):
         pass
     return TruncatedSeries(system.m, degree, _merged(levels))
 
@@ -424,10 +424,10 @@ def _connected_sets_containing(v: int, part: frozenset[int], neighbours: dict[in
     return found
 
 
-def _by_degree(terms: dict[Exponent, int], degree: int) -> list[dict[Exponent, int]]:
-    levels: list[dict[Exponent, int]] = [{} for _ in range(degree + 1)]
+def _by_degree(terms: dict[Exponent, int]) -> Levels:
+    levels: Levels = {}
     for exp, c in terms.items():
-        levels[sum(exp)][exp] = c
+        levels.setdefault(sum(exp), {})[exp] = c
     return levels
 
 

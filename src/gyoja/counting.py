@@ -183,7 +183,12 @@ def parse_sign_vector(text: str) -> SignCharacter:
 
 
 def char_value_e_s(eps: SignCharacter, class_index: int, q_o: int) -> int:
-    """Value on a generator of class i: -1 when eps_i = -1, q = q_o^2 when +1."""
+    """Value on a generator of class i: -1 when eps_i = -1, q = q_o^2 when +1.
+
+    Raises ValueError unless q_o, a residue field size, is an integer >= 2.
+    """
+    if not isinstance(q_o, int) or q_o < 2:
+        raise ValueError("q_o must be >= 2 (a residue field size)")
     s = eps.signs[class_index]
     return s * q_o ** (s + 1)
 
@@ -192,15 +197,13 @@ def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> 
     """Value on e_w from the class-graded length vector of w.
 
     Multiplicativity along a reduced word gives
-    r(e_w) = prod_i (eps_i * q_o^(eps_i + 1))^(l_i(w)).
+    r(e_w) = prod_i r(e_{s_i})^(l_i(w)), s_i a generator of class i.
     """
-    if q_o < 2:
-        raise ValueError("q_o must be >= 2 (a residue field size)")
     if len(multilength) != len(eps.signs):
         raise ValueError("multilength / sign vector dimension mismatch")
     value = 1
-    for s, li in zip(eps.signs, multilength):
-        value *= (s * q_o ** (s + 1)) ** li
+    for i, li in enumerate(multilength):
+        value *= char_value_e_s(eps, i, q_o) ** li
     return value
 
 

@@ -71,7 +71,7 @@ class EvaluationPoint:
 
     @staticmethod
     def from_character(eps: SignCharacter, q_o: int) -> "EvaluationPoint":
-        if q_o < 2:
+        if not isinstance(q_o, int) or q_o < 2:
             raise ValueError("q_o must be >= 2 (a residue field size)")
         return EvaluationPoint(tuple(s * Fraction(q_o) ** s for s in eps.signs))
 

@@ -193,17 +193,21 @@ class TruncatedSeries:
 
 # -- degree-graded kernels ----------------------------------------------------
 #
-# A series under construction is a list ``levels`` with one dict per total
-# degree 0..bound, mapping exponent vectors to coefficients (ints or
-# Fractions).  Multiplying or dividing by a unit 1 + r, where r has no
-# constant term, only moves coefficients to strictly higher degrees, so both
-# work in place: a product reads each degree before anything writes into it
-# (highest degree first), a quotient finishes each degree before anything
-# reads it (lowest degree first).  Each costs O(terms * len(r)).
+# A series under construction is a dict ``levels`` from total degree to a
+# dict of the terms of that degree, mapping exponent vectors to coefficients
+# (ints or Fractions); only degrees that hold terms have an entry, so the
+# cost follows the terms, not the bound.  Multiplying or dividing by a unit
+# 1 + r, where r has no constant term, only moves coefficients to strictly
+# higher degrees, so both work in place: a product reads each degree before
+# anything writes into it (highest degree first), a quotient finishes each
+# degree before anything reads it (lowest degree first).  Each costs
+# O(terms * len(r)).
+
+Levels = dict[int, dict[Exponent, Any]]
 
 
-def _merged(levels: list[dict[Exponent, Any]]) -> dict[Exponent, Any]:
-    return {exp: c for level in levels for exp, c in level.items()}
+def _merged(levels: Levels) -> dict[Exponent, Any]:
+    return {exp: c for d in sorted(levels) for exp, c in levels[d].items()}
 
 
 def _tail(terms: Iterable[tuple[Exponent, Any]]) -> list[tuple[Exponent, int, Any]]:
@@ -212,34 +216,36 @@ def _tail(terms: Iterable[tuple[Exponent, Any]]) -> list[tuple[Exponent, int, An
     return sorted(tail, key=lambda term: term[1])
 
 
-def _shift_from(levels: list[dict[Exponent, Any]], d: int, tail: list[tuple[Exponent, int, Any]], sign: int) -> None:
-    """Add sign * c * x^e times degree ``d`` into the higher degrees, for each tail term c * x^e."""
+def _shift_from(levels: Levels, d: int, tail: list[tuple[Exponent, int, Any]], sign: int, bound: int) -> None:
+    """Add sign * c * x^e times degree ``d`` into the higher degrees up to ``bound``, for each tail term c * x^e."""
     src = levels[d] = {k: v for k, v in levels[d].items() if v}
     for exp, de, c in tail:
-        if d + de >= len(levels):
+        if d + de > bound:
             break
-        dst = levels[d + de]
+        dst = levels.setdefault(d + de, {})
         c *= sign
         for k, v in src.items():
             key = tuple(map(add, k, exp))
             dst[key] = dst.get(key, 0) + c * v
 
 
-def _multiply_by(levels: list[dict[Exponent, Any]], tail: list[tuple[Exponent, int, Any]]) -> None:
-    """levels <- levels * (1 + tail), in place, truncated at the top degree."""
-    for d in reversed(range(len(levels))):
-        _shift_from(levels, d, tail, 1)
+def _multiply_by(levels: Levels, tail: list[tuple[Exponent, int, Any]], bound: int) -> None:
+    """levels <- levels * (1 + tail), in place, truncated at total degree ``bound``."""
+    for d in sorted(levels, reverse=True):
+        _shift_from(levels, d, tail, 1, bound)
 
 
-def _divide_by(levels: list[dict[Exponent, Any]], tail: list[tuple[Exponent, int, Any]]) -> Iterator[int]:
-    """levels <- levels / (1 + tail), in place: q[k] = a[k] - sum(c * q[k - e]).
+def _divide_by(levels: Levels, tail: list[tuple[Exponent, int, Any]], bound: int) -> Iterator[int]:
+    """levels <- levels / (1 + tail), in place, to total degree ``bound``: q[k] = a[k] - sum(c * q[k - e]).
 
-    A generator: yields each degree as soon as its coefficients are final,
-    so the caller can count stored terms once per degree.
+    A generator: yields each degree that holds terms as soon as its
+    coefficients are final, so the caller can count stored terms once per
+    degree.
     """
-    for d in range(len(levels)):
-        _shift_from(levels, d, tail, -1)
-        yield d
+    for d in range(bound + 1):
+        if d in levels:
+            _shift_from(levels, d, tail, -1, bound)
+            yield d
 
 
 # -- constructors ------------------------------------------------------------

@@ -14,10 +14,6 @@ these as arrays: each element's parent (its row in the previous level), its
 discovery letter and its multilength, so a product along every geodesic can
 be formed with one step per element.
 
-Lengths need no ball: the Coxeter length of a map is the number of root
-hyperplanes separating the alcove point from its image, which is how
-:func:`is_reduced` tests a word.
-
 Levels are sorted by numeric lexicographic order of the flattened
 (matrix, translation) row, so two runs produce byte-identical balls.
 
@@ -50,21 +46,13 @@ from .limits import DEFAULT_MAX_ELEMENTS, ResourceLimitExceeded, element_cap
 __all__ = [
     "DEFAULT_MAX_ELEMENTS",
     "ResourceLimitExceeded",
-    "NotReducedWordError",
     "GroupElement",
     "Ball",
     "element_cap",
     "enumerate_ball",
     "enumerate_levels",
-    "evaluate_word",
-    "is_reduced",
-    "multilength_of_word",
     "write_jsonl",
 ]
-
-
-class NotReducedWordError(ValueError):
-    """Raised when a quantity defined only on reduced words is asked of a non-reduced one."""
 
 
 @dataclass(frozen=True)
@@ -420,47 +408,3 @@ def _write_level(system: AffineCoxeterSystem, length: int, lv: _Level, geo: list
         ]))
     return geo
 
-
-def evaluate_word(system: AffineCoxeterSystem, word: tuple[int, ...] | list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact affine map of a generator word (left-to-right product)."""
-    n = system.rank
-    lin = np.eye(n, dtype=np.int64)
-    tr = np.zeros(n, dtype=np.int64)
-    for s in word:
-        if not 0 <= s < system.num_gens:
-            raise ValueError(f"generator index {s} out of range for {system.ctype.label}")
-        tr = lin @ np.array(system.gen_translation[s], dtype=np.int64) + tr
-        lin = lin @ np.array(system.gen_linear[s], dtype=np.int64)
-    return lin, tr
-
-
-def _coxeter_length(system: AffineCoxeterSystem, lin: np.ndarray, tr: np.ndarray) -> np.ndarray:
-    """Coxeter length of the affine map(s) ``x -> lin x + tr``, with no ball.
-
-    The length of w is the number of root hyperplanes <alpha, x> = k
-    separating the alcove point p from w(p), that is
-    sum over alpha > 0 of |floor(<alpha, w(p)>)|.  Accepts one map or a
-    stack of them (``lin`` of shape (..., n, n), ``tr`` of shape (..., n)).
-    """
-    point = lin @ np.array(system.alcove_point, dtype=np.int64) + system.alcove_scale * tr
-    heights = point @ np.array(system.positive_root_pairings, dtype=np.int64).T
-    return np.abs(heights // system.alcove_scale).sum(axis=-1)
-
-
-def is_reduced(system: AffineCoxeterSystem, word: tuple[int, ...] | list[int]) -> bool:
-    """True iff the word length equals the Coxeter length of its product."""
-    return int(_coxeter_length(system, *evaluate_word(system, word))) == len(word)
-
-
-def multilength_of_word(system: AffineCoxeterSystem, word: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """Class-graded letter counts of a reduced word.
-
-    The quantity is well-defined on elements only via reduced expressions,
-    so a non-reduced word is rejected.
-    """
-    if not is_reduced(system, word):
-        raise NotReducedWordError(f"word {tuple(word)} is not reduced")
-    counts = [0] * system.m
-    for s in word:
-        counts[system.partition.class_of[s]] += 1
-    return tuple(counts)

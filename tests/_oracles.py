@@ -9,6 +9,7 @@ words and counts come from a different computation path than the Ball.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -21,6 +22,36 @@ def element_key(lin: np.ndarray, tr: np.ndarray) -> bytes:
     return lin.tobytes() + tr.tobytes()
 
 
+@lru_cache(maxsize=None)
+def _generator_arrays(system: AffineCoxeterSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The generators' linear parts and translations as int64 arrays, built once per system."""
+    return np.array(system.gen_linear, dtype=np.int64), np.array(system.gen_translation, dtype=np.int64)
+
+
+def word_map(system: AffineCoxeterSystem, word) -> tuple[np.ndarray, np.ndarray]:
+    """The affine map ``x -> lin x + tr`` of a generator word (left-to-right product)."""
+    gen_lin, gen_tr = _generator_arrays(system)
+    lin = np.eye(system.rank, dtype=np.int64)
+    tr = np.zeros(system.rank, dtype=np.int64)
+    for s in word:
+        tr = lin @ gen_tr[s] + tr
+        lin = lin @ gen_lin[s]
+    return lin, tr
+
+
+def coxeter_length(system: AffineCoxeterSystem, lin: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """Coxeter length of the affine map(s) ``x -> lin x + tr``, with no ball.
+
+    The length of w is the number of root hyperplanes <alpha, x> = k
+    separating the alcove point p from w(p), that is
+    sum over alpha > 0 of |floor(<alpha, w(p)>)|.  Accepts one map or a
+    stack of them (``lin`` of shape (..., n, n), ``tr`` of shape (..., n)).
+    """
+    point = lin @ np.array(system.alcove_point, dtype=np.int64) + system.alcove_scale * tr
+    heights = point @ np.array(system.positive_root_pairings, dtype=np.int64).T
+    return np.abs(heights // system.alcove_scale).sum(axis=-1)
+
+
 def brute_force_elements(system: AffineCoxeterSystem, max_len: int):
     """Map element key -> (min length, list of all minimal words).
 
@@ -28,17 +59,10 @@ def brute_force_elements(system: AffineCoxeterSystem, max_len: int):
     its length equals the minimum over all words evaluating to the same
     element, so the per-element word lists are the full reduced-word sets.
     """
-    n = system.rank
-    gen_lin, gen_tr = np.array(system.gen_linear), np.array(system.gen_translation)
     found: dict[bytes, tuple[int, list[tuple[int, ...]]]] = {}
     for k in range(max_len + 1):
         for word in product(range(system.num_gens), repeat=k):
-            lin = np.eye(n, dtype=np.int64)
-            tr = np.zeros(n, dtype=np.int64)
-            for s in word:
-                tr = lin @ gen_tr[s] + tr
-                lin = lin @ gen_lin[s]
-            key = element_key(lin, tr)
+            key = element_key(*word_map(system, word))
             if key not in found:
                 found[key] = (k, [word])
             elif found[key][0] == k:

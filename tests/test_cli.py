@@ -558,10 +558,14 @@ def test_version_expand_and_tables_run_without_numpy(argv):
 
 
 def test_import_gyoja_without_numpy():
-    code = "import sys\nsys.modules['numpy'] = None\nimport gyoja\nprint(gyoja.__version__)"
+    # every public name resolves on first access, so the package alone loads no submodule
+    code = (
+        "import sys\nsys.modules['numpy'] = None\nimport gyoja\n"
+        "print(gyoja.__version__, sorted(m for m in sys.modules if m.startswith('gyoja.')))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{cli.__version__}\n"
+    assert proc.stdout == f"{cli.__version__} []\n"
 
 
 def test_array_names_import_numpy_on_first_access():

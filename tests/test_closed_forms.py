@@ -3,6 +3,7 @@ import hashlib
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
@@ -231,6 +232,21 @@ def test_expand_term_cap():
     assert isinstance(exc_info.value, ResourceLimitExceeded)
     assert "term cap 100" in str(exc_info.value)
     assert form.expand(40, max_terms=5_000_000) == form.expand(40)
+
+
+def test_expand_work_before_the_term_cap_follows_the_terms():
+    # A1 stores 1.5 terms per degree, so the cap fires at degree 667 whatever
+    # the bound; only the degrees that hold terms may be allocated before it.
+    form = growth_closed_form(parse_cartan_type("A1"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TermLimitExceeded) as exc_info:
+            form.expand(2 * 10**5, max_terms=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc_info.value.degree == 667
+    assert peak < 1_000_000
 
 
 def test_calibration_g2_unique_at_degree_8():

@@ -42,6 +42,15 @@ def test_evaluation_point_coordinates():
         EvaluationPoint.from_character(SignCharacter((-1,)), 1)
 
 
+@pytest.mark.parametrize("q_o", [1, Fraction(5, 2)])
+def test_evaluation_needs_an_integer_qo_of_at_least_2(q_o):
+    g2 = parse_cartan_type("G2")
+    with pytest.raises(ValueError, match="q_o must be >= 2"):
+        EvaluationPoint.from_character(steinberg_character(g2), q_o)
+    with pytest.raises(ValueError, match="q_o must be >= 2"):
+        classify(g2, q_o)
+
+
 def test_a1_steinberg_spot_values():
     t = parse_cartan_type("A1")
     for q_o in (2, 3, 5):

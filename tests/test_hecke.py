@@ -94,6 +94,17 @@ def test_char_value_examples():
         char_value_e_w(st, (1, 1, 1), 2)
 
 
+@pytest.mark.parametrize("q_o", [1, Fraction(5, 2)])
+def test_sign_character_values_need_an_integer_qo_of_at_least_2(q_o):
+    eps = SignCharacter((-1, 1))
+    with pytest.raises(ValueError, match="q_o must be >= 2"):
+        char_value_e_s(eps, 1, q_o)
+    with pytest.raises(ValueError, match="q_o must be >= 2"):
+        char_value_e_w(eps, (0, 0), q_o)
+    with pytest.raises(ValueError, match="q_o must be >= 2"):
+        MatrixRep.from_sign_character(eps, system_of("G2").partition, q_o)
+
+
 def test_sign_character_series_has_int_coefficients():
     system = system_of("G2")
     eps = SignCharacter((-1, 1))
