@@ -304,17 +304,15 @@ class AffineCoxeterSystem:
     Every table is a plain int tuple (n <= 8 for the exceptional types):
     ``pairing`` (P[i][j] = <alpha_j, alpha_i^vee>), ``highest_root`` (theta
     in simple-root coordinates), ``gen_linear``, ``gen_translation``,
-    ``alcove_point``, ``alcove_images``, ``positive_root_pairings``,
-    ``extended_cartan``, ``coxeter_matrix`` and ``exponents``; the class
-    partition is read off the Coxeter matrix.
+    ``alcove_point``, ``alcove_images``, ``extended_cartan``,
+    ``coxeter_matrix`` and ``exponents``; the class partition is read off
+    the Coxeter matrix.
 
     ``alcove_point`` is D*p for the interior point p of the fundamental
     alcove with <alpha_i, p> = 1/h (h the Coxeter number, D =
     ``alcove_scale``), and ``alcove_images[s]`` is s(D*p).  An element w is
     determined by the integer point w(D*p), and its length is the number of
-    root hyperplanes separating p from w(p).  Row ``a`` of
-    ``positive_root_pairings`` is (<alpha, alpha_k^vee>)_k for the a-th
-    positive root alpha, so that <alpha, x> is that row times x.
+    root hyperplanes separating p from w(p).
     """
 
     def __init__(self, ctype: CartanType):
@@ -347,7 +345,6 @@ class AffineCoxeterSystem:
         self.alcove_scale = scale
         self.alcove_point = point
         self.alcove_images = tuple(images)
-        self.positive_root_pairings = tuple(pairs for _, _, pairs in roots)
         self.exponents = _exponents([rc for rc, _, _ in roots])
         self.extended_cartan = _extended_cartan_matrix(P, theta, theta_covec)
         self.coxeter_matrix = _coxeter_matrix(self.extended_cartan)

@@ -23,29 +23,21 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import IO
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .cartan import (
-    CartanType,
-    build_affine_system,
-    parse_cartan_type,
-    tables_document,
-)
-from .closed_forms import calibrate_indexing, growth_closed_form
-from .distinction import (
-    classify,
-    expected_distinguished,
-    render_markdown_table,
-    verdict_json_dict,
-    VERDICT_SCHEMA_VERSION,
-)
 from .limits import ResourceLimitExceeded, element_cap
-from .series import TruncatedSeries, term_order
+
+# Each command imports the library modules it runs, so `--version`, `--help`
+# and the usage errors caught before dispatch load none of them.
+if TYPE_CHECKING:
+    from typing import IO
+
+    from .cartan import CartanType
+    from .series import TruncatedSeries
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,6 +62,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_type(label: str) -> CartanType:
+    from .cartan import parse_cartan_type
+
     try:
         return parse_cartan_type(label)
     except ValueError as exc:
@@ -116,6 +110,8 @@ def _open_sink(path: str | None):
 
 
 def _series_json(series: TruncatedSeries) -> list:
+    from .series import term_order
+
     terms = sorted(series.coeffs, key=term_order)
     return [{"exponent": list(e), "coefficient": str(series.coeffs[e])} for e in terms]
 
@@ -126,6 +122,8 @@ def _series_json(series: TruncatedSeries) -> list:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from .cartan import build_affine_system
+
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
     if args.format == "text":
@@ -139,6 +137,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             fp.write(f"type: {ctype.label}  radius: {args.degree}  elements: {sum(by_length)}\n")
             fp.write("counts by length: " + ", ".join(str(c) for c in by_length) + "\n")
         return EXIT_OK
+    import json
+
     from .weyl import enumerate_levels, write_jsonl
 
     # Each level is written as soon as it is built: when the cap fires, the
@@ -158,6 +158,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    from .cartan import build_affine_system
     from .counting import COUNTING, character_series, count_multilengths, parse_sign_vector
 
     ctype = _parse_type(args.type)
@@ -183,6 +184,8 @@ def cmd_series(args: argparse.Namespace) -> int:
     series = character_series(counts, rep, system.m, args.degree, q_o)
     with _open_sink(args.output) as fp:
         if args.format == "json":
+            import json
+
             json.dump({"type": ctype.label, "degree": args.degree, "terms": _series_json(series)}, fp, indent=2)
             fp.write("\n")
         else:
@@ -191,11 +194,15 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
+    from .closed_forms import growth_closed_form
+
     ctype = _parse_type(args.type)
     form = growth_closed_form(ctype)
     series = form.expand(args.degree, max_terms=args.cap)
     with _open_sink(args.output) as fp:
         if args.format == "json":
+            import json
+
             json.dump(
                 {
                     "type": ctype.label,
@@ -215,7 +222,10 @@ def cmd_expand(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .cartan import build_affine_system
+    from .closed_forms import calibrate_indexing, growth_closed_form
     from .counting import count_multilengths
+    from .series import TruncatedSeries
 
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
@@ -242,6 +252,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _classify_rows(types: list[CartanType], q_o_values: list[int]):
+    from .distinction import classify
+
     for ctype in types:
         for q_o in q_o_values:
             for verdict in classify(ctype, q_o):
@@ -269,6 +281,14 @@ def _write_classify_text(fp: IO[str], rows) -> None:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    from .cartan import parse_cartan_type
+    from .distinction import (
+        VERDICT_SCHEMA_VERSION,
+        expected_distinguished,
+        render_markdown_table,
+        verdict_json_dict,
+    )
+
     if args.all_types and args.type:
         raise _UsageError("give --type LABEL or --all-types, not both")
     if args.all_types:
@@ -281,6 +301,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     rows = list(_classify_rows(types, q_o_values))
     with _open_sink(args.output) as fp:
         if args.format == "json":
+            import json
+
             doc = {
                 "schema": "gyoja-verdicts",
                 "schema_version": VERDICT_SCHEMA_VERSION,
@@ -317,6 +339,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    import json
+
+    from .cartan import tables_document
+
     ctype = _parse_type(args.type)
     with _open_sink(args.output) as fp:
         json.dump(tables_document(ctype), fp, indent=2)

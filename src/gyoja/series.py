@@ -64,11 +64,11 @@ class TruncatedSeries:
             raise ValueError("bound must be >= 0")
         clean: dict[Exponent, Fraction | int] = {}
         for exp, c in coeffs.items():
-            if len(exp) != nvars or any(e < 0 for e in exp):
+            if len(exp) != nvars or min(exp) < 0:
                 raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
             if sum(exp) > bound:
                 continue
-            if type(c) is not int:
+            if type(c) not in (int, Fraction):
                 c = Fraction(c)
             if c != 0:
                 clean[tuple(exp)] = c

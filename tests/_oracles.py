@@ -47,8 +47,10 @@ def coxeter_length(system: AffineCoxeterSystem, lin: np.ndarray, tr: np.ndarray)
     sum over alpha > 0 of |floor(<alpha, w(p)>)|.  Accepts one map or a
     stack of them (``lin`` of shape (..., n, n), ``tr`` of shape (..., n)).
     """
+    positive = np.array([rc for rc, _ in root_closure(system.pairing) if min(rc) >= 0], dtype=np.int64)
+    pairings = positive @ np.array(system.pairing, dtype=np.int64).T  # row a: (<alpha_a, alpha_k^vee>)_k
     point = lin @ np.array(system.alcove_point, dtype=np.int64) + system.alcove_scale * tr
-    heights = point @ np.array(system.positive_root_pairings, dtype=np.int64).T
+    heights = point @ pairings.T
     return np.abs(heights // system.alcove_scale).sum(axis=-1)
 
 

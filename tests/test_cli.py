@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import gyoja.cli as cli
+import gyoja.closed_forms as closed_forms
 import gyoja.counting as counting
+import gyoja.distinction as distinction
 import gyoja.weyl as weyl
 from gyoja.closed_forms import bott_closed_form
 from gyoja.cartan import parse_cartan_type
@@ -365,7 +367,7 @@ def test_check_mismatch_exit_3(monkeypatch, capsys):
     # a deliberately wrong formula must be caught and reported with the
     # first differing exponent vector
     wrong = bott_closed_form(parse_cartan_type("A3"))
-    monkeypatch.setattr(cli, "growth_closed_form", lambda ctype: wrong)
+    monkeypatch.setattr(closed_forms, "growth_closed_form", lambda ctype: wrong)
     code, out, _ = run_cli("check", "--type", "A2", "--degree", "4", capsys=capsys)
     assert code == 3
     assert "MISMATCH at exponent" in out
@@ -401,7 +403,7 @@ def test_classify_e7_single_row(capsys):
 
 
 def test_classify_deviation_exit_4(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "expected_distinguished", lambda ctype, eps: False)
+    monkeypatch.setattr(distinction, "expected_distinguished", lambda ctype, eps: False)
     code, _, err = run_cli(
         "classify", "--type", "G2", "--qo", "2", "--expect-paper", capsys=capsys
     )
@@ -566,6 +568,37 @@ def test_import_gyoja_without_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{cli.__version__} []\n"
+
+
+# Runs main(argv), then prints to stderr the gyoja modules it loaded and
+# whether numpy is loaded; argparse leaves through SystemExit on --version and --help.
+_IMPORTS_OF = (
+    "import sys\nfrom gyoja.cli import main\n"
+    "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+    "print(sorted(m for m in sys.modules if m.startswith('gyoja.')), 'numpy' in sys.modules, file=sys.stderr)"
+)
+_BEFORE_DISPATCH = ["cli", "limits"]
+_COUNTED = ["cartan", "cli", "counting", "limits", "series"]
+_IMPORT_CASES = [
+    ("--version", _BEFORE_DISPATCH, False),
+    ("--help", _BEFORE_DISPATCH, False),
+    ("expand --type C3 --degree -1", _BEFORE_DISPATCH, False),
+    ("expand --type C3 --degree 3 --cap 0", _BEFORE_DISPATCH, False),
+    ("tables --type G2", ["cartan", "cli", "limits"], False),
+    ("expand --type C3 --degree 3", ["cartan", "cli", "closed_forms", "limits", "series"], False),
+    ("series --type C3 --degree 3", _COUNTED, False),
+    ("enumerate --type C3 --degree 3", _COUNTED, False),
+    ("check --type C3 --degree 3", sorted(_COUNTED + ["closed_forms"]), False),
+    ("classify --type G2 --qo 2", ["cartan", "cli", "closed_forms", "distinction", "limits", "series"], False),
+    ("enumerate --type C3 --degree 3 --format jsonl", ["cartan", "cli", "limits", "weyl"], True),
+]
+
+
+@pytest.mark.parametrize("command, modules, numpy", _IMPORT_CASES, ids=[case[0] for case in _IMPORT_CASES])
+def test_each_command_imports_only_its_modules(command, modules, numpy):
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS_OF, *command.split()], capture_output=True, text=True)
+    loaded = proc.stderr.splitlines()[-1]
+    assert loaded == f"{sorted('gyoja.' + m for m in modules)} {numpy}"
 
 
 def test_array_names_import_numpy_on_first_access():
