@@ -33,7 +33,6 @@ affine node attaches to).
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -182,21 +181,6 @@ def _highest_root(roots: Roots) -> tuple[tuple[int, ...], tuple[int, ...], tuple
     return top[0]
 
 
-def _alcove_point(roots: Roots) -> tuple[int, tuple[int, ...]]:
-    """``(D, D*p)`` for the point p with <alpha_i, p> = 1/h for every simple root.
-
-    p = rho^vee / h, with rho^vee the half-sum of the positive coroots
-    (<alpha_i, rho^vee> = 1) and h = 1 + height(theta) the Coxeter number.
-    p lies inside the fundamental alcove (<theta, p> = (h-1)/h < 1), so the
-    affine Weyl group, acting simply transitively on alcoves, moves it to
-    pairwise distinct points.  D is the least integer making D*p integral.
-    """
-    two_rho = tuple(map(sum, zip(*(cc for _, cc, _ in roots))))
-    h = max(sum(rc) for rc, _, _ in roots) + 1
-    g = math.gcd(2 * h, *two_rho)
-    return 2 * h // g, tuple(x // g for x in two_rho)
-
-
 def _exponents(positive: list[tuple[int, ...]]) -> tuple[int, ...]:
     """Exponents of the finite Weyl group from the positive roots, in root coordinates.
 
@@ -290,10 +274,6 @@ class SignCharacter:
         return "(" + ",".join(f"{s:+d}" for s in self.signs) + ")"
 
 
-def _matvec(M: Matrix, x: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(a * b for a, b in zip(row, x)) for row in M)
-
-
 class AffineCoxeterSystem:
     """An affine Coxeter system with exact integer generator actions.
 
@@ -304,15 +284,14 @@ class AffineCoxeterSystem:
     Every table is a plain int tuple (n <= 8 for the exceptional types):
     ``pairing`` (P[i][j] = <alpha_j, alpha_i^vee>), ``highest_root`` (theta
     in simple-root coordinates), ``gen_linear``, ``gen_translation``,
-    ``alcove_point``, ``alcove_images``, ``extended_cartan``,
-    ``coxeter_matrix`` and ``exponents``; the class partition is read off
-    the Coxeter matrix.
+    ``extended_cartan``, ``coxeter_matrix`` and ``exponents``; the class
+    partition is read off the Coxeter matrix.
 
-    ``alcove_point`` is D*p for the interior point p of the fundamental
-    alcove with <alpha_i, p> = 1/h (h the Coxeter number, D =
-    ``alcove_scale``), and ``alcove_images[s]`` is s(D*p).  An element w is
-    determined by the integer point w(D*p), and its length is the number of
-    root hyperplanes separating p from w(p).
+    ``extended_cartan`` (a[s][t] = <alpha_t, alpha_s^vee> over the nodes
+    0..n) is all the numbers game needs: :mod:`gyoja.weyl` keys the
+    elements of its walk, and :mod:`gyoja.counting` its coset
+    representatives, by integer vectors over the nodes, and firing s
+    updates a vector v to v - v_s * a[s].
     """
 
     def __init__(self, ctype: CartanType):
@@ -332,19 +311,12 @@ class AffineCoxeterSystem:
             M[i] = [M[i][b] - P[b][i] for b in range(n)]
             gens_lin.append(tuple(map(tuple, M)))
             gens_tr.append((0,) * n)
-        scale, point = _alcove_point(roots)
-        images = [
-            tuple(x + scale * v for x, v in zip(_matvec(A, point), b)) for A, b in zip(gens_lin, gens_tr)
-        ]
 
         self.pairing = P
         self.highest_root = theta
         self.gen_linear = tuple(gens_lin)
         self.gen_translation = tuple(gens_tr)
         self.num_gens = n + 1
-        self.alcove_scale = scale
-        self.alcove_point = point
-        self.alcove_images = tuple(images)
         self.exponents = _exponents([rc for rc, _, _ in roots])
         self.extended_cartan = _extended_cartan_matrix(P, theta, theta_covec)
         self.coxeter_matrix = _coxeter_matrix(self.extended_cartan)

@@ -4,8 +4,19 @@ Elements are represented as exact integer affine maps ``x -> M x + v`` in
 simple-coroot coordinates; equality of elements is equality of coordinates.
 Because the Cayley-graph distance from the identity equals the Coxeter
 length, a breadth-first closure under the generators enumerates the ball of
-radius N level by level: the children of a length-k element have length
-k-1 or k+1, so a new level is the candidate set minus the previous level.
+radius N level by level: each element of length k + 1 is w * s for some w
+of length k and a right ascent s of w.
+
+The ascents are read off the numbers game on ``extended_cartan``
+(Bjorner-Brenti, *Combinatorics of Coxeter Groups*, section 4.3).  Each
+element w of a level carries the vector v_t = alpha_t(w^-1(x)) over the
+affine nodes t = 0..n, for the point x with alpha_t(x) = 1 for every t, so
+the identity's vector is (1, ..., 1).  Then s is a right ascent of w
+exactly when v_s > 0, the vector of w * s is v - v_s * a[s], and the vector
+determines w, since the group moves x to pairwise distinct points.  x is
+regular (no root vanishes on it), so no v_s is ever 0.  A step forms only
+the ascents and keys each by its new vector; it needs nothing of the
+level before the frontier.
 
 Each discovered element keeps one geodesic (its BFS discovery word) and the
 class-graded length vector (l_1, ..., l_m), which is word-independent and
@@ -235,8 +246,8 @@ def enumerate_levels(
 
     Breadth-first closure of the identity under the generators, one
     :func:`_next_level` step per level.  Between two levels the generator
-    holds only the last level and the alcove points of the last two, so a
-    caller that drops each level after use holds two levels, never the ball.
+    holds only the last level and its numbers-game vectors, so a caller
+    that drops each level after use holds two levels, never the ball.
 
     Raises :class:`ResourceLimitExceeded` (carrying the completed radius)
     when a level would pass the element cap (argument, else
@@ -253,7 +264,7 @@ def enumerate_levels(
 class _Generators(NamedTuple):
     """The generator tables one walk reads at every level, as int64 arrays."""
 
-    images: np.ndarray  # (g, n): alcove_images, s(D*p) for each generator s
+    cartan: np.ndarray  # (g, g): extended_cartan, a[s][t] = <alpha_t, alpha_s^vee>
     lin: np.ndarray  # (g, n, n): gen_linear
     tr: np.ndarray  # (g, n): gen_translation
     classes: np.ndarray  # (g, m): row s is the multilength of s
@@ -262,7 +273,7 @@ class _Generators(NamedTuple):
 def _walk_levels(system: AffineCoxeterSystem, radius: int, cap: int) -> Iterator[_Level]:
     n, m = system.rank, system.m
     gens = _Generators(
-        images=np.array(system.alcove_images, dtype=np.int64),
+        cartan=np.array(system.extended_cartan, dtype=np.int64),
         lin=np.array(system.gen_linear, dtype=np.int64),
         tr=np.array(system.gen_translation, dtype=np.int64),
         classes=np.eye(m, dtype=np.int64)[list(system.partition.class_of)],
@@ -275,36 +286,30 @@ def _walk_levels(system: AffineCoxeterSystem, radius: int, cap: int) -> Iterator
         multilength=np.zeros((1, m), dtype=np.int64),
     )
     yield level
-    prev_points = np.zeros((0, n), dtype=np.int64)
-    cur_points = np.array([system.alcove_point], dtype=np.int64)
+    vectors = np.ones((1, system.num_gens), dtype=np.int64)
     total = 1
     for depth in range(radius):
-        step = _next_level(system, gens, level, prev_points, cap - total)
+        step = _next_level(gens, level, vectors, cap - total)
         if step is None:
             raise ResourceLimitExceeded(depth, cap)
-        prev_points, (level, cur_points) = cur_points, step
+        level, vectors = step
         total += len(level)
         yield level
 
 
 def _next_level(
-    system: AffineCoxeterSystem,
-    gens: _Generators,
-    frontier: _Level,
-    prev_points: np.ndarray,
-    room: int,
+    gens: _Generators, frontier: _Level, vectors: np.ndarray, room: int
 ) -> tuple[_Level, np.ndarray] | None:
-    """The level after ``frontier`` and its alcove points; None if it has more than ``room`` elements.
+    """The level after ``frontier`` and its numbers-game vectors; None if it has more than ``room`` elements.
 
     Its temporaries (the candidates and their sort, the maps before the
     canonical sort) are freed when it returns, before the level is handed
     on; the helpers free theirs in turn, so the candidates are gone before
     the maps are built, and the gathered parents before they are sorted.
     """
-    kept, points = _new_candidates(system, gens.images, frontier, prev_points)
-    if len(kept) > room:
+    parent, letter, keys = _new_candidates(gens.cartan, vectors)
+    if len(parent) > room:
         return None
-    parent, letter = np.divmod(kept, system.num_gens)
     lin, tr = _right_products(gens, frontier, parent, letter)
     # Canonical order: lexicographic in the flattened (matrix, translation) row.
     canon = np.lexsort(_pack(np.concatenate([lin.reshape(len(lin), -1), tr], axis=1))[::-1])
@@ -316,34 +321,27 @@ def _next_level(
         letter=letter,
         multilength=frontier.multilength[parent] + gens.classes[letter],
     )
-    return level, points[canon]
+    return level, keys[canon]
 
 
-def _new_candidates(
-    system: AffineCoxeterSystem, images: np.ndarray, frontier: _Level, prev_points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The new elements among the frontier's children, in generation order, and their alcove points.
+def _new_candidates(cartan: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The new elements among the frontier's children, as parent rows and letters, and their vectors.
 
-    Candidate f * ngens + s is frontier element f times generator s, keyed
-    by the integer point f(s(D*p)) = M_f @ images[s] + D*t_f, which
-    determines the element (see :class:`AffineCoxeterSystem`).  The keys
-    are written after the previous level's points, packed into int64 words
-    and stably sorted, and the first member of every run of equal keys is
-    kept unless it is a previous-level point; so the first occurrence in
-    generation order wins and geodesics are deterministic.  Returns the
-    kept candidate numbers and their points.
+    Row f of ``vectors`` is the numbers-game vector of w_f^-1 (see the
+    module docstring).  The children w_f * s with v_s > 0 are the ones one
+    longer than w_f; no v_s is 0, because the start vector is regular, so
+    the other children are one shorter and are never formed.  Each child is
+    keyed by its vector v - v_s * a[s], all in one gather, in generation
+    order (by f, then s).  The keys are stably sorted and the first member
+    of every run of equal keys is kept, so the first occurrence in
+    generation order wins and geodesics are deterministic.
     """
-    n, ngens, back = system.rank, system.num_gens, len(prev_points)
-    points = np.empty((back + len(frontier) * ngens, n), dtype=np.int64)
-    points[:back] = prev_points
-    children = points[back:].reshape(len(frontier), ngens, n)
-    np.matmul(images, frontier.lin.transpose(0, 2, 1), out=children)
-    children += system.alcove_scale * frontier.tr[:, None, :]
-    order, first = _sort_runs(points)
+    parent, letter = np.nonzero(vectors > 0)
+    keys = vectors[parent]
+    keys -= vectors[parent, letter][:, None] * cartan[letter]
+    order, first = _sort_runs(keys)
     kept = order[first]
-    # A run led by a previous-level point is a step back towards the identity.
-    kept = kept[kept >= back]
-    return kept - back, points[kept]
+    return parent[kept], letter[kept], keys[kept]
 
 
 def _right_products(

@@ -8,6 +8,7 @@ words and counts come from a different computation path than the Ball.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import lru_cache
 from itertools import product
@@ -39,6 +40,28 @@ def word_map(system: AffineCoxeterSystem, word) -> tuple[np.ndarray, np.ndarray]
     return lin, tr
 
 
+@lru_cache(maxsize=None)
+def _positive_roots(system: AffineCoxeterSystem) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The positive entries of :func:`root_closure`, built once per system."""
+    return [(rc, cc) for rc, cc in root_closure(system.pairing) if min(rc) >= 0]
+
+
+def alcove_point(system: AffineCoxeterSystem) -> tuple[int, tuple[int, ...]]:
+    """``(D, D*p)`` for the point p with <alpha_i, p> = 1/h for every simple root, from the root closure.
+
+    p = rho^vee / h, with rho^vee the half-sum of the positive coroots
+    (<alpha_i, rho^vee> = 1) and h = 1 + height(theta) the Coxeter number.
+    p lies inside the fundamental alcove (<theta, p> = (h-1)/h < 1), so the
+    affine Weyl group, acting simply transitively on alcoves, moves it to
+    pairwise distinct points.  D is the least integer making D*p integral.
+    """
+    positive = _positive_roots(system)
+    two_rho = tuple(map(sum, zip(*(cc for _, cc in positive))))
+    h = max(sum(rc) for rc, _ in positive) + 1
+    g = math.gcd(2 * h, *two_rho)
+    return 2 * h // g, tuple(x // g for x in two_rho)
+
+
 def coxeter_length(system: AffineCoxeterSystem, lin: np.ndarray, tr: np.ndarray) -> np.ndarray:
     """Coxeter length of the affine map(s) ``x -> lin x + tr``, with no ball.
 
@@ -47,11 +70,11 @@ def coxeter_length(system: AffineCoxeterSystem, lin: np.ndarray, tr: np.ndarray)
     sum over alpha > 0 of |floor(<alpha, w(p)>)|.  Accepts one map or a
     stack of them (``lin`` of shape (..., n, n), ``tr`` of shape (..., n)).
     """
-    positive = np.array([rc for rc, _ in root_closure(system.pairing) if min(rc) >= 0], dtype=np.int64)
+    positive = np.array([rc for rc, _ in _positive_roots(system)], dtype=np.int64)
     pairings = positive @ np.array(system.pairing, dtype=np.int64).T  # row a: (<alpha_a, alpha_k^vee>)_k
-    point = lin @ np.array(system.alcove_point, dtype=np.int64) + system.alcove_scale * tr
-    heights = point @ pairings.T
-    return np.abs(heights // system.alcove_scale).sum(axis=-1)
+    scale, point = alcove_point(system)
+    heights = (lin @ np.array(point, dtype=np.int64) + scale * tr) @ pairings.T
+    return np.abs(heights // scale).sum(axis=-1)
 
 
 def brute_force_elements(system: AffineCoxeterSystem, max_len: int):

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from _oracles import (
+    alcove_point,
     coxeter_matrix_by_generator_orders,
     euclidean_pairing_matrix,
     exponents_table,
@@ -227,8 +228,8 @@ def test_alcove_point_is_rho_over_h():
     for label in ALL_LABELS:
         s = build_affine_system(parse_cartan_type(label))
         h = sum(s.highest_root) + 1
-        point = np.array(s.pairing).T @ s.alcove_point
-        assert np.array_equal(h * point, np.full(s.rank, s.alcove_scale)), label
+        scale, point = alcove_point(s)
+        assert np.array_equal(h * (np.array(s.pairing).T @ point), np.full(s.rank, scale)), label
         ctype = parse_cartan_type(label)
         assert len(cartan._positive_roots(s.pairing)) == POSITIVE_ROOT_COUNT[ctype.family](ctype.rank), label
 

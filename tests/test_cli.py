@@ -332,6 +332,18 @@ def test_expand_output_bytes_pinned(argv, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+PERFBENCH_DIGESTS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(PERFBENCH_DIGESTS))
+def test_benchmark_outputs_match_their_digests(command, capsys):
+    # the benchmark counts an operation whose stdout misses its pinned sha256
+    # as failed; checking the same digests here shows a changed byte at once
+    code, out, _ = run_cli(*command.split(), capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PERFBENCH_DIGESTS[command]
+
+
 @pytest.mark.parametrize(
     "label,digest",
     [

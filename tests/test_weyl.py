@@ -9,7 +9,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _oracles import brute_force_counts, brute_force_elements, coxeter_length, word_map, word_multilength
+from _oracles import (
+    alcove_point,
+    brute_force_counts,
+    brute_force_elements,
+    coxeter_length,
+    word_map,
+    word_multilength,
+)
 from conftest import get_ball, system_of
 from gyoja import counting, weyl
 from gyoja.cartan import exponents
@@ -135,9 +142,11 @@ def test_numbers_game_vectors_decide_left_descents(label, radius):
     pairing, theta = np.array(system.pairing), np.array(system.highest_root)
     gen_lin, gen_tr = np.array(system.gen_linear), np.array(system.gen_translation)
 
+    scale, alcove = alcove_point(system)
+
     def vectors(lin, tr):
-        point = lin @ system.alcove_point + system.alcove_scale * tr  # w(D*p)
-        finite, rest = np.divmod(h * (point @ pairing), system.alcove_scale)
+        point = lin @ alcove + scale * tr  # w(D*p)
+        finite, rest = np.divmod(h * (point @ pairing), scale)
         assert not rest.any()
         return np.concatenate([h - finite @ theta[:, None], finite], axis=1)
 
@@ -154,21 +163,30 @@ def test_numbers_game_vectors_decide_left_descents(label, radius):
             assert np.array_equal(vectors(lin, tr), v - v[:, s, None] * cartan[s]), (label, s)
 
 
-@pytest.mark.parametrize("label, radius", [("A30", 2), ("A25", 3)])
+@pytest.mark.parametrize("label, radius", [("A30", 2), ("A25", 3), ("G2", 8), ("C3", 6)])
 def test_multi_word_keys_match_word_exhaustion_oracle(monkeypatch, label, radius):
     system = system_of(label)
-    key_words = []
+    key_calls = []
     pack = weyl._pack
 
     def recording_pack(cols):
         words = pack(cols)
-        if cols.shape[1] == system.rank:  # the alcove-point keys, not the canonical rows
-            key_words.append(len(words))
+        if cols.shape[1] == system.num_gens:  # the numbers-game keys, not the canonical rows
+            key_calls.append((len(cols), len(words)))
         return words
 
     monkeypatch.setattr(weyl, "_pack", recording_pack)
     ball = enumerate_ball(system, radius)
-    assert max(key_words) >= 2
+    if system.rank >= 25:  # keys too wide for one int64 word
+        assert max(words for _, words in key_calls) >= 2
+    # one key sort per step, over the frontier's ascents only: the (f, s) with l(f*s) = l(f) + 1
+    gen_lin, gen_tr = np.array(system.gen_linear), np.array(system.gen_translation)
+    ascents = []
+    for length, lv in enumerate(ball.levels[:-1]):
+        lin = lv.lin[:, None] @ gen_lin
+        tr = (lv.lin[:, None] @ gen_tr[..., None])[..., 0] + lv.tr[:, None]
+        ascents.append(int((coxeter_length(system, lin, tr) == length + 1).sum()))
+    assert [rows for rows, _ in key_calls] == ascents
     oracle = brute_force_elements(system, radius)
     assert ball.counts == brute_force_counts(system, radius)
     for length, lv in enumerate(ball.levels):
@@ -248,7 +266,8 @@ def test_counter_a1_widens_past_int16():
 
 def test_counter_memory_stays_small():
     # the ball E8/12 has 202,683 elements, but only coset representatives of
-    # length <= 12 are held, far below the 34 MiB of the alcove-point walk
+    # length <= 12 are held, far below the 161 MiB traced peak of
+    # enumerate_levels on the same ball
     system = system_of("E8")
     count_multilengths(system, 2)
     tracemalloc.start()
