@@ -49,7 +49,6 @@ _LAZY = {
     ),
     **dict.fromkeys(
         (
-            "COUNTING",
             "char_value_e_w",
             "character_series",
             "count_multilengths",
@@ -75,7 +74,7 @@ _LAZY = {
     **dict.fromkeys(("MatrixRep", "counting_series", "gyoja_series", "validate_rep"), "hecke"),
     "ResourceLimitExceeded": "limits",
     "TruncatedSeries": "series",
-    **dict.fromkeys(("Ball", "GroupElement", "enumerate_ball", "enumerate_levels", "write_jsonl"), "weyl"),
+    **dict.fromkeys(("Ball", "enumerate_ball", "enumerate_levels", "write_jsonl"), "weyl"),
 }
 
 __all__ = ["__version__", *_LAZY]

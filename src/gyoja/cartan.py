@@ -33,6 +33,7 @@ affine node attaches to).
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,6 +44,7 @@ __all__ = [
     "CartanType",
     "ClassPartition",
     "SignCharacter",
+    "residue_field_size",
     "AffineCoxeterSystem",
     "parse_cartan_type",
     "build_affine_system",
@@ -272,6 +274,19 @@ class SignCharacter:
 
     def __str__(self) -> str:
         return "(" + ",".join(f"{s:+d}" for s in self.signs) + ")"
+
+
+def residue_field_size(q_o) -> int:
+    """``q_o`` as a Python int; ValueError unless it is an integer >= 2.
+
+    q_o is the size of a residue field and q = q_o**2 the Hecke parameter.
+    Any ``numbers.Integral`` is accepted (numpy integers too); a float or a
+    ``Fraction`` is not, whatever its value.
+    """
+    # int first: it is the common case, and the ABC check costs ten times more
+    if not isinstance(q_o, (int, numbers.Integral)) or q_o < 2:
+        raise ValueError(f"q_o must be >= 2 (a residue field size, so an integer), got {q_o!r}")
+    return int(q_o)
 
 
 class AffineCoxeterSystem:

@@ -159,17 +159,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     from .cartan import build_affine_system
-    from .counting import COUNTING, character_series, count_multilengths, parse_sign_vector
+    from .counting import character_series, count_multilengths, parse_sign_vector
+    from .series import TruncatedSeries
 
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
     if args.character.strip().lower() == "counting":
         if args.qo is not None:
             raise _UsageError("--qo applies only to a sign character")
-        rep, q_o = COUNTING, None
+        eps = None
     else:
         try:
-            rep = parse_sign_vector(args.character)
+            eps = parse_sign_vector(args.character)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
         if args.qo is None:
@@ -178,10 +179,13 @@ def cmd_series(args: argparse.Namespace) -> int:
         if len(q_o_values) > 1:
             raise _UsageError(f"series takes one q_o value, got {args.qo!r}")
         q_o = q_o_values[0]
-        if len(rep.signs) != system.m:
+        if len(eps.signs) != system.m:
             raise _UsageError("multilength / sign vector dimension mismatch")
     counts = count_multilengths(system, args.degree, max_elements=args.cap)
-    series = character_series(counts, rep, system.m, args.degree, q_o)
+    if eps is None:
+        series = TruncatedSeries(system.m, args.degree, counts)
+    else:
+        series = character_series(counts, eps, system.m, args.degree, q_o)
     with _open_sink(args.output) as fp:
         if args.format == "json":
             import json

@@ -30,13 +30,11 @@ sort as they do lexicographically.
 The degree-1 characters of the Hecke algebra live here too, since their
 series need only these counts: a sign character's value on e_w depends on
 the multilength of w alone (:func:`char_value_e_w`), and
-:func:`character_series` weights each count by it.  The *counting
-character* ``COUNTING`` sends every e_w to 1 -- not a Hecke representation
-at all, but exactly the functional that degenerates L(t, r) into the growth
-series W(t) -- and is kept distinct from the trivial Hecke character, which
-sends every e_s to q.  A character's partial sums at a point
-(:func:`partial_sums_at_point`) need only these counts too.  Nothing here
-imports numpy, so ``gyoja series`` runs on plain ints end to end.
+:func:`character_series` weights each count by it.  The growth series W(t)
+itself is the counts unweighted, ``TruncatedSeries(m, bound, counts)``.  A
+character's partial sums at a point (:func:`partial_sums_at_point`) need
+only these counts too.  Nothing here imports numpy, so ``gyoja series``
+runs on plain ints end to end.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from fractions import Fraction
 from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-from .cartan import AffineCoxeterSystem, SignCharacter
+from .cartan import AffineCoxeterSystem, SignCharacter, residue_field_size
 from .limits import ResourceLimitExceeded, element_cap
 from .series import TruncatedSeries
 
@@ -53,8 +51,6 @@ if TYPE_CHECKING:
     from .weyl import Ball
 
 __all__ = [
-    "COUNTING",
-    "CountingCharacter",
     "char_value_e_s",
     "char_value_e_w",
     "character_series",
@@ -162,16 +158,6 @@ def _degree(a: Levels, b: Levels, k: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-class CountingCharacter:
-    """Formal functional e_w -> 1; turns L(t, r) into the growth series W(t)."""
-
-    def __repr__(self) -> str:
-        return "COUNTING"
-
-
-COUNTING = CountingCharacter()
-
-
 def parse_sign_vector(text: str) -> SignCharacter:
     """Parse "[-1,1]" or "-1,1" into a SignCharacter."""
     body = text.strip().removeprefix("[").removesuffix("]")
@@ -187,8 +173,7 @@ def char_value_e_s(eps: SignCharacter, class_index: int, q_o: int) -> int:
 
     Raises ValueError unless q_o, a residue field size, is an integer >= 2.
     """
-    if not isinstance(q_o, int) or q_o < 2:
-        raise ValueError("q_o must be >= 2 (a residue field size)")
+    q_o = residue_field_size(q_o)
     s = eps.signs[class_index]
     return s * q_o ** (s + 1)
 
@@ -209,23 +194,17 @@ def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> 
 
 def character_series(
     counts: Mapping[tuple[int, ...], int],
-    rep: CountingCharacter | SignCharacter,
+    eps: SignCharacter,
     m: int,
     bound: int,
-    q_o: int | None = None,
+    q_o: int,
 ) -> TruncatedSeries:
-    """L(t, r) of a scalar character from the number of elements per multilength.
+    """L(t, eps) of a sign character from the number of elements per multilength.
 
-    ``COUNTING`` gives the growth series W(t); a sign character (requires
-    ``q_o``) weights each count by its value r(e_w) = :func:`char_value_e_w`.
+    Each count is weighted by the character's value r(e_w) =
+    :func:`char_value_e_w`, which needs ``q_o``.
     """
-    if isinstance(rep, CountingCharacter):
-        return TruncatedSeries(m, bound, counts)
-    if q_o is None:
-        raise ValueError("a sign character needs q_o")
-    return TruncatedSeries(
-        m, bound, {ml: count * char_value_e_w(rep, ml, q_o) for ml, count in counts.items()}
-    )
+    return TruncatedSeries(m, bound, {ml: count * char_value_e_w(eps, ml, q_o) for ml, count in counts.items()})
 
 
 def partial_sums_at_point(
@@ -241,8 +220,7 @@ def partial_sums_at_point(
     its system and, when ``radius`` is not given, its radius; its elements
     are not read.
     """
-    if q_o < 2:
-        raise ValueError("q_o must be >= 2")
+    q_o = residue_field_size(q_o)
     if not isinstance(system, AffineCoxeterSystem):
         system, radius = system.system, system.radius if radius is None else radius
     if radius is None:

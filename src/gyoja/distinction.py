@@ -35,6 +35,7 @@ from .cartan import (
     SignCharacter,
     borel_discrete_series_list,
     build_affine_system,
+    residue_field_size,
 )
 from .closed_forms import PoleError, calibrate_indexing, growth_closed_form
 
@@ -71,9 +72,8 @@ class EvaluationPoint:
 
     @staticmethod
     def from_character(eps: SignCharacter, q_o: int) -> "EvaluationPoint":
-        if not isinstance(q_o, int) or q_o < 2:
-            raise ValueError("q_o must be >= 2 (a residue field size)")
-        return EvaluationPoint(tuple(s * Fraction(q_o) ** s for s in eps.signs))
+        q = Fraction(residue_field_size(q_o))
+        return EvaluationPoint(tuple(s * q**s for s in eps.signs))
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,7 @@ def distinction_value(
 
 def classify(ctype: CartanType, q_o: int) -> list[DistinctionVerdict]:
     """One verdict per discrete-series sign character of the type."""
+    q_o = residue_field_size(q_o)
     verdicts = []
     for eps in borel_discrete_series_list(ctype):
         value, witness = distinction_value_witnessed(ctype, eps, q_o)
@@ -206,6 +207,7 @@ def robustness_check(ctype: CartanType, eps: SignCharacter, q_o: int = 2) -> Rob
     produce a verdict; it is recorded and skipped, and the calibrated
     binding itself is required to be pole-free.
     """
+    q_o = residue_field_size(q_o)
     system = build_affine_system(ctype)
     m = system.m
     if len(eps.signs) != m:

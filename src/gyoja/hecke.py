@@ -42,14 +42,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cartan import INFINITE_BOND, AffineCoxeterSystem, ClassPartition, SignCharacter
-from .counting import (
-    COUNTING,
-    CountingCharacter,
-    char_value_e_s,
-    character_series,
-    partial_sums_at_point,
-)
+from .cartan import INFINITE_BOND, AffineCoxeterSystem, ClassPartition, SignCharacter, residue_field_size
+from .counting import char_value_e_s, character_series, partial_sums_at_point
 from .series import TruncatedSeries
 
 if TYPE_CHECKING:
@@ -95,7 +89,7 @@ def _square_entries(matrix, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatrixRep:
-    """Generator s acts by ``numerators[s] / denominator``; q is the parameter.
+    """Generator s acts by ``numerators[s] / denominator``; q = q_o**2 is the parameter.
 
     The numerators are read-only object arrays of Python ints and the
     denominator is the least positive common one.  Build with :meth:`make`.
@@ -104,7 +98,7 @@ class MatrixRep:
     """
 
     dimension: int
-    q: Fraction
+    q: int
     numerators: tuple[np.ndarray, ...]
     denominator: int
 
@@ -125,16 +119,15 @@ class MatrixRep:
         return tuple(_over(num, self.denominator) for num in self.numerators)
 
     @staticmethod
-    def make(matrices: Sequence, q_o: int | None = None, q: Fraction | int | None = None) -> "MatrixRep":
-        """Convert exact-rational generator matrices, all of one square shape.
+    def make(matrices: Sequence, q_o: int) -> "MatrixRep":
+        """Convert exact-rational generator matrices, all of one square shape, with q = q_o**2.
 
-        Entries and the parameter must be ``numbers.Rational`` (``int``,
-        ``Fraction``, numpy integers); a float raises ValueError rather than
-        being read as its binary fraction.
+        Entries must be ``numbers.Rational`` (``int``, ``Fraction``, numpy
+        integers); a float raises ValueError rather than being read as its
+        binary fraction.  q_o must be an integer >= 2, as
+        :func:`~gyoja.cartan.residue_field_size` checks.
         """
-        if (q_o is None) == (q is None):
-            raise ValueError("give exactly one of q_o or q")
-        qq = _rational(q, "q") if q_o is None else _rational(q_o, "q_o") ** 2
+        q = residue_field_size(q_o) ** 2
         if not len(matrices):
             raise ValueError("need at least one generator matrix")
         mats = [_square_entries(rows, s) for s, rows in enumerate(matrices)]
@@ -150,7 +143,7 @@ class MatrixRep:
             num.flat = [x.numerator * (den // x.denominator) for x in flat]
             num.flags.writeable = False
             nums.append(num)
-        return MatrixRep(shape[0], qq, tuple(nums), den)
+        return MatrixRep(shape[0], q, tuple(nums), den)
 
     @staticmethod
     def from_sign_character(eps: SignCharacter, partition: ClassPartition, q_o: int) -> "MatrixRep":
@@ -160,7 +153,7 @@ class MatrixRep:
             [[char_value_e_s(eps, partition.class_of[s], q_o)]]
             for s in range(len(partition.class_of))
         ]
-        return MatrixRep.make(mats, q_o=q_o)
+        return MatrixRep.make(mats, q_o)
 
 
 @dataclass(frozen=True)
@@ -184,10 +177,10 @@ def _is_zero_matrix(mat: np.ndarray) -> bool:
 def validate_rep(rep: MatrixRep, system: AffineCoxeterSystem) -> RepValidationReport:
     """Check every quadratic and braid relation exactly; report the failures.
 
-    With r(e_s) = N_s / d and q = a / b, the quadratic relation
-    (r(e_s) + 1)(r(e_s) - q) = 0 is (N_s + d I)(b N_s - a d I) = 0, and both
-    sides of a braid relation are products of m_st numerators over d^m_st,
-    so every check is on integer matrices.
+    With r(e_s) = N_s / d, the quadratic relation (r(e_s) + 1)(r(e_s) - q) = 0
+    is (N_s + d I)(N_s - q d I) = 0, and both sides of a braid relation are
+    products of m_st numerators over d^m_st, so every check is on integer
+    matrices.
     """
     violations = []
     nums = rep.numerators
@@ -196,9 +189,9 @@ def validate_rep(rep: MatrixRep, system: AffineCoxeterSystem) -> RepValidationRe
             (f"expected {system.num_gens} generator matrices, got {len(nums)}",)
         )
     eye = np.eye(rep.dimension, dtype=object)
-    d, a, b = rep.denominator, rep.q.numerator, rep.q.denominator
+    d, q = rep.denominator, rep.q
     for s, num in enumerate(nums):
-        lhs = (num + d * eye).dot(b * num - a * d * eye)
+        lhs = (num + d * eye).dot(num - q * d * eye)
         if not _is_zero_matrix(lhs):
             violations.append(f"quadratic relation fails at generator {s}")
     for s in range(system.num_gens):
@@ -237,33 +230,39 @@ def eval_rep_on_word(rep: MatrixRep, word: Sequence[int]) -> np.ndarray:
 
 
 def counting_series(ball: Ball, bound: int | None = None) -> TruncatedSeries:
-    """Growth series W(t): one t_1^(l_1)...t_m^(l_m) term per element."""
-    return gyoja_series(ball, COUNTING, bound=bound)
+    """Growth series W(t): one t_1^(l_1)...t_m^(l_m) term per element, to degree ``bound``."""
+    return TruncatedSeries(ball.system.m, _degree_bound(ball, bound), ball.multilength_counts())
+
+
+def _degree_bound(ball: Ball, bound: int | None) -> int:
+    """``bound``, or the ball's radius when it is None; ValueError past the radius."""
+    if bound is None:
+        return ball.radius
+    if bound > ball.radius:
+        raise ValueError(f"ball of radius {ball.radius} cannot determine degree {bound}")
+    return bound
 
 
 def gyoja_series(
     ball: Ball,
-    rep: CountingCharacter | SignCharacter | MatrixRep,
+    rep: SignCharacter | MatrixRep,
     q_o: int | None = None,
     bound: int | None = None,
 ):
     """Truncated generating series L(t, r) accumulated over a ball.
 
-    For ``COUNTING`` and a :class:`SignCharacter` (requires ``q_o``) the
-    result is a scalar :class:`TruncatedSeries`; for a :class:`MatrixRep` it
-    is a (d, d) object array of series.  A matrix rep is evaluated level by
-    level along the BFS tree, r(e_w) = r(e_parent) r(e_s), which is the
-    product :func:`eval_rep_on_word` forms along w's geodesic; the products
-    and the per-multilength sums are integer numerators, and each class is
-    divided by denominator^l once.  Callers are expected to have validated
-    the rep once.
+    For a :class:`SignCharacter` (requires ``q_o``) the result is a scalar
+    :class:`TruncatedSeries`, from the ball's multilength counts; for a
+    :class:`MatrixRep` it is a (d, d) object array of series.  A matrix rep
+    is evaluated level by level along the BFS tree, r(e_w) = r(e_parent)
+    r(e_s), which is the product :func:`eval_rep_on_word` forms along w's
+    geodesic; the products and the per-multilength sums are integer
+    numerators, and each class is divided by denominator^l once.  Callers
+    are expected to have validated the rep once.
     """
-    if bound is None:
-        bound = ball.radius
-    if bound > ball.radius:
-        raise ValueError(f"ball of radius {ball.radius} cannot determine degree {bound}")
+    bound = _degree_bound(ball, bound)
     m = ball.system.m
-    if isinstance(rep, (CountingCharacter, SignCharacter)):
+    if isinstance(rep, SignCharacter):
         return character_series(ball.multilength_counts(), rep, m, bound, q_o)
     if isinstance(rep, MatrixRep):
         nums = rep.numerators

@@ -7,13 +7,15 @@ coefficients are never stored.  Truncation is by *total* degree, matching the
 grading in which a radius-N ball of the group determines the series exactly
 to degree N.
 
-Values are immutable and all operations are pure.
+Values are immutable and all operations are pure.  Sums and scalar
+multiples are the only arithmetic on values; products of series are formed
+on degree-graded dicts by the kernels at the end of this module.
 
->>> t1, t2 = variables(2, 4)
->>> print((one(2, 4) + t1) * (one(2, 4) + t2))
-1 + t1 + t2 + t1·t2
->>> print(geometric(2, (1, 1), 4))
-1 + t1·t2 + t1^2·t2^2
+>>> a = TruncatedSeries(2, 4, {(1, 0): 1, (1, 1): 2})
+>>> print(one(2, 4) + a * 3)
+1 + 3·t1 + 6·t1·t2
+>>> print(a.permute_variables((1, 0)))
+t2 + 2·t1·t2
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 __all__ = [
     "TruncatedSeries",
     "one",
-    "zero",
-    "monomial",
-    "variables",
-    "geometric",
     "render_monomial",
     "term_order",
     "var_names",
@@ -76,44 +74,20 @@ class TruncatedSeries:
         self.bound = bound
         self.coeffs = clean
 
-    # -- ring structure ----------------------------------------------------
-
-    def _check_compatible(self, other: "TruncatedSeries") -> int:
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable mismatch: {self.nvars} vs {other.nvars}")
-        return min(self.bound, other.bound)
+    # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        bound = self._check_compatible(other)
+        if self.nvars != other.nvars:
+            raise ValueError(f"variable mismatch: {self.nvars} vs {other.nvars}")
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
             out[exp] = out.get(exp, 0) + c
-        return TruncatedSeries(self.nvars, bound, out)
+        return TruncatedSeries(self.nvars, min(self.bound, other.bound), out)
 
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.nvars, self.bound, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(
-                self.nvars, self.bound, {e: c * other for e, c in self.coeffs.items()}
-            )
-        bound = self._check_compatible(other)
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.coeffs.items():
-            da = sum(ea)
-            for eb, cb in other.coeffs.items():
-                if da + sum(eb) > bound:
-                    continue
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                prev = out.get(exp)
-                out[exp] = ca * cb if prev is None else prev + ca * cb
-        return TruncatedSeries(self.nvars, bound, out)
-
-    __rmul__ = __mul__
+    def __mul__(self, scalar: Fraction | int) -> "TruncatedSeries":
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return TruncatedSeries(self.nvars, self.bound, {e: c * scalar for e, c in self.coeffs.items()})
 
     # -- reshaping -----------------------------------------------------------
 
@@ -134,19 +108,6 @@ class TruncatedSeries:
 
     def coefficient(self, exp: Exponent) -> Fraction:
         return self.coeffs.get(tuple(exp), Fraction(0))
-
-    def evaluate(self, point: Iterable[Fraction | int]) -> Fraction:
-        """Plain substitution of the stored (truncated) polynomial."""
-        pt = [Fraction(x) for x in point]
-        if len(pt) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for exp, c in self.coeffs.items():
-            term = c
-            for x, e in zip(pt, exp):
-                term *= x**e
-            total += term
-        return total
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -251,34 +212,5 @@ def _divide_by(levels: Levels, tail: list[tuple[Exponent, int, Any]], bound: int
 # -- constructors ------------------------------------------------------------
 
 
-def zero(nvars: int, bound: int) -> TruncatedSeries:
-    return TruncatedSeries(nvars, bound, {})
-
-
 def one(nvars: int, bound: int) -> TruncatedSeries:
     return TruncatedSeries(nvars, bound, {(0,) * nvars: Fraction(1)})
-
-
-def monomial(nvars: int, bound: int, exp: Exponent, coeff: Fraction | int = 1) -> TruncatedSeries:
-    return TruncatedSeries(nvars, bound, {tuple(exp): Fraction(coeff)})
-
-
-def variables(nvars: int, bound: int) -> list[TruncatedSeries]:
-    return [
-        monomial(nvars, bound, tuple(1 if j == i else 0 for j in range(nvars)))
-        for i in range(nvars)
-    ]
-
-
-def geometric(nvars: int, exp: Exponent, bound: int) -> TruncatedSeries:
-    """1 + x + x^2 + ... for the monomial x with the given exponent vector."""
-    step = sum(exp)
-    if step == 0:
-        raise ValueError("geometric series needs a non-constant monomial")
-    out: dict[Exponent, Fraction] = {}
-    k = 0
-    while k * step <= bound:
-        out[tuple(k * e for e in exp)] = Fraction(1)
-        k += 1
-    return TruncatedSeries(nvars, bound, out)
-

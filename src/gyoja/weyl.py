@@ -52,42 +52,14 @@ from typing import IO, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .cartan import AffineCoxeterSystem
-from .limits import DEFAULT_MAX_ELEMENTS, ResourceLimitExceeded, element_cap
+from .limits import ResourceLimitExceeded, element_cap
 
 __all__ = [
-    "DEFAULT_MAX_ELEMENTS",
-    "ResourceLimitExceeded",
-    "GroupElement",
     "Ball",
-    "element_cap",
     "enumerate_ball",
     "enumerate_levels",
     "write_jsonl",
 ]
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """One affine Weyl group element with its cached combinatorial data."""
-
-    linear: tuple[tuple[int, ...], ...]
-    translation: tuple[int, ...]
-    length: int
-    multilength: tuple[int, ...]
-    geodesic: tuple[int, ...]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.length == 0
-
-    def as_json_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "multilength": list(self.multilength),
-            "geodesic": list(self.geodesic),
-            "matrix": [list(r) for r in self.linear],
-            "translation": list(self.translation),
-        }
 
 
 @dataclass
@@ -106,7 +78,7 @@ _EXPORT_CHUNK_ROWS = 1024
 
 
 class Ball:
-    """All elements of length <= radius, grouped by length; immutable."""
+    """All elements of length <= radius, as the level arrays of :func:`enumerate_levels`; immutable."""
 
     def __init__(self, system: AffineCoxeterSystem, levels: list[_Level]):
         self.system = system
@@ -115,37 +87,8 @@ class Ball:
         self.counts = tuple(len(lv) for lv in levels)
         self.total = sum(self.counts)
 
-    # -- lookups ---------------------------------------------------------
-
-    def geodesic(self, length: int, i: int) -> tuple[int, ...]:
-        word: list[int] = []
-        k = length
-        while k > 0:
-            lv = self.levels[k]
-            word.append(int(lv.letter[i]))
-            i = int(lv.parent[i])
-            k -= 1
-        return tuple(reversed(word))
-
-    def element(self, length: int, i: int) -> GroupElement:
-        lv = self.levels[length]
-        return GroupElement(
-            linear=tuple(tuple(int(x) for x in row) for row in lv.lin[i]),
-            translation=tuple(int(x) for x in lv.tr[i]),
-            length=length,
-            multilength=tuple(int(x) for x in lv.multilength[i]),
-            geodesic=self.geodesic(length, i),
-        )
-
-    def __iter__(self) -> Iterator[GroupElement]:
-        for length, lv in enumerate(self.levels):
-            for i in range(len(lv)):
-                yield self.element(length, i)
-
     def __len__(self) -> int:
         return self.total
-
-    # -- aggregates ------------------------------------------------------
 
     def multilength_counts(self) -> dict[tuple[int, ...], int]:
         """Number of elements per class-graded length vector, by length and then lexicographic.
@@ -357,8 +300,9 @@ def _right_products(
 def write_jsonl(system: AffineCoxeterSystem, levels: Iterable[_Level], fp: IO[str]) -> list[int]:
     """Write levels 0, 1, ... as JSON lines, each as it arrives; returns each level's size.
 
-    The bytes are those of ``json.dumps(el.as_json_dict(),
-    separators=(",", ":"))`` for each element in canonical order.  Each
+    Each element is one line, in canonical order: ``json.dumps`` with
+    ``separators=(",", ":")`` of the record with keys ``length``,
+    ``multilength``, ``geodesic``, ``matrix`` and ``translation``.  Each
     level formats only what is new in it (see :func:`_write_level`), and
     only the previous level's geodesic strings are carried to the next, so
     with the levels of :func:`enumerate_levels` a level is on ``fp`` before

@@ -4,19 +4,26 @@ Everything here deliberately avoids the library's breadth-first enumeration
 logic: elements are found by evaluating *every* word up to a length bound
 (via the exact generator actions) and taking minima, so lengths, reduced
 words and counts come from a different computation path than the Ball.
+Truncated products and values of series are plain dict sums, sharing no
+code with the library's degree-graded kernels, and a ball's elements are
+read one by one from its level arrays, as the per-element reference of the
+jsonl export.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from gyoja.cartan import INFINITE_BOND, AffineCoxeterSystem, CartanType
 from gyoja.hecke import MatrixRep
+from gyoja.series import TruncatedSeries
 
 
 def element_key(lin: np.ndarray, tr: np.ndarray) -> bytes:
@@ -154,6 +161,89 @@ def exponents_table(family: str, n: int) -> tuple[int, ...]:
         7: (1, 5, 7, 9, 11, 13, 17),
         8: (1, 7, 11, 13, 17, 19, 23, 29),
     }[n]
+
+
+# ---------------------------------------------------------------------------
+# Elements of a ball, one at a time
+# ---------------------------------------------------------------------------
+
+
+class Element(NamedTuple):
+    length: int
+    multilength: tuple[int, ...]
+    geodesic: tuple[int, ...]
+    linear: tuple[tuple[int, ...], ...]
+    translation: tuple[int, ...]
+
+
+def ball_elements(ball) -> Iterator[Element]:
+    """Every element of a ball, level by level in canonical order, read from ``ball.levels``.
+
+    An element's geodesic is its parent's (a row of the level before)
+    followed by its discovery letter.
+    """
+    geodesics: list[tuple[int, ...]] = [()]
+    for length, lv in enumerate(ball.levels):
+        if length:
+            geodesics = [geodesics[p] + (s,) for p, s in zip(lv.parent.tolist(), lv.letter.tolist())]
+        rows = zip(lv.multilength.tolist(), geodesics, lv.lin.tolist(), lv.tr.tolist())
+        for multilength, geodesic, linear, translation in rows:
+            yield Element(length, tuple(multilength), geodesic, tuple(map(tuple, linear)), tuple(translation))
+
+
+def element_json(el: Element) -> dict:
+    """The jsonl record of one element, keys in export order."""
+    return {
+        "length": el.length,
+        "multilength": list(el.multilength),
+        "geodesic": list(el.geodesic),
+        "matrix": [list(row) for row in el.linear],
+        "translation": list(el.translation),
+    }
+
+
+# ---------------------------------------------------------------------------
+# Truncated series by plain dict sums
+# ---------------------------------------------------------------------------
+
+
+def _convolve(a: dict, b: dict, bound: int) -> dict:
+    """The product of two exponent-to-coefficient dicts, terms above total degree ``bound`` dropped."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exp = tuple(x + y for x, y in zip(ea, eb))
+            if sum(exp) <= bound:
+                out[exp] = out.get(exp, 0) + ca * cb
+    return out
+
+
+def truncated_product(form, bound: int) -> TruncatedSeries:
+    """A closed form's expansion to total degree ``bound``, by convolving one factor at a time.
+
+    A numerator factor, sum over i < k of (sign * t^exp)^i, is convolved as
+    its k terms.  A denominator factor must be a binomial 1 - t^exp (else
+    AssertionError), and 1 / (1 - t^exp) is convolved as the geometric
+    series 1 + t^exp + t^(2 exp) + ... up to the bound.
+    """
+    acc = {(0,) * form.nvars: 1}
+    for f in form.numerator:
+        acc = _convolve(acc, {tuple(i * e for e in f.exp): f.sign**i for i in range(f.k)}, bound)
+    for f in form.denominator:
+        assert (f.sign, f.k) == (-1, 2), f"{f} is not a binomial 1 - x^e"
+        acc = _convolve(acc, {tuple(i * e for e in f.exp): 1 for i in range(bound // sum(f.exp) + 1)}, bound)
+    return TruncatedSeries(form.nvars, bound, acc)
+
+
+def truncated_value(series: TruncatedSeries, point) -> Fraction:
+    """The stored terms of a series summed at ``point``, exactly."""
+    total = Fraction(0)
+    for exp, c in series.coeffs.items():
+        term = Fraction(c)
+        for x, e in zip(point, exp):
+            term *= Fraction(x) ** e
+        total += term
+    return total
 
 
 # ---------------------------------------------------------------------------

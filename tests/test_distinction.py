@@ -1,11 +1,14 @@
+import json
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gyoja.distinction as distinction_module
+from _oracles import ball_elements
 from conftest import get_ball
 from gyoja.cartan import (
     SignCharacter,
@@ -49,6 +52,14 @@ def test_evaluation_needs_an_integer_qo_of_at_least_2(q_o):
         EvaluationPoint.from_character(steinberg_character(g2), q_o)
     with pytest.raises(ValueError, match="q_o must be >= 2"):
         classify(g2, q_o)
+
+
+def test_numpy_integer_qo_is_stored_as_a_python_int():
+    g2 = parse_cartan_type("G2")
+    verdicts = classify(g2, np.int64(3))
+    assert verdicts == classify(g2, 3) and all(type(v.q_o) is int for v in verdicts)
+    json.dumps([verdict_json_dict(v) for v in verdicts])
+    assert type(robustness_check(g2, steinberg_character(g2), np.int64(3)).q_o) is int
 
 
 def test_a1_steinberg_spot_values():
@@ -245,13 +256,10 @@ def test_cell_sums_reproduce_partial_sums():
     ball = get_ball("C2", 6)
     eps = SignCharacter((-1, -1, 1))
     sums = partial_sums_at_point(ball.system, eps, 2, radius=ball.radius)
-    acc = Fraction(0)
-    by_hand = []
-    for k in range(ball.radius + 1):
-        for i in range(ball.counts[k]):
-            el = ball.element(k, i)
-            acc += char_value_e_w(eps, el.multilength, 2) * Fraction(1, 2) ** el.length
-        by_hand.append(acc)
+    by_length = [Fraction(0)] * (ball.radius + 1)
+    for el in ball_elements(ball):
+        by_length[el.length] += char_value_e_w(eps, el.multilength, 2) * Fraction(1, 2) ** el.length
+    by_hand = [sum(by_length[: k + 1]) for k in range(ball.radius + 1)]
     assert by_hand == sums
 
 

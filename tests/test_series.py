@@ -5,34 +5,27 @@ from fractions import Fraction
 import pytest
 
 import gyoja.series as series_module
-from gyoja.series import TruncatedSeries, monomial, one, variables, zero
+from gyoja.series import TruncatedSeries, one
 
 
 def test_module_doctests():
     assert doctest.testmod(series_module) == (0, 3)
 
 
-def test_binomial_product():
-    (t,) = variables(1, 2)
-    assert (one(1, 2) + t) * (one(1, 2) - t) == TruncatedSeries(1, 2, {(0,): 1, (2,): -1})
-
-
-def test_multiplicative_identity():
-    a = TruncatedSeries(2, 3, {(0, 0): Fraction(2, 3), (1, 1): -1, (2, 0): 5})
-    assert a * one(2, 3) == a
-
-
-def test_two_variable_binomials():
-    t1, t2 = variables(2, 2)
-    prod = (one(2, 2) + t1) * (one(2, 2) + t2)
-    assert prod == TruncatedSeries(2, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
-
-
 def test_variable_mismatch_rejected():
     with pytest.raises(ValueError):
         one(1, 3) + one(2, 3)
-    with pytest.raises(ValueError):
-        one(1, 3) * one(2, 3)
+
+
+def test_only_scalars_multiply():
+    a = TruncatedSeries(2, 3, {(0, 0): Fraction(2, 3), (1, 1): -1, (2, 0): 5})
+    assert a * 3 == TruncatedSeries(2, 3, {(0, 0): 2, (1, 1): -3, (2, 0): 15})
+    assert a * Fraction(3, 2) == TruncatedSeries(2, 3, {(0, 0): 1, (1, 1): Fraction(-3, 2), (2, 0): Fraction(15, 2)})
+    for other in (one(2, 3), 0.5):
+        with pytest.raises(TypeError):
+            a * other
+    with pytest.raises(TypeError):
+        2 * a
 
 
 def test_bad_exponents_rejected():
@@ -60,10 +53,11 @@ def test_ring_axioms_on_random_inputs():
         a = _random_series(rng, nvars, bound)
         b = _random_series(rng, nvars, bound)
         c = _random_series(rng, nvars, bound)
+        r = Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
         assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert a + b == b + a
+        assert (a + b) * r == a * r + b * r
+        assert a * r * 2 == a * r + a * r
 
 
 def test_permute_variables():
@@ -74,13 +68,11 @@ def test_permute_variables():
 
 
 def test_rendering_canonical():
-    t1, t2 = variables(2, 2)
-    s = one(2, 2) + t1 + t2 + 2 * (t1 * t2)
+    s = TruncatedSeries(2, 2, {(1, 1): 2, (0, 1): 1, (0, 0): 1, (1, 0): 1})
     assert str(s) == "1 + t1 + t2 + 2·t1·t2"
-    assert str(zero(2, 2)) == "0"
-    (t,) = variables(1, 3)
-    assert str(one(1, 3) - t * Fraction(1, 2)) == "1 - 1/2·t"
-    assert str(monomial(1, 4, (3,))) == "t^3"
+    assert str(TruncatedSeries(2, 2, {})) == "0"
+    assert str(TruncatedSeries(1, 3, {(1,): Fraction(-1, 2), (0,): 1})) == "1 - 1/2·t"
+    assert str(TruncatedSeries(1, 4, {(3,): 1})) == "t^3"
 
 
 def test_first_difference():

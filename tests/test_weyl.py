@@ -11,9 +11,11 @@ import pytest
 
 from _oracles import (
     alcove_point,
+    ball_elements,
     brute_force_counts,
     brute_force_elements,
     coxeter_length,
+    element_json,
     word_map,
     word_multilength,
 )
@@ -40,8 +42,8 @@ def test_radius_zero_is_identity_only():
     for label in ("A1", "G2", "C3"):
         ball = enumerate_ball(system_of(label), 0)
         assert ball.counts == (1,)
-        el = ball.element(0, 0)
-        assert el.is_identity and el.geodesic == () and not any(el.translation)
+        (el,) = ball_elements(ball)
+        assert el.length == 0 and el.geodesic == () and not any(el.translation)
 
 
 @pytest.mark.parametrize("label,n", [("A1", 6), ("A2", 5), ("C2", 5), ("G2", 5), ("B3", 4)])
@@ -69,7 +71,7 @@ def test_geodesics_evaluate_to_their_elements():
     for label in ("A1", "C2", "G2", "B3"):
         system = system_of(label)
         ball = get_ball(label, 4)
-        for el in ball:
+        for el in ball_elements(ball):
             if el.length > 4:
                 break
             lin, tr = word_map(system, el.geodesic)
@@ -80,7 +82,7 @@ def test_geodesics_evaluate_to_their_elements():
 
 def test_multilength_matches_geodesic_letters():
     system = system_of("C3")
-    for el in get_ball("C3", 4):
+    for el in ball_elements(get_ball("C3", 4)):
         if el.length > 4:
             break
         assert el.multilength == word_multilength(system, el.geodesic)
@@ -93,7 +95,7 @@ def test_lengths_agree_with_oracle(label):
     ball = get_ball(label, 6)
     oracle = brute_force_elements(system, 6)
     checked = 0
-    for el in ball:
+    for el in ball_elements(ball):
         if el.length > 6:
             break
         lin, tr = np.array(el.linear, dtype=np.int64), np.array(el.translation, dtype=np.int64)
@@ -225,7 +227,7 @@ COUNTER_CASES = [
 def test_multilength_counts_match_per_element_tally(label, radius):
     ball = enumerate_ball(system_of(label), radius)
     counts = ball.multilength_counts()
-    assert counts == Counter(el.multilength for el in ball)
+    assert counts == Counter(el.multilength for el in ball_elements(ball))
     assert list(counts) == sorted(counts, key=lambda ml: (sum(ml), ml))  # level by level, lexicographic
 
 
@@ -365,7 +367,7 @@ def test_jsonl_export_roundtrip():
     lines = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert written == ball.total == len(lines)
     assert sorted({tuple(rec["geodesic"]) for rec in lines}) == sorted(
-        {el.geodesic for el in ball}
+        {el.geodesic for el in ball_elements(ball)}
     )
     for rec in lines:
         assert set(rec) == {"length", "multilength", "geodesic", "matrix", "translation"}
@@ -387,7 +389,7 @@ def test_jsonl_export_is_byte_identical_to_per_element_reference(label, radius):
         assert max(ball.counts) > weyl._EXPORT_CHUNK_ROWS
     if label == "B12":
         # geodesics of length >= 3 carry two-digit letters
-        assert any(max(el.geodesic) >= 10 for el in ball if el.length >= 3)
+        assert any(max(el.geodesic) >= 10 for el in ball_elements(ball) if el.length >= 3)
     if label == "C3" and radius == 26:
         # the 1,084-element top level spans two chunks and repeats its linear parts
         top = ball.levels[-1]
@@ -396,7 +398,7 @@ def test_jsonl_export_is_byte_identical_to_per_element_reference(label, radius):
     buf = io.StringIO()
     written = sum(write_jsonl(ball.system, ball.levels, buf))
     reference = "".join(
-        json.dumps(el.as_json_dict(), separators=(",", ":")) + "\n" for el in ball
+        json.dumps(element_json(el), separators=(",", ":")) + "\n" for el in ball_elements(ball)
     )
     assert written == ball.total
     assert buf.getvalue() == reference
