@@ -18,13 +18,10 @@ decided by truncated expansion, and evaluation walks the factors so that an
 exact zero is always witnessed by a vanishing numerator factor, never by
 cancellation.
 
-:meth:`ClosedForm.expand` works in plain ints on one series held as a dict
-per total degree.  Every factor has constant term +1 and coefficients +-1,
-so a numerator factor 1 + sum c*t^e is one shifted add of the accumulator
-per non-constant term, and a denominator factor is exact division,
-q[m] = a[m] - sum c*q[m - e], walked in increasing total degree so that
-each q[m] is final before anything reads it.  A factor of k terms costs
-O(terms * k); a ``TruncatedSeries`` is built once, at the end.
+:meth:`ClosedForm.expand` works in plain ints on a graded dict of
+:mod:`gyoja.series`.  Every factor has constant term +1, so a numerator
+factor is one product and a denominator factor one exact division; a
+``TruncatedSeries`` is built once, at the end.
 
 Evaluation works in integers too: where the monomial of a factor takes the
 value p / r, the factor is one integer over r^(k-1), the values are
@@ -54,7 +51,7 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from .cartan import CartanType, build_affine_system, exponents
-from .series import Levels, TruncatedSeries, _divide_by, _merged, _multiply_by, _tail, render_monomial, var_names
+from .series import Exponent, Graded, TruncatedSeries, divide, graded, product, render_monomial, ungraded, var_names
 from .limits import ResourceLimitExceeded
 
 __all__ = [
@@ -70,8 +67,6 @@ __all__ = [
     "calibrate_indexing",
     "CalibrationResult",
 ]
-
-Exponent = tuple[int, ...]
 
 
 class PoleError(ZeroDivisionError):
@@ -151,15 +146,6 @@ class Factor:
         return "(" + " ".join(parts) + ")"
 
 
-def _count_terms(levels: Levels, degrees: Iterable[int], cap: int | None) -> None:
-    """Walk ``degrees`` in order; raise once the terms stored up to one pass ``cap``."""
-    stored = 0
-    for d in degrees:
-        stored += len(levels[d])
-        if cap is not None and stored > cap:
-            raise TermLimitExceeded(d, cap)
-
-
 @dataclass(frozen=True)
 class ClosedForm:
     """product(numerator) / product(denominator), factors verbatim."""
@@ -176,19 +162,25 @@ class ClosedForm:
     def expand(self, bound: int, max_terms: int | None = None) -> TruncatedSeries:
         """Truncated expansion to total degree ``bound``, in plain ints.
 
-        Each numerator factor is one shifted add per non-constant term, each
-        denominator factor one exact division (see ``series._divide_by``).
-        With ``max_terms``, the stored terms are counted once per total
-        degree, and :class:`TermLimitExceeded` is raised as soon as they
-        pass the cap.
+        Each numerator factor is one product and each denominator factor one
+        exact division, on the graded dicts of :mod:`gyoja.series`.  With
+        ``max_terms``, the nonzero stored terms are counted once per total
+        degree after each factor, and :class:`TermLimitExceeded` is raised
+        as soon as they pass the cap.
         """
-        levels = {0: {(0,) * self.nvars: 1}}
-        for f in self.numerator:
-            _multiply_by(levels, _tail(f.terms), bound)
-            _count_terms(levels, sorted(levels), max_terms)
-        for f in self.denominator:
-            _count_terms(levels, _divide_by(levels, _tail(f.terms), bound), max_terms)
-        return TruncatedSeries(self.nvars, bound, _merged(levels))
+        levels: Graded = {0: {0: 1}}
+        for is_divisor, f in [(False, f) for f in self.numerator] + [(True, f) for f in self.denominator]:
+            if is_divisor:
+                degrees: Iterable[int] = divide(levels, graded(f.terms, bound), bound)
+            else:
+                levels = product(levels, graded(f.terms, bound), bound, {})
+                degrees = sorted(levels)
+            stored = 0
+            for d in degrees:
+                stored += len(levels[d])
+                if max_terms is not None and stored > max_terms:
+                    raise TermLimitExceeded(d, max_terms)
+        return TruncatedSeries(self.nvars, bound, ungraded(levels, self.nvars, bound))
 
     def evaluate_witnessed(self, point: Sequence[Fraction | int]) -> tuple[Fraction, Factor | None]:
         """Exact value and, when it is zero, the vanishing numerator factor.
@@ -357,55 +349,49 @@ def diagram_growth_series(ctype: CartanType, degree: int) -> TruncatedSeries:
     unknown that Solomon's identity solves for.  The affine diagrams are
     paths, cycles (An) or trees with at most two branch nodes, so with v of
     least degree in J the number of sets and terms grows polynomially with
-    |S|.  All series have integer coefficients, R_C has constant term 1 and
-    every divisor is a binomial 1 +- x^e, so the arithmetic stays in plain
-    ints, with the kernels of :mod:`gyoja.series`.
+    |S|.  Every series has integer coefficients and every divisor constant
+    term 1, so the arithmetic stays in plain ints, on graded dicts.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     system = build_affine_system(ctype)
-    zero_exp = (0,) * system.m
     nodes = frozenset(range(system.num_gens))
     neighbours = {s: frozenset(t for t in nodes if system.coxeter_matrix[s][t] not in (1, 2)) for s in nodes}
-    sums: dict[frozenset[int], dict[Exponent, int]] = {frozenset(): {zero_exp: 1}}
-    inverses: dict[frozenset[int], dict[Exponent, int]] = {}
+    sums: dict[frozenset[int], Graded] = {frozenset(): {0: {0: 1}}}
+    signed_inverses: dict[frozenset[int], Graded] = {}  # (-1)^|C| R_C
 
-    def signed_sum(part: frozenset[int]) -> dict[Exponent, int]:
+    def signed_sum(part: frozenset[int]) -> Graded:
         if part in sums:
             return sums[part]
         v = min(part, key=lambda s: (len(neighbours[s] & part), s))
-        out = dict(signed_sum(part - {v}))
+        out = {d: dict(terms) for d, terms in signed_sum(part - {v}).items()}
         connected = _connected_sets_containing(v, part, neighbours)
         for comp in connected - {part}:
-            signed_sum(comp)  # sets inverses[comp]
-            levels = _by_degree(signed_sum(part - comp - _around(comp, neighbours)))
-            _multiply_by(levels, _tail(inverses[comp].items()), degree)
-            sign = -1 if len(comp) % 2 else 1
-            for exp, c in _merged(levels).items():
-                out[exp] = out.get(exp, 0) + sign * c
+            signed_sum(comp)  # sets signed_inverses[comp]
+            product(signed_inverses[comp], signed_sum(part - comp - _around(comp, neighbours)), degree, out)
         if part in connected:
-            sign = -1 if len(part) % 2 else 1
+            # out + (-1)^|J| R_J = Sigma(J), so (-1)^|J| R_J = -out / (1 - (-1)^|J| t^{w0(J)})
+            minus = product(out, {0: {0: -1}}, degree, {})
             if part == nodes:
-                inverses[part] = {exp: -sign * c for exp, c in out.items() if c}
-                out = {}  # Sigma(S) = 0
+                signed_inverses[part], out = minus, {}  # Sigma(S) = 0
             else:
-                levels = _by_degree({exp: -sign * c for exp, c in out.items()})
-                for _ in _divide_by(levels, _tail([(system.longest_multilength(part), -sign)]), degree):
+                sign = -1 if len(part) % 2 else 1
+                w0 = system.longest_multilength(part)
+                for _ in divide(minus, graded([((0,) * system.m, 1), (w0, -sign)], degree), degree):
                     pass
-                inverses[part] = _merged(levels)
-                for exp, c in inverses[part].items():
-                    out[exp] = out.get(exp, 0) + sign * c
-        sums[part] = out = {exp: c for exp, c in out.items() if c}
+                signed_inverses[part] = minus
+                out = product(minus, graded([(w0, sign)], degree), degree, {})  # Sigma(J) = t^{w0(J)} R_J
+        sums[part] = out
         return out
 
     signed_sum(nodes)
-    inverse = inverses[nodes]
-    if inverse.get(zero_exp) != 1:
+    inverse = product(signed_inverses[nodes], {0: {0: -1 if len(nodes) % 2 else 1}}, degree, {})  # 1/W = R_S
+    if inverse.get(0) != {0: 1}:
         raise AssertionError("1/W must have constant term 1")
-    levels = {0: {zero_exp: 1}}
-    for _ in _divide_by(levels, _tail(inverse.items()), degree):
+    levels: Graded = {0: {0: 1}}
+    for _ in divide(levels, inverse, degree):
         pass
-    return TruncatedSeries(system.m, degree, _merged(levels))
+    return TruncatedSeries(system.m, degree, ungraded(levels, system.m, degree))
 
 
 def _around(part: frozenset[int], neighbours: dict[int, frozenset[int]]) -> frozenset[int]:
@@ -422,13 +408,6 @@ def _connected_sets_containing(v: int, part: frozenset[int], neighbours: dict[in
         found |= grown
         frontier = list(grown)
     return found
-
-
-def _by_degree(terms: dict[Exponent, int]) -> Levels:
-    levels: Levels = {}
-    for exp, c in terms.items():
-        levels.setdefault(sum(exp), {})[exp] = c
-    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,9 @@ the vector of s*u is v - v_s * a[s].  The walk fires s only where v_s > 0
 and keeps s*u only when s is its smallest left descent, so every
 representative of length k + 1 is produced once, from one of length k.
 
-A multilength (l_1, ..., l_m) is kept as the integer key with digits
-l_1 ... l_m in base radius + 1, most significant first.  No digit of an
-element of the ball reaches the base, so keys add as multilengths do and
-sort as they do lexicographically.
+A multilength is kept as its key in :mod:`gyoja.series` at bound radius,
+so the key of s*u is the key of u plus the place of s's class, and the
+coset sets are multiplied by the graded-dict kernels there.
 
 The degree-1 characters of the Hecke algebra live here too, since their
 series need only these counts: a sign character's value on e_w depends on
@@ -41,11 +40,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .cartan import AffineCoxeterSystem, SignCharacter, residue_field_size
 from .limits import ResourceLimitExceeded, element_cap
-from .series import TruncatedSeries
+from .series import Graded, TruncatedSeries, places, product, product_degree, ungraded
 
 if TYPE_CHECKING:
     from .weyl import Ball
@@ -58,8 +57,6 @@ __all__ = [
     "parse_sign_vector",
     "partial_sums_at_point",
 ]
-
-Levels = Sequence[dict[int, int]]  # levels[k] maps a multilength key to a count of length-k elements
 
 
 def count_multilengths(
@@ -85,30 +82,27 @@ def count_multilengths(
     if radius < 0:
         raise ValueError("radius must be >= 0")
     cap = element_cap(max_elements)
-    m, radix = system.m, radius + 1
-    places = [radix ** (m - 1 - c) for c in range(m)]
-    steps = [places[c] for c in system.partition.class_of]
+    place_values = places(system.m, radius)
+    steps = [place_values[c] for c in system.partition.class_of]
     finite = _finite_levels(system, radius, steps)
-    walked: list[dict[int, int]] = []
-    out: dict[tuple[int, ...], int] = {}
+    walked: Graded = {}
+    counts: Graded = {}
     total = 0
     for k, level in enumerate(islice(_coset_levels(system, range(system.num_gens), steps), radius + 1)):
-        walked.append(level)
-        counts = _degree(walked, finite, k)
-        total += sum(counts.values())
+        walked[k] = level
+        counts[k] = product_degree(walked, finite, k, {})
+        total += sum(counts[k].values())
         if total > cap:
             raise ResourceLimitExceeded(k - 1, cap)
-        for key in sorted(counts):
-            out[tuple([key // place % radix for place in places])] = counts[key]
-    return out
+    return ungraded(counts, system.m, radius)
 
 
-def _finite_levels(system: AffineCoxeterSystem, radius: int, steps: list[int]) -> list[dict[int, int]]:
-    """Levels 0..radius of W_(S - {0}), the finite Weyl group, as the product of its coset sets."""
-    levels: list[dict[int, int]] = [{0: 1}]
+def _finite_levels(system: AffineCoxeterSystem, radius: int, steps: list[int]) -> Graded:
+    """Degrees 0..radius of W_(S - {0}), the finite Weyl group, as the product of its coset sets."""
+    levels: Graded = {0: {0: 1}}
     for i in range(1, system.num_gens):
-        factor = list(islice(_coset_levels(system, range(i, system.num_gens), steps), radius + 1))
-        levels = [_degree(levels, factor, k) for k in range(min(len(levels) + len(factor) - 1, radius + 1))]
+        factor = dict(enumerate(islice(_coset_levels(system, range(i, system.num_gens), steps), radius + 1)))
+        levels = product(levels, factor, radius, {})
     return levels
 
 
@@ -142,17 +136,6 @@ def _coset_levels(system: AffineCoxeterSystem, nodes: Sequence[int], steps: list
         vectors, keys = next_vectors, next_keys
 
 
-def _degree(a: Levels, b: Levels, k: int) -> dict[int, int]:
-    """Degree k of the product of two count series given by levels."""
-    out: dict[int, int] = {}
-    for j in range(max(0, k - len(b) + 1), min(k, len(a) - 1) + 1):
-        for key_b, count_b in b[k - j].items():
-            for key_a, count_a in a[j].items():
-                key = key_a + key_b
-                out[key] = out.get(key, 0) + count_a * count_b
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Degree-1 characters
 # ---------------------------------------------------------------------------
@@ -184,12 +167,19 @@ def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> 
     Multiplicativity along a reduced word gives
     r(e_w) = prod_i r(e_{s_i})^(l_i(w)), s_i a generator of class i.
     """
-    if len(multilength) != len(eps.signs):
-        raise ValueError("multilength / sign vector dimension mismatch")
-    value = 1
-    for i, li in enumerate(multilength):
-        value *= char_value_e_s(eps, i, q_o) ** li
-    return value
+    return next(_values_e_w(eps, q_o, [multilength]))
+
+
+def _values_e_w(eps: SignCharacter, q_o: int, multilengths: Iterable[Sequence[int]]) -> Iterator[int]:
+    """:func:`char_value_e_w` of each multilength in turn, with the value on each class computed once."""
+    class_values = [char_value_e_s(eps, i, q_o) for i in range(len(eps.signs))]
+    for multilength in multilengths:
+        if len(multilength) != len(class_values):
+            raise ValueError("multilength / sign vector dimension mismatch")
+        value = 1
+        for v, li in zip(class_values, multilength):
+            value *= v**li
+        yield value
 
 
 def character_series(
@@ -204,7 +194,8 @@ def character_series(
     Each count is weighted by the character's value r(e_w) =
     :func:`char_value_e_w`, which needs ``q_o``.
     """
-    return TruncatedSeries(m, bound, {ml: count * char_value_e_w(eps, ml, q_o) for ml, count in counts.items()})
+    values = _values_e_w(eps, q_o, counts)
+    return TruncatedSeries(m, bound, {ml: count * value for (ml, count), value in zip(counts.items(), values)})
 
 
 def partial_sums_at_point(
@@ -226,7 +217,8 @@ def partial_sums_at_point(
     if radius is None:
         raise ValueError("partial sums over a system need a radius")
     by_length = [Fraction(0)] * (radius + 1)
-    for ml, count in count_multilengths(system, radius).items():
+    counts = count_multilengths(system, radius)
+    for (ml, count), value in zip(counts.items(), _values_e_w(eps, q_o, counts)):
         length = sum(ml)
-        by_length[length] += count * char_value_e_w(eps, ml, q_o) * Fraction(1, q_o) ** length
+        by_length[length] += count * value * Fraction(1, q_o) ** length
     return list(accumulate(by_length))

@@ -231,10 +231,10 @@ def eval_rep_on_word(rep: MatrixRep, word: Sequence[int]) -> np.ndarray:
 
 def counting_series(ball: Ball, bound: int | None = None) -> TruncatedSeries:
     """Growth series W(t): one t_1^(l_1)...t_m^(l_m) term per element, to degree ``bound``."""
-    return TruncatedSeries(ball.system.m, _degree_bound(ball, bound), ball.multilength_counts())
+    return TruncatedSeries(ball.system.m, _series_bound(ball, bound), ball.multilength_counts())
 
 
-def _degree_bound(ball: Ball, bound: int | None) -> int:
+def _series_bound(ball: Ball, bound: int | None) -> int:
     """``bound``, or the ball's radius when it is None; ValueError past the radius."""
     if bound is None:
         return ball.radius
@@ -260,7 +260,7 @@ def gyoja_series(
     numerators, and each class is divided by denominator^l once.  Callers
     are expected to have validated the rep once.
     """
-    bound = _degree_bound(ball, bound)
+    bound = _series_bound(ball, bound)
     m = ball.system.m
     if isinstance(rep, SignCharacter):
         return character_series(ball.multilength_counts(), rep, m, bound, q_o)

@@ -8,8 +8,16 @@ grading in which a radius-N ball of the group determines the series exactly
 to degree N.
 
 Values are immutable and all operations are pure.  Sums and scalar
-multiples are the only arithmetic on values; products of series are formed
-on degree-graded dicts by the kernels at the end of this module.
+multiples are the only arithmetic on values.  Products are formed by the
+kernels at the end of this module, on a polynomial under construction held
+as a *graded dict*: total degree -> {key: coefficient}, with an entry only
+for the degrees that hold terms, so the cost follows the terms, not the
+bound.  The key of an exponent vector (e_1, ..., e_m) is the integer with
+digits e_1 ... e_m in base bound + 1, most significant first
+(:func:`places`).  No digit of a term of total degree <= bound reaches the
+base, so keys add as exponent vectors do and sort as they do
+lexicographically; :func:`graded` and :func:`ungraded` are the only
+conversions between keys and exponent tuples.
 
 >>> a = TruncatedSeries(2, 4, {(1, 0): 1, (1, 1): 2})
 >>> print(one(2, 4) + a * 3)
@@ -21,18 +29,25 @@ t2 + 2·t1·t2
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
+    "Graded",
     "TruncatedSeries",
+    "divide",
+    "graded",
     "one",
+    "places",
+    "product",
+    "product_degree",
     "render_monomial",
     "term_order",
+    "ungraded",
     "var_names",
 ]
 
 Exponent = tuple[int, ...]
+Graded = dict[int, dict[int, Any]]  # total degree -> {key: coefficient}, see the module docstring
 
 
 def term_order(exp: Exponent) -> tuple:
@@ -153,60 +168,70 @@ class TruncatedSeries:
 
 
 # -- degree-graded kernels ----------------------------------------------------
-#
-# A series under construction is a dict ``levels`` from total degree to a
-# dict of the terms of that degree, mapping exponent vectors to coefficients
-# (ints or Fractions); only degrees that hold terms have an entry, so the
-# cost follows the terms, not the bound.  Multiplying or dividing by a unit
-# 1 + r, where r has no constant term, only moves coefficients to strictly
-# higher degrees, so both work in place: a product reads each degree before
-# anything writes into it (highest degree first), a quotient finishes each
-# degree before anything reads it (lowest degree first).  Each costs
-# O(terms * len(r)).
-
-Levels = dict[int, dict[Exponent, Any]]
 
 
-def _merged(levels: Levels) -> dict[Exponent, Any]:
-    return {exp: c for d in sorted(levels) for exp, c in levels[d].items()}
+def places(nvars: int, bound: int) -> list[int]:
+    """The place value of each exponent digit of a key: the key of each unit vector."""
+    return [(bound + 1) ** (nvars - 1 - i) for i in range(nvars)]
 
 
-def _tail(terms: Iterable[tuple[Exponent, Any]]) -> list[tuple[Exponent, int, Any]]:
-    """The non-constant terms as (exponent, degree, coefficient), low degree first."""
-    tail = [(exp, sum(exp), c) for exp, c in terms if any(exp)]
-    return sorted(tail, key=lambda term: term[1])
+def graded(terms: Iterable[tuple[Exponent, Any]], bound: int) -> Graded:
+    """The terms of total degree <= ``bound``, as a graded dict."""
+    out: Graded = {}
+    for exp, c in terms:
+        if sum(exp) <= bound:
+            out.setdefault(sum(exp), {})[sum(e * p for e, p in zip(exp, places(len(exp), bound)))] = c
+    return out
 
 
-def _shift_from(levels: Levels, d: int, tail: list[tuple[Exponent, int, Any]], sign: int, bound: int) -> None:
-    """Add sign * c * x^e times degree ``d`` into the higher degrees up to ``bound``, for each tail term c * x^e."""
-    src = levels[d] = {k: v for k, v in levels[d].items() if v}
-    for exp, de, c in tail:
-        if d + de > bound:
-            break
-        dst = levels.setdefault(d + de, {})
-        c *= sign
-        for k, v in src.items():
-            key = tuple(map(add, k, exp))
-            dst[key] = dst.get(key, 0) + c * v
+def ungraded(levels: Graded, nvars: int, bound: int) -> dict[Exponent, Any]:
+    """The terms by exponent vector, in total degree and then lexicographic order."""
+    keys, coeffs = [], []
+    for d in sorted(levels):
+        ordered = sorted(levels[d])
+        keys += ordered
+        coeffs += map(levels[d].__getitem__, ordered)
+    digits = [[key // p % (bound + 1) for key in keys] for p in places(nvars, bound)]
+    return dict(zip(zip(*digits), coeffs))
 
 
-def _multiply_by(levels: Levels, tail: list[tuple[Exponent, int, Any]], bound: int) -> None:
-    """levels <- levels * (1 + tail), in place, truncated at total degree ``bound``."""
-    for d in sorted(levels, reverse=True):
-        _shift_from(levels, d, tail, 1, bound)
+def product_degree(a: Graded, b: Graded, k: int, out: dict[int, Any]) -> dict[int, Any]:
+    """Add degree ``k`` of a * b into ``out`` and return it."""
+    if len(b) < len(a):
+        a, b = b, a
+    for d, terms_a in a.items():
+        terms_b = b.get(k - d)
+        if terms_b:
+            for key_a, ca in terms_a.items():
+                for key_b, cb in terms_b.items():
+                    key = key_a + key_b
+                    out[key] = out.get(key, 0) + ca * cb
+    return out
 
 
-def _divide_by(levels: Levels, tail: list[tuple[Exponent, int, Any]], bound: int) -> Iterator[int]:
-    """levels <- levels / (1 + tail), in place, to total degree ``bound``: q[k] = a[k] - sum(c * q[k - e]).
+def product(a: Graded, b: Graded, bound: int, out: Graded) -> Graded:
+    """out <- out + a * b, truncated at total degree ``bound``; ``out`` is neither a nor b."""
+    for k in {da + db for da in a for db in b if da + db <= bound}:
+        terms = {key: c for key, c in product_degree(a, b, k, out.pop(k, {})).items() if c}
+        if terms:
+            out[k] = terms
+    return out
 
-    A generator: yields each degree that holds terms as soon as its
-    coefficients are final, so the caller can count stored terms once per
-    degree.
+
+def divide(levels: Graded, unit: Graded, bound: int) -> Iterator[int]:
+    """levels <- levels / unit, in place, to total degree ``bound``, for a unit with constant term 1.
+
+    With unit = 1 + r, q[k] = a[k] - (r * q)[k] reads only degrees of q
+    below k.  A generator: walks k upwards from the lowest degree of
+    ``levels`` and yields each k that holds terms as soon as they are final,
+    so the caller can count stored terms once per degree.
     """
-    for d in range(bound + 1):
-        if d in levels:
-            _shift_from(levels, d, tail, -1, bound)
-            yield d
+    minus_r = {d: {key: -c for key, c in terms.items()} for d, terms in unit.items() if d}
+    for k in range(min(levels, default=bound + 1), bound + 1):
+        terms = {key: c for key, c in product_degree(minus_r, levels, k, levels.pop(k, {})).items() if c}
+        if terms:
+            levels[k] = terms
+            yield k
 
 
 # -- constructors ------------------------------------------------------------

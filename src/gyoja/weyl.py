@@ -25,10 +25,10 @@ these as arrays: each element's parent (its row in the previous level), its
 discovery letter and its multilength, so a product along every geodesic can
 be formed with one step per element.
 
-Levels are sorted by numeric lexicographic order of the flattened
+Each level is sorted by numeric lexicographic order of the flattened
 (matrix, translation) row, so two runs produce byte-identical balls.
 
-Levels stream: :func:`enumerate_levels` yields each level as soon as it is
+The levels stream: :func:`enumerate_levels` yields each level as soon as it is
 built and keeps only the last one, and :func:`write_jsonl` writes each level
 as it arrives, from what is new in it: geodesics are carried as strings from
 the previous level only, and each distinct multilength, matrix row and

@@ -208,7 +208,11 @@ def test_expansion_matches_enumeration_remaining_types(label, degree):
     assert expanded == enumerated
 
 
-@pytest.mark.parametrize("label,degree", [(label, 12) for label in ALL_TYPES] + [("G2", 40)])
+@pytest.mark.parametrize(
+    "label,degree",
+    # at degrees 1 and 2 a key digit reaches base - 1 = degree
+    [(label, 12) for label in ALL_TYPES] + [("G2", 40)] + [(label, d) for label in ("A2", "G2", "C3") for d in (0, 1, 2)],
+)
 def test_expand_matches_reference_product(label, degree):
     form = growth_closed_form(parse_cartan_type(label))
     assert form.expand(degree) == truncated_product(form, degree)
@@ -221,6 +225,30 @@ def test_expand_term_cap():
     assert isinstance(exc_info.value, ResourceLimitExceeded)
     assert "term cap 100" in str(exc_info.value)
     assert form.expand(40, max_terms=5_000_000) == form.expand(40)
+
+
+@pytest.mark.parametrize("label,degree,cap,stopped_at", [("C3", 20, 50, 10), ("A1", 3000, 1000, 667), ("G2", 100, 500, 93)])
+def test_expand_term_cap_degree(label, degree, cap, stopped_at):
+    # the cap counts the nonzero terms stored up to each degree, after each factor
+    with pytest.raises(TermLimitExceeded) as exc_info:
+        growth_closed_form(parse_cartan_type(label)).expand(degree, max_terms=cap)
+    assert exc_info.value.degree == stopped_at
+
+
+def test_expand_memory_before_the_term_cap_is_bounded_per_term():
+    # after dividing by (1 - t1), C3 stores about 12.5 terms per degree, so a
+    # 60,000-term cap stops in the next division, far below the bound; the
+    # traced peak is what the stored terms cost, under 160 B each
+    form = growth_closed_form(parse_cartan_type("C3"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TermLimitExceeded) as exc_info:
+            form.expand(20000, max_terms=60_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc_info.value.degree == 4804
+    assert peak < 160 * 60_000
 
 
 def test_expand_work_before_the_term_cap_follows_the_terms():

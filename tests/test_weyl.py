@@ -20,7 +20,7 @@ from _oracles import (
     word_multilength,
 )
 from conftest import get_ball, system_of
-from gyoja import counting, weyl
+from gyoja import counting, series, weyl
 from gyoja.cartan import exponents
 from gyoja.cli import ALL_TYPES
 from gyoja.counting import count_multilengths
@@ -315,11 +315,11 @@ def test_finite_chain_is_the_finite_weyl_group(label):
     system = system_of(label)
     top = system.longest_multilength(range(1, system.num_gens))
     radius = sum(top) + 1
-    places = [(radius + 1) ** (system.m - 1 - c) for c in range(system.m)]
+    places = series.places(system.m, radius)
     levels = counting._finite_levels(system, radius, [places[c] for c in system.partition.class_of])
-    assert sum(sum(level.values()) for level in levels) == math.prod(e + 1 for e in exponents(system.ctype))
-    assert len(levels) == radius
-    assert levels[-1] == {sum(l * p for l, p in zip(top, places)): 1}
+    assert sum(sum(level.values()) for level in levels.values()) == math.prod(e + 1 for e in exponents(system.ctype))
+    assert sorted(levels) == list(range(radius))
+    assert levels[radius - 1] == {sum(l * p for l, p in zip(top, places)): 1}
 
 
 def test_levels_cap_fires_after_the_completed_levels():
