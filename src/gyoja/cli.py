@@ -110,10 +110,7 @@ def _open_sink(path: str | None):
 
 
 def _series_json(series: TruncatedSeries) -> list:
-    from .series import term_order
-
-    terms = sorted(series.coeffs, key=term_order)
-    return [{"exponent": list(e), "coefficient": str(series.coeffs[e])} for e in terms]
+    return [{"exponent": list(e), "coefficient": str(c)} for e, c in series.terms()]
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +126,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "text":
         from .counting import count_multilengths
 
-        counts = count_multilengths(system, args.degree, max_elements=args.cap)
-        by_length = [0] * (args.degree + 1)
-        for multilength, count in counts.items():
-            by_length[sum(multilength)] += count
+        growth = count_multilengths(system, args.degree, max_elements=args.cap)
+        by_length = [sum(growth.levels[d].values()) for d in range(args.degree + 1)]
         with _open_sink(args.output) as fp:
             fp.write(f"type: {ctype.label}  radius: {args.degree}  elements: {sum(by_length)}\n")
             fp.write("counts by length: " + ", ".join(str(c) for c in by_length) + "\n")
@@ -160,7 +155,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_series(args: argparse.Namespace) -> int:
     from .cartan import build_affine_system
     from .counting import character_series, count_multilengths, parse_sign_vector
-    from .series import TruncatedSeries
 
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
@@ -181,11 +175,9 @@ def cmd_series(args: argparse.Namespace) -> int:
         q_o = q_o_values[0]
         if len(eps.signs) != system.m:
             raise _UsageError("multilength / sign vector dimension mismatch")
-    counts = count_multilengths(system, args.degree, max_elements=args.cap)
-    if eps is None:
-        series = TruncatedSeries(system.m, args.degree, counts)
-    else:
-        series = character_series(counts, eps, system.m, args.degree, q_o)
+    series = count_multilengths(system, args.degree, max_elements=args.cap)
+    if eps is not None:
+        series = character_series(series, eps, q_o)
     with _open_sink(args.output) as fp:
         if args.format == "json":
             import json
@@ -229,12 +221,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .cartan import build_affine_system
     from .closed_forms import calibrate_indexing, growth_closed_form
     from .counting import count_multilengths
-    from .series import TruncatedSeries
 
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
-    counts = count_multilengths(system, args.degree, max_elements=args.cap)
-    enumerated = TruncatedSeries(system.m, args.degree, counts)
+    enumerated = count_multilengths(system, args.degree, max_elements=args.cap)
     calibration = calibrate_indexing(ctype)
     expanded = growth_closed_form(ctype).expand(args.degree).permute_variables(calibration.binding)
     if system.m == 1:

@@ -20,8 +20,8 @@ cancellation.
 
 :meth:`ClosedForm.expand` works in plain ints on a graded dict of
 :mod:`gyoja.series`.  Every factor has constant term +1, so a numerator
-factor is one product and a denominator factor one exact division; a
-``TruncatedSeries`` is built once, at the end.
+factor is one product and a denominator factor one exact division, and
+the finished graded dict is wrapped as a ``TruncatedSeries`` without a copy.
 
 Evaluation works in integers too: where the monomial of a factor takes the
 value p / r, the factor is one integer over r^(k-1), the values are
@@ -51,7 +51,7 @@ from numbers import Rational
 from typing import Iterable, Sequence
 
 from .cartan import CartanType, build_affine_system, exponents
-from .series import Exponent, Graded, TruncatedSeries, divide, graded, product, render_monomial, ungraded, var_names
+from .series import Exponent, Graded, TruncatedSeries, divide, graded, product, render_monomial, var_names
 from .limits import ResourceLimitExceeded
 
 __all__ = [
@@ -171,16 +171,16 @@ class ClosedForm:
         levels: Graded = {0: {0: 1}}
         for is_divisor, f in [(False, f) for f in self.numerator] + [(True, f) for f in self.denominator]:
             if is_divisor:
-                degrees: Iterable[int] = divide(levels, graded(f.terms, bound), bound)
+                degrees: Iterable[int] = divide(levels, graded(f.terms, self.nvars, bound), bound)
             else:
-                levels = product(levels, graded(f.terms, bound), bound, {})
+                levels = product(levels, graded(f.terms, self.nvars, bound), bound, {})
                 degrees = sorted(levels)
             stored = 0
             for d in degrees:
                 stored += len(levels[d])
                 if max_terms is not None and stored > max_terms:
                     raise TermLimitExceeded(d, max_terms)
-        return TruncatedSeries(self.nvars, bound, ungraded(levels, self.nvars, bound))
+        return TruncatedSeries.from_graded(self.nvars, bound, levels)
 
     def evaluate_witnessed(self, point: Sequence[Fraction | int]) -> tuple[Fraction, Factor | None]:
         """Exact value and, when it is zero, the vanishing numerator factor.
@@ -377,10 +377,10 @@ def diagram_growth_series(ctype: CartanType, degree: int) -> TruncatedSeries:
             else:
                 sign = -1 if len(part) % 2 else 1
                 w0 = system.longest_multilength(part)
-                for _ in divide(minus, graded([((0,) * system.m, 1), (w0, -sign)], degree), degree):
+                for _ in divide(minus, graded([((0,) * system.m, 1), (w0, -sign)], system.m, degree), degree):
                     pass
                 signed_inverses[part] = minus
-                out = product(minus, graded([(w0, sign)], degree), degree, {})  # Sigma(J) = t^{w0(J)} R_J
+                out = product(minus, graded([(w0, sign)], system.m, degree), degree, {})  # Sigma(J) = t^{w0(J)} R_J
         sums[part] = out
         return out
 
@@ -391,7 +391,7 @@ def diagram_growth_series(ctype: CartanType, degree: int) -> TruncatedSeries:
     levels: Graded = {0: {0: 1}}
     for _ in divide(levels, inverse, degree):
         pass
-    return TruncatedSeries(system.m, degree, ungraded(levels, system.m, degree))
+    return TruncatedSeries.from_graded(system.m, degree, levels)
 
 
 def _around(part: frozenset[int], neighbours: dict[int, frozenset[int]]) -> frozenset[int]:

@@ -23,28 +23,29 @@ and keeps s*u only when s is its smallest left descent, so every
 representative of length k + 1 is produced once, from one of length k.
 
 A multilength is kept as its key in :mod:`gyoja.series` at bound radius,
-so the key of s*u is the key of u plus the place of s's class, and the
-coset sets are multiplied by the graded-dict kernels there.
+so the key of s*u is the key of u plus the place of s's class, the coset
+sets are multiplied by the graded-dict kernels there, and the product is
+the growth series W(t) itself, a :class:`~gyoja.series.TruncatedSeries`
+that wraps the kernels' graded dict without a copy.
 
 The degree-1 characters of the Hecke algebra live here too, since their
-series need only these counts: a sign character's value on e_w depends on
-the multilength of w alone (:func:`char_value_e_w`), and
-:func:`character_series` weights each count by it.  The growth series W(t)
-itself is the counts unweighted, ``TruncatedSeries(m, bound, counts)``.  A
-character's partial sums at a point (:func:`partial_sums_at_point`) need
-only these counts too.  Nothing here imports numpy, so ``gyoja series``
-runs on plain ints end to end.
+series need only W(t): a sign character's value on e_w depends on the
+multilength of w alone (:func:`char_value_e_w`), and
+:func:`character_series` weights each coefficient of W(t) by it.  A
+character's partial sums at a point (:func:`partial_sums_at_point`) are
+the per-degree sums of that series.  Nothing here imports numpy, so
+``gyoja series`` runs on plain ints end to end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .cartan import AffineCoxeterSystem, SignCharacter, residue_field_size
 from .limits import ResourceLimitExceeded, element_cap
-from .series import Graded, TruncatedSeries, places, product, product_degree, ungraded
+from .series import Graded, TruncatedSeries, places, product, product_degree
 
 if TYPE_CHECKING:
     from .weyl import Ball
@@ -63,15 +64,14 @@ def count_multilengths(
     system: AffineCoxeterSystem,
     radius: int,
     max_elements: int | None = None,
-) -> dict[tuple[int, ...], int]:
-    """Number of elements of each class-graded length vector in the ball.
+) -> TruncatedSeries:
+    """The growth series W(t): the number of elements of each multilength in the ball of ``radius``.
 
-    The same dict as ``enumerate_ball(system, radius).multilength_counts()``,
-    in the same order (by length, then lexicographic), as the product of the
-    coset sets of the module docstring.  The finite ones are multiplied
-    first.  Then the infinite one is walked level by level, and each degree
-    of the product is formed as soon as its level is known, so the cap is
-    checked before the next level is walked.
+    Its coefficients are ``enumerate_ball(system, radius).multilength_counts()``,
+    formed as the product of the coset sets of the module docstring.  The
+    finite ones are multiplied first.  Then the infinite one is walked level
+    by level, and each degree of the product is formed as soon as its level
+    is known, so the cap is checked before the next level is walked.
 
     Raises :class:`ResourceLimitExceeded` when the ball of some radius
     k <= ``radius`` has more elements than the cap (argument, else
@@ -94,7 +94,7 @@ def count_multilengths(
         total += sum(counts[k].values())
         if total > cap:
             raise ResourceLimitExceeded(k - 1, cap)
-    return ungraded(counts, system.m, radius)
+    return TruncatedSeries.from_graded(system.m, radius, counts)
 
 
 def _finite_levels(system: AffineCoxeterSystem, radius: int, steps: list[int]) -> Graded:
@@ -182,20 +182,16 @@ def _values_e_w(eps: SignCharacter, q_o: int, multilengths: Iterable[Sequence[in
         yield value
 
 
-def character_series(
-    counts: Mapping[tuple[int, ...], int],
-    eps: SignCharacter,
-    m: int,
-    bound: int,
-    q_o: int,
-) -> TruncatedSeries:
-    """L(t, eps) of a sign character from the number of elements per multilength.
+def character_series(growth: TruncatedSeries, eps: SignCharacter, q_o: int) -> TruncatedSeries:
+    """L(t, eps) of a sign character from the growth series W(t).
 
-    Each count is weighted by the character's value r(e_w) =
-    :func:`char_value_e_w`, which needs ``q_o``.
+    Each coefficient, the number of elements of one multilength, is
+    weighted by the character's value r(e_w) = :func:`char_value_e_w`,
+    which needs ``q_o``.
     """
+    counts = growth.coeffs
     values = _values_e_w(eps, q_o, counts)
-    return TruncatedSeries(m, bound, {ml: count * value for (ml, count), value in zip(counts.items(), values)})
+    return TruncatedSeries(growth.nvars, growth.bound, {ml: n * v for (ml, n), v in zip(counts.items(), values)})
 
 
 def partial_sums_at_point(
@@ -205,20 +201,16 @@ def partial_sums_at_point(
 
     The limit, when the character is a discrete series one, is the value the
     closed forms compute directly; the sequence is a convergence diagnostic.
-    The sums need only the number of elements per multilength, which
-    :func:`count_multilengths` counts without a ball.  Any other argument
-    than a system is read as a :class:`~gyoja.weyl.Ball`, which stands for
-    its system and, when ``radius`` is not given, its radius; its elements
-    are not read.
+    Degree l of :func:`character_series` sums to the l-th term, so the sums
+    need only W(t), which :func:`count_multilengths` counts without a ball.
+    Any other argument than a system is read as a
+    :class:`~gyoja.weyl.Ball`, which stands for its system and, when
+    ``radius`` is not given, its radius; its elements are not read.
     """
     q_o = residue_field_size(q_o)
     if not isinstance(system, AffineCoxeterSystem):
         system, radius = system.system, system.radius if radius is None else radius
     if radius is None:
         raise ValueError("partial sums over a system need a radius")
-    by_length = [Fraction(0)] * (radius + 1)
-    counts = count_multilengths(system, radius)
-    for (ml, count), value in zip(counts.items(), _values_e_w(eps, q_o, counts)):
-        length = sum(ml)
-        by_length[length] += count * value * Fraction(1, q_o) ** length
-    return list(accumulate(by_length))
+    levels = character_series(count_multilengths(system, radius), eps, q_o).levels
+    return list(accumulate(Fraction(sum(levels.get(k, {}).values()), q_o**k) for k in range(radius + 1)))

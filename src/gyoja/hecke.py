@@ -13,17 +13,17 @@ assumes.  The attached generating function
 
     L(t, r) = sum_w r(e_w) * t_1^(l_1(w)) ... t_m^(l_m(w))
 
-is accumulated here from enumeration (a ball, or the per-multilength counts
-of ``counting.count_multilengths``, which walks parabolic coset
-representatives), never from the closed forms, so the two modules stay
-independent checks of one another.  The degree-1 characters, their series
-from those counts and their partial sums at a point are plain-int work and
-live in :mod:`gyoja.counting` (``partial_sums_at_point`` is re-exported
-here); this module adds matrix representations and the series over a ball,
-and imports :mod:`gyoja.weyl` only for type checking.  A matrix
-representation is summed along the ball's BFS tree: an element's geodesic
-is its parent's plus one letter, so r(e_w) = r(e_parent) r(e_s) costs one
-matrix product per element.
+is accumulated here from enumeration (a ball, or the growth series W(t) that
+``counting.count_multilengths`` forms from parabolic coset representatives),
+never from the closed forms, so the two modules stay independent checks of
+one another.  The degree-1 characters, their series from W(t) and their
+partial sums at a point are plain-int work and live in :mod:`gyoja.counting`
+(``partial_sums_at_point`` is re-exported here); this module adds matrix
+representations and the series over a ball, and imports :mod:`gyoja.weyl`
+only for type checking.  A matrix representation is summed along the ball's
+BFS tree: an element's geodesic is its parent's plus one letter, so
+r(e_w) = r(e_parent) r(e_s) costs one matrix product per element, and each
+level of the tree, all of one length, is one degree of every entry's series.
 
 A :class:`MatrixRep` stores integer numerator matrices N_s over one common
 denominator d, so r(e_s) = N_s / d, as object arrays of Python ints (entries
@@ -44,7 +44,7 @@ import numpy as np
 
 from .cartan import INFINITE_BOND, AffineCoxeterSystem, ClassPartition, SignCharacter, residue_field_size
 from .counting import char_value_e_s, character_series, partial_sums_at_point
-from .series import TruncatedSeries
+from .series import Graded, TruncatedSeries, places
 
 if TYPE_CHECKING:
     from .weyl import Ball
@@ -230,7 +230,10 @@ def eval_rep_on_word(rep: MatrixRep, word: Sequence[int]) -> np.ndarray:
 
 
 def counting_series(ball: Ball, bound: int | None = None) -> TruncatedSeries:
-    """Growth series W(t): one t_1^(l_1)...t_m^(l_m) term per element, to degree ``bound``."""
+    """Growth series W(t): one t_1^(l_1)...t_m^(l_m) term per element, to degree ``bound``.
+
+    A tally of the ball, so the independent check of :func:`gyoja.counting.count_multilengths`.
+    """
     return TruncatedSeries(ball.system.m, _series_bound(ball, bound), ball.multilength_counts())
 
 
@@ -256,35 +259,35 @@ def gyoja_series(
     :class:`MatrixRep` it is a (d, d) object array of series.  A matrix rep
     is evaluated level by level along the BFS tree, r(e_w) = r(e_parent)
     r(e_s), which is the product :func:`eval_rep_on_word` forms along w's
-    geodesic; the products and the per-multilength sums are integer
-    numerators, and each class is divided by denominator^l once.  Callers
-    are expected to have validated the rep once.
+    geodesic.  Level l is summed per multilength as integer numerators over
+    denominator^l, keyed as in :mod:`gyoja.series`, and becomes degree l of
+    each entry's graded dict.  Callers are expected to have validated the
+    rep once.
     """
     bound = _series_bound(ball, bound)
     m = ball.system.m
     if isinstance(rep, SignCharacter):
-        return character_series(ball.multilength_counts(), rep, m, bound, q_o)
+        return character_series(counting_series(ball, bound), rep, q_o)
     if isinstance(rep, MatrixRep):
         nums = rep.numerators
         if len(nums) != ball.system.num_gens:
             raise ValueError(f"expected {ball.system.num_gens} generator matrices, got {len(nums)}")
-        acc: dict[tuple[int, ...], np.ndarray] = {}
-        vals = [np.eye(rep.dimension, dtype=object)]
+        d = rep.dimension
+        entries: list[Graded] = [{} for _ in range(d * d)]
+        place_values = np.array(places(m, bound), dtype=object)  # Python-int keys, whatever the bound
+        vals = [np.eye(d, dtype=object)]
         for length, lv in enumerate(ball.levels[: bound + 1]):
             if length:
                 vals = [vals[p].dot(nums[s]) for p, s in zip(lv.parent.tolist(), lv.letter.tolist())]
-            for ml, mat in zip(map(tuple, lv.multilength.tolist()), vals):
-                prev = acc.get(ml)
-                acc[ml] = mat if prev is None else prev + mat
-        if rep.denominator > 1:
-            # a class holds elements of one length l, so it is over d^l
-            acc = {ml: _over(mat, rep.denominator ** sum(ml)) for ml, mat in acc.items()}
-        d = rep.dimension
+            acc: dict[int, np.ndarray] = {}
+            for key, mat in zip((lv.multilength @ place_values).tolist(), vals):
+                acc[key] = acc[key] + mat if key in acc else mat
+            den = rep.denominator**length
+            for entry, column in zip(entries, zip(*(mat.flat for mat in acc.values()))):
+                terms = {key: Fraction(x, den) if rep.denominator > 1 else x for key, x in zip(acc, column) if x}
+                if terms:
+                    entry[length] = terms
         out = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(d):
-                out[i, j] = TruncatedSeries(
-                    m, bound, {ml: mat[i, j] for ml, mat in acc.items()}
-                )
+        out.flat = [TruncatedSeries.from_graded(m, bound, entry) for entry in entries]
         return out
     raise TypeError(f"cannot form a series for {type(rep).__name__}")

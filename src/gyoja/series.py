@@ -1,23 +1,23 @@
 """Multivariate truncated power series over exact rationals.
 
-A :class:`TruncatedSeries` stores coefficients for exponent vectors of total
-degree <= bound, in a sparse map keyed by exponent tuples; coefficients are
-``int`` where given as ``int`` and ``fractions.Fraction`` otherwise, and zero
-coefficients are never stored.  Truncation is by *total* degree, matching the
-grading in which a radius-N ball of the group determines the series exactly
-to degree N.
+A :class:`TruncatedSeries` holds the terms of total degree <= bound, with
+coefficients ``int`` where given as ``int`` and ``fractions.Fraction``
+otherwise.  Truncation is by *total* degree, matching the grading in which a
+radius-N ball of the group determines the series exactly to degree N.
 
-Values are immutable and all operations are pure.  Sums and scalar
-multiples are the only arithmetic on values.  Products are formed by the
-kernels at the end of this module, on a polynomial under construction held
-as a *graded dict*: total degree -> {key: coefficient}, with an entry only
-for the degrees that hold terms, so the cost follows the terms, not the
-bound.  The key of an exponent vector (e_1, ..., e_m) is the integer with
-digits e_1 ... e_m in base bound + 1, most significant first
-(:func:`places`).  No digit of a term of total degree <= bound reaches the
-base, so keys add as exponent vectors do and sort as they do
-lexicographically; :func:`graded` and :func:`ungraded` are the only
-conversions between keys and exponent tuples.
+A series and a polynomial under construction have one stored form, the
+*graded dict* ``levels``: total degree -> {key: coefficient}, with an entry
+only for the degrees that hold terms and no zero coefficient, so the cost
+follows the terms, not the bound.  The key of an exponent vector
+(e_1, ..., e_m) is the integer with digits e_1 ... e_m in base bound + 1,
+most significant first (:func:`places`).  No digit of a term of total
+degree <= bound reaches the base, so keys add as exponent vectors do and
+sort as they do lexicographically.  The kernels at the end of this module
+form products on graded dicts, and :meth:`TruncatedSeries.from_graded` wraps
+their result without a copy.  Exponent tuples appear only at the edges: the
+validating constructor encodes them (:func:`graded`), and
+:meth:`TruncatedSeries.terms` decodes them in canonical term order.  Values
+are immutable; sums and scalar multiples are their only arithmetic.
 
 >>> a = TruncatedSeries(2, 4, {(1, 0): 1, (1, 1): 2})
 >>> print(one(2, 4) + a * 3)
@@ -41,18 +41,11 @@ __all__ = [
     "product",
     "product_degree",
     "render_monomial",
-    "term_order",
-    "ungraded",
     "var_names",
 ]
 
 Exponent = tuple[int, ...]
 Graded = dict[int, dict[int, Any]]  # total degree -> {key: coefficient}, see the module docstring
-
-
-def term_order(exp: Exponent) -> tuple:
-    """Graded order: total degree first, then t1-dominant terms before t2-dominant."""
-    return (sum(exp), tuple(-e for e in exp))
 
 
 def var_names(nvars: int) -> list[str]:
@@ -66,43 +59,56 @@ def render_monomial(names: Sequence[str], exp: Exponent) -> str:
 
 
 class TruncatedSeries:
-    """Polynomial truncated at a total-degree bound, over int and Fraction."""
+    """Polynomial truncated at a total-degree bound, over int and Fraction, stored as a graded dict."""
 
-    __slots__ = ("nvars", "bound", "coeffs")
+    __slots__ = ("nvars", "bound", "levels")
 
     def __init__(self, nvars: int, bound: int, coeffs: Mapping[Exponent, Fraction | int]):
         if nvars < 1:
             raise ValueError("need at least one variable")
         if bound < 0:
             raise ValueError("bound must be >= 0")
-        clean: dict[Exponent, Fraction | int] = {}
+        terms = []
         for exp, c in coeffs.items():
             if len(exp) != nvars or min(exp) < 0:
                 raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
-            if sum(exp) > bound:
-                continue
             if type(c) not in (int, Fraction):
                 c = Fraction(c)
             if c != 0:
-                clean[tuple(exp)] = c
+                terms.append((exp, c))
         self.nvars = nvars
         self.bound = bound
-        self.coeffs = clean
+        self.levels = graded(terms, nvars, bound)
+
+    @classmethod
+    def from_graded(cls, nvars: int, bound: int, levels: Graded) -> "TruncatedSeries":
+        """Wrap a graded dict keyed at ``bound``, without a copy.
+
+        It is not checked: equality and rendering trust that every degree is
+        <= ``bound`` and holds terms, each key is of its degree, and no
+        coefficient is zero.
+        """
+        series = cls(nvars, bound, {})
+        series.levels = levels
+        return series
+
+    def _check_same_shape(self, other: "TruncatedSeries") -> None:
+        if (self.nvars, self.bound) != (other.nvars, other.bound):
+            raise ValueError(f"shape mismatch: {self.nvars} vars to degree {self.bound} vs {other.nvars} to {other.bound}")
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable mismatch: {self.nvars} vs {other.nvars}")
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            out[exp] = out.get(exp, 0) + c
-        return TruncatedSeries(self.nvars, min(self.bound, other.bound), out)
+        self._check_same_shape(other)
+        levels = {d: dict(terms) for d, terms in self.levels.items()}
+        product(other.levels, {0: {0: 1}}, self.bound, levels)
+        return TruncatedSeries.from_graded(self.nvars, self.bound, levels)
 
     def __mul__(self, scalar: Fraction | int) -> "TruncatedSeries":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return TruncatedSeries(self.nvars, self.bound, {e: c * scalar for e, c in self.coeffs.items()})
+        levels = product(self.levels, {0: {0: scalar}}, self.bound, {})
+        return TruncatedSeries.from_graded(self.nvars, self.bound, levels)
 
     # -- reshaping -----------------------------------------------------------
 
@@ -111,44 +117,61 @@ class TruncatedSeries:
         p = tuple(perm)
         if sorted(p) != list(range(self.nvars)):
             raise ValueError(f"{p} is not a permutation of range({self.nvars})")
-        out: dict[Exponent, Fraction] = {}
-        for exp, c in self.coeffs.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(exp):
-                new[p[i]] = e
-            out[tuple(new)] = c
-        return TruncatedSeries(self.nvars, self.bound, out)
+        base, old = self.bound + 1, places(self.nvars, self.bound)
+        moves = [(place, old[p[i]]) for i, place in enumerate(old)]
+        levels = {
+            d: {sum(key // place % base * new for place, new in moves): c for key, c in terms.items()}
+            for d, terms in self.levels.items()
+        }
+        return TruncatedSeries.from_graded(self.nvars, self.bound, levels)
 
     # -- queries -----------------------------------------------------------
 
+    def terms(self) -> Iterator[tuple[Exponent, Any]]:
+        """(exponent vector, coefficient) pairs in canonical term order.
+
+        Total degree ascending, then key descending: t1-dominant terms first.
+        """
+        base, place_values = self.bound + 1, places(self.nvars, self.bound)
+        for _, level in sorted(self.levels.items()):
+            keys = sorted(level, reverse=True)
+            digits = [[key // place % base for key in keys] for place in place_values]
+            yield from zip(zip(*digits), map(level.__getitem__, keys))
+
+    @property
+    def coeffs(self) -> dict[Exponent, Fraction | int]:
+        """The terms by exponent vector, as a fresh dict in canonical term order."""
+        return dict(self.terms())
+
     def coefficient(self, exp: Exponent) -> Fraction:
-        return self.coeffs.get(tuple(exp), Fraction(0))
+        """The coefficient of t^exp; ValueError unless ``exp`` is an exponent vector of this series."""
+        if len(exp) != self.nvars or min(exp) < 0:
+            raise ValueError(f"bad exponent vector {exp} for {self.nvars} variables")
+        key = sum(e * place for e, place in zip(exp, places(self.nvars, self.bound)))
+        return self.levels.get(sum(exp), {}).get(key, Fraction(0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.bound == other.bound
-            and self.coeffs == other.coeffs
-        )
+        return (self.nvars, self.bound, self.levels) == (other.nvars, other.bound, other.levels)
 
     def first_difference(self, other: "TruncatedSeries") -> Exponent | None:
         """First exponent vector (in canonical term order) where two series differ."""
-        keys = set(self.coeffs) | set(other.coeffs)
-        diffs = [e for e in keys if self.coeffs.get(e, 0) != other.coeffs.get(e, 0)]
-        return min(diffs, key=term_order) if diffs else None
+        self._check_same_shape(other)
+        for d in sorted(self.levels.keys() | other.levels.keys()):
+            mine, theirs = self.levels.get(d, {}), other.levels.get(d, {})
+            if mine != theirs:
+                key = max(k for k in mine.keys() | theirs.keys() if mine.get(k, 0) != theirs.get(k, 0))
+                return tuple(key // place % (self.bound + 1) for place in places(self.nvars, self.bound))
+        return None
 
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
         """Canonical text: graded term order (t1-dominant first), exact coefficients."""
-        if not self.coeffs:
-            return "0"
         names = var_names(self.nvars)
         parts: list[str] = []
-        for exp in sorted(self.coeffs, key=term_order):
-            c = self.coeffs[exp]
+        for exp, c in self.terms():
             mono = render_monomial(names, exp)
             mag = abs(c)
             if not mono:
@@ -161,7 +184,7 @@ class TruncatedSeries:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(parts)
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.nvars} vars, bound={self.bound}, {self})"
@@ -175,24 +198,15 @@ def places(nvars: int, bound: int) -> list[int]:
     return [(bound + 1) ** (nvars - 1 - i) for i in range(nvars)]
 
 
-def graded(terms: Iterable[tuple[Exponent, Any]], bound: int) -> Graded:
-    """The terms of total degree <= ``bound``, as a graded dict."""
+def graded(terms: Iterable[tuple[Exponent, Any]], nvars: int, bound: int) -> Graded:
+    """The terms of total degree <= ``bound`` of ``nvars`` variables, as a graded dict."""
     out: Graded = {}
+    place_values = places(nvars, bound)
     for exp, c in terms:
-        if sum(exp) <= bound:
-            out.setdefault(sum(exp), {})[sum(e * p for e, p in zip(exp, places(len(exp), bound)))] = c
+        d = sum(exp)
+        if d <= bound:
+            out.setdefault(d, {})[sum(e * p for e, p in zip(exp, place_values))] = c
     return out
-
-
-def ungraded(levels: Graded, nvars: int, bound: int) -> dict[Exponent, Any]:
-    """The terms by exponent vector, in total degree and then lexicographic order."""
-    keys, coeffs = [], []
-    for d in sorted(levels):
-        ordered = sorted(levels[d])
-        keys += ordered
-        coeffs += map(levels[d].__getitem__, ordered)
-    digits = [[key // p % (bound + 1) for key in keys] for p in places(nvars, bound)]
-    return dict(zip(zip(*digits), coeffs))
 
 
 def product_degree(a: Graded, b: Graded, k: int, out: dict[int, Any]) -> dict[int, Any]:

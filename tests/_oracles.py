@@ -235,6 +235,27 @@ def truncated_product(form, bound: int) -> TruncatedSeries:
     return TruncatedSeries(form.nvars, bound, acc)
 
 
+def assert_stored_form(series: TruncatedSeries) -> None:
+    """Check the invariants of a series' graded dict that ``==`` and rendering rely on.
+
+    Every degree lies in 0..bound and holds terms, every coefficient is a
+    nonzero int or Fraction, and every key is a Python int whose nvars
+    digits in base bound + 1 are an exponent vector of the key's own degree.
+    """
+    base = series.bound + 1
+    for d, terms in series.levels.items():
+        assert 0 <= d <= series.bound, f"degree {d} outside 0..{series.bound}"
+        assert terms, f"degree {d} holds no terms"
+        for key, c in terms.items():
+            assert type(c) in (int, Fraction) and c != 0, f"coefficient {c!r} at key {key} of degree {d}"
+            assert type(key) is int and key >= 0, f"key {key!r} of degree {d}"
+            rest, digits = key, []
+            for _ in range(series.nvars):
+                rest, digit = divmod(rest, base)
+                digits.append(digit)
+            assert rest == 0 and sum(digits) == d, f"key {key} is not an exponent vector of degree {d}"
+
+
 def truncated_value(series: TruncatedSeries, point) -> Fraction:
     """The stored terms of a series summed at ``point``, exactly."""
     total = Fraction(0)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import io
 import json
@@ -385,6 +386,22 @@ def test_check_mismatch_exit_3(monkeypatch, capsys):
     assert "MISMATCH at exponent" in out
 
 
+def test_check_mismatch_line_names_the_first_differing_term(monkeypatch, capsys):
+    # C3's Macdonald form without its last numerator factor (1 + t1^2·t3)
+    # first differs at t1^2·t3; the line is pinned byte for byte
+    form = closed_forms.macdonald_closed_form(parse_cartan_type("C3"))
+    assert str(form.numerator[-1]) == "(1 + t1^2·t3)"
+    wrong = dataclasses.replace(form, numerator=form.numerator[:-1])
+    monkeypatch.setattr(closed_forms, "growth_closed_form", lambda ctype: wrong)
+    code, out, _ = run_cli("check", "--type", "C3", "--degree", "6", capsys=capsys)
+    assert code == 3
+    assert out == (
+        "type: C3  degree: 6\n"
+        "calibration: t1<-S1 t2<-S2 t3<-S3\n"
+        "MISMATCH at exponent (2, 0, 1): formula=4 enumerated=5\n"
+    )
+
+
 def test_classify_text(capsys):
     code, out, _ = run_cli("classify", "--type", "G2", "--qo", "2", capsys=capsys)
     assert code == 0
@@ -632,7 +649,7 @@ def test_counter_leaves_numpy_unimported():
         "counts = gyoja.count_multilengths(build_affine_system(parse_cartan_type('C3')), 6)\n"
         "c2 = build_affine_system(parse_cartan_type('C2'))\n"
         "sums = gyoja.partial_sums_at_point(c2, gyoja.steinberg_character(c2.ctype), 2, radius=6)\n"
-        "print(sum(counts.values()), len(sums), 'numpy' in sys.modules, 'gyoja.weyl' in sys.modules)"
+        "print(sum(counts.coeffs.values()), len(sums), 'numpy' in sys.modules, 'gyoja.weyl' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,12 @@ from fractions import Fraction
 import pytest
 
 import gyoja.series as series_module
+from _oracles import assert_stored_form, random_validated_rep
+from conftest import get_ball, system_of
+from gyoja.cartan import SignCharacter, parse_cartan_type
+from gyoja.closed_forms import diagram_growth_series, growth_closed_form
+from gyoja.counting import character_series, count_multilengths
+from gyoja.hecke import gyoja_series
 from gyoja.series import TruncatedSeries, one
 
 
@@ -13,8 +19,24 @@ def test_module_doctests():
 
 
 def test_variable_mismatch_rejected():
-    with pytest.raises(ValueError):
-        one(1, 3) + one(2, 3)
+    # a key is read in base bound + 1 with one digit per variable, so series
+    # with another variable count or bound share no key codec
+    for x, y in ((one(1, 3), one(2, 3)), (one(2, 3), one(1, 3)), (one(2, 3), one(2, 4)), (one(2, 4), one(2, 3))):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            x + y
+        with pytest.raises(ValueError, match="shape mismatch"):
+            x.first_difference(y)
+
+
+def test_coefficient_rejects_a_vector_of_another_shape():
+    # read as a key, (1,) would be the key of (0, 1), and (1, -5, 4) of the
+    # constant term of a 3-variable series to degree 3 (16 - 20 + 4 = 0)
+    a = TruncatedSeries(2, 3, {(0, 1): 7})
+    assert (a.coefficient((0, 1)), a.coefficient((1, 0)), a.coefficient((4, 0))) == (7, 0, 0)
+    b = TruncatedSeries(3, 3, {(0, 0, 0): 5})
+    for series, exp in ((a, (1,)), (a, (0, 0, 1)), (a, (2, -1)), (b, (1, -5, 4))):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            series.coefficient(exp)
 
 
 def test_only_scalars_multiply():
@@ -95,3 +117,28 @@ def test_int_coefficients_stay_int():
     assert a.coeffs == {(0, 0): 1, (1, 0): 2, (0, 1): Fraction(1, 2)}
     assert [type(a.coeffs[e]) for e in ((0, 0), (1, 0), (0, 1))] == [int, Fraction, Fraction]
     assert str(a) == "1 + 2·t1 + 1/2·t2"
+
+
+def test_every_producer_keeps_the_stored_form():
+    system = system_of("C3")
+    growth = count_multilengths(system, 8)
+    eps = SignCharacter((-1, 1, -1))
+    a = TruncatedSeries(3, 8, {(1, 0, 2): Fraction(1, 2), (0, 3, 0): -2, (0, 0, 0): 1})
+    matrix = gyoja_series(get_ball("G2", 6), random_validated_rep(random.Random(5), system_of("G2"), 3, 2))
+    produced = [
+        growth,
+        diagram_growth_series(parse_cartan_type("C3"), 8),
+        growth_closed_form(parse_cartan_type("C3")).expand(8),
+        character_series(growth, eps, 3),
+        growth + a,
+        a + a * -1,  # every term cancels
+        growth + growth * -1,
+        a * Fraction(2, 3),
+        a * 0,
+        growth.permute_variables((2, 0, 1)),
+        a.permute_variables((1, 2, 0)),
+        *matrix.flat,
+    ]
+    for series in produced:
+        assert_stored_form(series)
+    assert (a + a * -1).levels == {} and (growth + growth * -1).levels == {}
