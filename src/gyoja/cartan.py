@@ -148,6 +148,10 @@ def _positive_roots(P: Matrix) -> Roots:
     one, and every positive root that is not simple is raised so from a lower
     one (s_i of it, for an i where it pairs positively); so these raisings,
     from the simple roots, find exactly the positive roots.
+
+    Each round raises the height by at least 1, and the highest root's is
+    h - 1 for the Coxeter number h <= max(2n, 30), so a finite-type P stops
+    within max(2n, 30) rounds.  Any other P raises AssertionError there.
     """
     n = len(P)
     columns = list(zip(*P))  # columns[i][k] = <alpha_i, alpha_k^vee>
@@ -156,7 +160,9 @@ def _positive_roots(P: Matrix) -> Roots:
         unit = tuple(int(k == i) for k in range(n))
         seen[unit] = (unit, columns[i])
     frontier = list(seen)
-    while frontier:
+    for _ in range(max(2 * n, 30)):
+        if not frontier:
+            break
         new = []
         for rc in frontier:
             cc, pairs = seen[rc]
@@ -171,6 +177,8 @@ def _positive_roots(P: Matrix) -> Roots:
                         )
                         new.append(raised)
         frontier = new
+    else:
+        raise AssertionError(f"roots still rising after {max(2 * n, 30)} rounds; pairing matrix not of finite type")
     return sorted((rc, cc, pairs) for rc, (cc, pairs) in seen.items())
 
 

@@ -31,7 +31,7 @@ that wraps the kernels' graded dict without a copy.
 The degree-1 characters of the Hecke algebra live here too, since their
 series need only W(t): a sign character's value on e_w depends on the
 multilength of w alone (:func:`char_value_e_w`), and
-:func:`character_series` weights each coefficient of W(t) by it.  A
+:func:`character_series` weights each term of W(t) by it.  A
 character's partial sums at a point (:func:`partial_sums_at_point`) are
 the per-degree sums of that series.  Nothing here imports numpy, so
 ``gyoja series`` runs on plain ints end to end.
@@ -39,9 +39,10 @@ the per-degree sums of that series.  Nothing here imports numpy, so
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import accumulate, islice
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .cartan import AffineCoxeterSystem, SignCharacter, residue_field_size
 from .limits import ResourceLimitExceeded, element_cap
@@ -67,11 +68,11 @@ def count_multilengths(
 ) -> TruncatedSeries:
     """The growth series W(t): the number of elements of each multilength in the ball of ``radius``.
 
-    Its coefficients are ``enumerate_ball(system, radius).multilength_counts()``,
-    formed as the product of the coset sets of the module docstring.  The
-    finite ones are multiplied first.  Then the infinite one is walked level
-    by level, and each degree of the product is formed as soon as its level
-    is known, so the cap is checked before the next level is walked.
+    It equals ``hecke.counting_series(enumerate_ball(system, radius))`` and
+    is the product of the coset sets of the module docstring.  The finite
+    ones are multiplied first.  Then the infinite one is walked level by
+    level, and each degree of the product is formed as soon as its level is
+    known, so the cap is checked before the next level is walked.
 
     Raises :class:`ResourceLimitExceeded` when the ball of some radius
     k <= ``radius`` has more elements than the cap (argument, else
@@ -167,19 +168,10 @@ def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> 
     Multiplicativity along a reduced word gives
     r(e_w) = prod_i r(e_{s_i})^(l_i(w)), s_i a generator of class i.
     """
-    return next(_values_e_w(eps, q_o, [multilength]))
-
-
-def _values_e_w(eps: SignCharacter, q_o: int, multilengths: Iterable[Sequence[int]]) -> Iterator[int]:
-    """:func:`char_value_e_w` of each multilength in turn, with the value on each class computed once."""
-    class_values = [char_value_e_s(eps, i, q_o) for i in range(len(eps.signs))]
-    for multilength in multilengths:
-        if len(multilength) != len(class_values):
-            raise ValueError("multilength / sign vector dimension mismatch")
-        value = 1
-        for v, li in zip(class_values, multilength):
-            value *= v**li
-        yield value
+    values = [char_value_e_s(eps, i, q_o) for i in range(len(eps.signs))]
+    if len(multilength) != len(values):
+        raise ValueError("multilength / sign vector dimension mismatch")
+    return math.prod(v**li for v, li in zip(values, multilength))
 
 
 def character_series(growth: TruncatedSeries, eps: SignCharacter, q_o: int) -> TruncatedSeries:
@@ -187,11 +179,21 @@ def character_series(growth: TruncatedSeries, eps: SignCharacter, q_o: int) -> T
 
     Each coefficient, the number of elements of one multilength, is
     weighted by the character's value r(e_w) = :func:`char_value_e_w`,
-    which needs ``q_o``.
+    which needs ``q_o``; the multilength is read off the stored key.  A
+    class value is -1 or q, so no weighted coefficient is zero.
     """
-    counts = growth.coeffs
-    values = _values_e_w(eps, q_o, counts)
-    return TruncatedSeries(growth.nvars, growth.bound, {ml: n * v for (ml, n), v in zip(counts.items(), values)})
+    values = [char_value_e_s(eps, i, q_o) for i in range(len(eps.signs))]
+    if len(values) != growth.nvars:
+        raise ValueError("multilength / sign vector dimension mismatch")
+    base, weights = growth.bound + 1, list(zip(places(growth.nvars, growth.bound), values))
+
+    def weighted(key: int, count: int) -> int:
+        for place, v in weights:
+            count *= v ** (key // place % base)
+        return count
+
+    levels = {d: {key: weighted(key, n) for key, n in terms.items()} for d, terms in growth.levels.items()}
+    return TruncatedSeries.from_graded(growth.nvars, growth.bound, levels)
 
 
 def partial_sums_at_point(

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -44,7 +45,7 @@ import numpy as np
 
 from .cartan import INFINITE_BOND, AffineCoxeterSystem, ClassPartition, SignCharacter, residue_field_size
 from .counting import char_value_e_s, character_series, partial_sums_at_point
-from .series import Graded, TruncatedSeries, places
+from .series import Graded, TruncatedSeries, graded, places
 
 if TYPE_CHECKING:
     from .weyl import Ball
@@ -232,9 +233,13 @@ def eval_rep_on_word(rep: MatrixRep, word: Sequence[int]) -> np.ndarray:
 def counting_series(ball: Ball, bound: int | None = None) -> TruncatedSeries:
     """Growth series W(t): one t_1^(l_1)...t_m^(l_m) term per element, to degree ``bound``.
 
-    A tally of the ball, so the independent check of :func:`gyoja.counting.count_multilengths`.
+    A tally of the ball's multilength rows, so the independent check of
+    :func:`gyoja.counting.count_multilengths`; keyed apart from the matrix
+    branch of :func:`gyoja_series`, which sign-character series check.
     """
-    return TruncatedSeries(ball.system.m, _series_bound(ball, bound), ball.multilength_counts())
+    bound, m = _series_bound(ball, bound), ball.system.m
+    tally = Counter(tuple(ml) for lv in ball.levels[: bound + 1] for ml in lv.multilength.tolist())
+    return TruncatedSeries.from_graded(m, bound, graded(tally.items(), m, bound))
 
 
 def _series_bound(ball: Ball, bound: int | None) -> int:

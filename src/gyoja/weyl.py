@@ -45,7 +45,6 @@ geodesics and canonical order are what the jsonl export pins.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -89,17 +88,6 @@ class Ball:
 
     def __len__(self) -> int:
         return self.total
-
-    def multilength_counts(self) -> dict[tuple[int, ...], int]:
-        """Number of elements per class-graded length vector, by length and then lexicographic.
-
-        A tally of the elements' multilengths, level by level: the
-        independent check of :func:`gyoja.counting.count_multilengths`.
-        """
-        out: dict[tuple[int, ...], int] = {}
-        for lv in self.levels:
-            out.update(sorted(Counter(map(tuple, lv.multilength.tolist())).items()))
-        return out
 
     def __repr__(self) -> str:
         return f"Ball({self.system.ctype.label}, radius={self.radius}, total={self.total})"

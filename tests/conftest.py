@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import signal
 import sys
 
 import pytest
@@ -16,6 +17,28 @@ from gyoja.cartan import build_affine_system, parse_cartan_type
 from gyoja.weyl import enumerate_ball
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+# Per-test time limit, so that a hang fails one test instead of the run; the
+# slowest test takes a few seconds.
+TEST_TIME_LIMIT_S = 120
+
+
+def _time_limit_passed(signum, frame):
+    raise TimeoutError(f"test still running after {TEST_TIME_LIMIT_S} s")
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    if not hasattr(signal, "SIGALRM"):  # not on Windows
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _time_limit_passed)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 _BALLS: dict[tuple[str, int], object] = {}
 

@@ -185,6 +185,14 @@ def test_raised_roots_are_the_positive_half_of_the_closure(label):
         assert pairs == tuple(sum(p * x for p, x in zip(row, rc)) for row in P), rc
 
 
+def test_root_raising_stops_on_a_pairing_matrix_not_of_finite_type():
+    # D4 with its fork bond 1-3 made double has infinitely many positive roots
+    P = [list(row) for row in cartan._pairing_matrix(parse_cartan_type("D4"))]
+    P[1][3] = -2
+    with pytest.raises(AssertionError, match="not of finite type"):
+        cartan._positive_roots(tuple(map(tuple, P)))
+
+
 @pytest.mark.parametrize("label", RANK_SWEEP_LABELS + ["A30", "B30", "C30", "D30"])
 def test_diagram_pairing_matches_the_euclidean_realization(label):
     ctype = parse_cartan_type(label)

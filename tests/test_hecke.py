@@ -95,6 +95,13 @@ def test_char_value_examples():
         char_value_e_w(st, (1, 1, 1), 2)
 
 
+@pytest.mark.parametrize("signs", [(-1,), (-1, 1, 1)])
+def test_character_series_rejects_a_sign_vector_of_another_length(signs):
+    growth = count_multilengths(system_of("G2"), 4)
+    with pytest.raises(ValueError, match="multilength / sign vector dimension mismatch"):
+        character_series(growth, SignCharacter(signs), 2)
+
+
 @pytest.mark.parametrize("q_o", [1, Fraction(5, 2), 0, -3])
 def test_sign_character_values_need_an_integer_qo_of_at_least_2(q_o):
     eps = SignCharacter((-1, 1))
@@ -153,6 +160,13 @@ def test_degree_zero_coefficient_is_identity():
     for i in range(2):
         for j in range(2):
             assert mat_series[i, j].coefficient(zero_exp) == (1 if i == j else 0)
+
+
+def test_denominator_one_rep_series_has_int_coefficients():
+    rep = random_validated_rep(random.Random(11), system_of("G2"), dim=2, q_o=2)
+    assert rep.denominator == 1
+    coefficients = [c for entry in gyoja_series(get_ball("G2", 6), rep).flat for _, c in entry.terms()]
+    assert coefficients and all(type(c) is int for c in coefficients)
 
 
 def test_sign_character_series_matches_1x1_matrix_series():

@@ -10,7 +10,7 @@ from conftest import get_ball, system_of
 from gyoja.cartan import SignCharacter, parse_cartan_type
 from gyoja.closed_forms import diagram_growth_series, growth_closed_form
 from gyoja.counting import character_series, count_multilengths
-from gyoja.hecke import gyoja_series
+from gyoja.hecke import counting_series, gyoja_series
 from gyoja.series import TruncatedSeries, one
 
 
@@ -130,6 +130,7 @@ def test_every_producer_keeps_the_stored_form():
         diagram_growth_series(parse_cartan_type("C3"), 8),
         growth_closed_form(parse_cartan_type("C3")).expand(8),
         character_series(growth, eps, 3),
+        counting_series(get_ball("C3", 8)),
         growth + a,
         a + a * -1,  # every term cancels
         growth + growth * -1,

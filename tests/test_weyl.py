@@ -24,6 +24,7 @@ from gyoja import counting, series, weyl
 from gyoja.cartan import exponents
 from gyoja.cli import ALL_TYPES
 from gyoja.counting import count_multilengths
+from gyoja.hecke import counting_series
 from gyoja.weyl import ResourceLimitExceeded, enumerate_ball, enumerate_levels, write_jsonl
 
 
@@ -226,16 +227,14 @@ COUNTER_CASES = [
 @pytest.mark.parametrize("label, radius", [("A1", 6), ("G2", 12), ("C3", 8), ("E8", 4)])
 def test_multilength_counts_match_per_element_tally(label, radius):
     ball = enumerate_ball(system_of(label), radius)
-    counts = ball.multilength_counts()
-    assert counts == Counter(el.multilength for el in ball_elements(ball))
-    assert list(counts) == sorted(counts, key=lambda ml: (sum(ml), ml))  # level by level, lexicographic
+    assert dict(counting_series(ball).terms()) == Counter(el.multilength for el in ball_elements(ball))
 
 
 @pytest.mark.parametrize("label, radius", COUNTER_CASES)
 def test_counter_matches_ball_counts(label, radius):
     system = system_of(label)
     terms = list(count_multilengths(system, radius).terms())
-    assert dict(terms) == enumerate_ball(system, radius).multilength_counts()
+    assert dict(terms) == dict(counting_series(enumerate_ball(system, radius)).terms())
     assert terms == sorted(terms, key=lambda term: (sum(term[0]), [-e for e in term[0]]))  # degree, then t1-dominant
 
 
