@@ -9,7 +9,7 @@ data assembled here:
 * the exponents of the finite Weyl group (for the single-variable growth
   formula), and
 * the sign characters of the Iwahori-Hecke algebra whose modules are
-  discrete series (Borel's classification).
+  discrete series, derived from the positive roots by Borel's criterion.
 
 The pairings P[i][j] = <alpha_j, alpha_i^vee> of the simple roots are read
 off the Dynkin diagram, a list of bonds with their length ratios; no root
@@ -33,10 +33,12 @@ affine node attaches to).
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable
 
 __all__ = [
@@ -110,7 +112,7 @@ def parse_cartan_type(label: str) -> CartanType:
 
 
 Matrix = tuple[tuple[int, ...], ...]
-Roots = list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
+Roots = list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]]
 
 
 def _pairing_matrix(ctype: CartanType) -> Matrix:
@@ -142,12 +144,12 @@ def _pairing_matrix(ctype: CartanType) -> Matrix:
 
 
 def _positive_roots(P: Matrix) -> Roots:
-    """Positive roots beta, sorted, as (root coords, coroot coords, (<beta, alpha_k^vee>)_k).
+    """Positive roots beta, sorted, as (root coords, coroot coords, (<beta, alpha_k^vee>)_k, origin).
 
     s_i raises a positive root beta with <beta, alpha_i^vee> < 0 to a higher
     one, and every positive root that is not simple is raised so from a lower
-    one (s_i of it, for an i where it pairs positively); so these raisings,
-    from the simple roots, find exactly the positive roots.
+    one (s_i of it, for an i where it pairs positively); so these raisings find exactly
+    the positive roots, each in the W0-orbit of its origin (0..n-1), the simple root it rose from.
 
     Each round raises the height by at least 1, and the highest root's is
     h - 1 for the Coxeter number h <= max(2n, 30), so a finite-type P stops
@@ -158,14 +160,14 @@ def _positive_roots(P: Matrix) -> Roots:
     seen = {}
     for i in range(n):
         unit = tuple(int(k == i) for k in range(n))
-        seen[unit] = (unit, columns[i])
+        seen[unit] = (unit, columns[i], i)
     frontier = list(seen)
     for _ in range(max(2 * n, 30)):
         if not frontier:
             break
         new = []
         for rc in frontier:
-            cc, pairs = seen[rc]
+            cc, pairs, origin = seen[rc]
             for i, pair in enumerate(pairs):
                 if pair < 0:
                     raised = rc[:i] + (rc[i] - pair,) + rc[i + 1 :]
@@ -174,21 +176,21 @@ def _positive_roots(P: Matrix) -> Roots:
                         seen[raised] = (
                             cc[:i] + (cc[i] - pair_c,) + cc[i + 1 :],
                             tuple(x - pair * y for x, y in zip(pairs, columns[i])),
+                            origin,
                         )
                         new.append(raised)
         frontier = new
     else:
         raise AssertionError(f"roots still rising after {max(2 * n, 30)} rounds; pairing matrix not of finite type")
-    return sorted((rc, cc, pairs) for rc, (cc, pairs) in seen.items())
+    return sorted((rc, cc, pairs, origin) for rc, (cc, pairs, origin) in seen.items())
 
 
-def _highest_root(roots: Roots) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+def _highest_root(roots: Roots) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
     """The entry of the highest root, the one root of greatest height; no s_i raises it further."""
-    best = max(roots, key=lambda rc: sum(rc[0]))
-    top = [rc for rc in roots if sum(rc[0]) == sum(best[0])]
-    if len(top) != 1:
+    heights = [sum(rc) for rc, _, _, _ in roots]
+    if heights.count(top := max(heights)) != 1:
         raise AssertionError("highest root is not unique; root system not irreducible?")
-    return top[0]
+    return roots[heights.index(top)]
 
 
 def _exponents(positive: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -200,6 +202,23 @@ def _exponents(positive: list[tuple[int, ...]]) -> tuple[int, ...]:
     """
     heights = Counter(map(sum, positive))
     return tuple(k for k in sorted(heights) for _ in range(heights[k] - heights[k + 1]))
+
+
+def _class_weights(roots: Roots, P: Matrix, class_of: tuple[int, ...], m: int) -> list[tuple[int, ...]]:
+    """w_c = 4 rho_c in simple-root coordinates: the roots, each once per half of its hyperplanes in class c.
+
+    The reflections in <alpha, x> = k lie in the class of alpha's origin, but odd k in s_0's when the origin
+    (so all its W0-orbit) pairs evenly with each simple coroot: C_n's long roots, A1's root.
+    """
+    by_origin: list[list[tuple[int, ...]]] = [[] for _ in P]
+    for rc, _, _, origin in roots:
+        by_origin[origin].append(rc)
+    w = [(0,) * len(P)] * m
+    for i, rows in enumerate(by_origin):
+        c, total = class_of[i + 1], tuple(map(sum, zip(*rows)))
+        for half in (c, c if math.gcd(*(row[i] for row in P)) % 2 else class_of[0]):
+            w[half] = tuple(map(int.__add__, w[half], total))
+    return w
 
 
 # Bond order m_st from the Cartan product a_st * a_ts = 4 cos^2(pi / m_st).
@@ -307,8 +326,8 @@ class AffineCoxeterSystem:
     Every table is a plain int tuple (n <= 8 for the exceptional types):
     ``pairing`` (P[i][j] = <alpha_j, alpha_i^vee>), ``highest_root`` (theta
     in simple-root coordinates), ``gen_linear``, ``gen_translation``,
-    ``extended_cartan``, ``coxeter_matrix`` and ``exponents``; the class
-    partition is read off the Coxeter matrix.
+    ``extended_cartan``, ``coxeter_matrix``, ``exponents`` and
+    ``discrete_series``; the class partition is read off the Coxeter matrix.
 
     ``extended_cartan`` (a[s][t] = <alpha_t, alpha_s^vee> over the nodes
     0..n) is all the numbers game needs: :mod:`gyoja.weyl` keys the
@@ -324,7 +343,7 @@ class AffineCoxeterSystem:
         P = _pairing_matrix(ctype)
         roots = _positive_roots(P)
         # f is theta as a functional on the coroot lattice: f[k] = <theta, alpha_k^vee>
-        theta, theta_covec, f = _highest_root(roots)
+        theta, theta_covec, f, _ = _highest_root(roots)
         eye = [[int(a == b) for b in range(n)] for a in range(n)]
 
         gens_lin = [tuple(tuple(eye[a][b] - theta_covec[a] * f[b] for b in range(n)) for a in range(n))]
@@ -340,10 +359,13 @@ class AffineCoxeterSystem:
         self.gen_linear = tuple(gens_lin)
         self.gen_translation = tuple(gens_tr)
         self.num_gens = n + 1
-        self.exponents = _exponents([rc for rc, _, _ in roots])
         self.extended_cartan = _extended_cartan_matrix(P, theta, theta_covec)
         self.coxeter_matrix = _coxeter_matrix(self.extended_cartan)
         self.partition = conjugacy_partition(self.coxeter_matrix)
+        self.exponents = _exponents([rc for rc, _, _, _ in roots])
+        w = _class_weights(roots, P, self.partition.class_of, self.m)
+        signs = (e for e in product((-1, 1), repeat=self.m) if all(sum(map(int.__mul__, e, k)) < 0 for k in zip(*w)))
+        self.discrete_series = tuple(map(SignCharacter, signs))
 
     # -- public surface -------------------------------------------------------
 
@@ -362,6 +384,10 @@ class AffineCoxeterSystem:
         finite and the walk stops, where every v_s < 0: at the one element
         with all of J as left descents, w0(J).  Firing s changes v only at s
         and its neighbours, so the nodes to try are kept on a stack.
+
+        Each firing adds 1 to the length, and l(w0(J)) <= max(|J|^2, 15|J|)
+        (type B_r has r^2 reflections, E8 15 * 8), so a game that fires more
+        often is not that of a finite W_J: AssertionError is raised there.
         """
         nodes = sorted(set(nodes))
         if any(s not in range(self.num_gens) for s in nodes):
@@ -372,9 +398,13 @@ class AffineCoxeterSystem:
         bonds = [[(k, a[s][t]) for k, t in enumerate(nodes) if a[s][t]] for s in nodes]
         v, out = [1] * len(nodes), [0] * self.m
         ready = list(range(len(nodes)))
+        firings_left = max(len(nodes) ** 2, 15 * len(nodes))
         while ready:
             i = ready.pop()
             if (vs := v[i]) > 0:
+                if not firings_left:
+                    raise AssertionError(f"numbers game on {nodes} still firing; W_J not finite")
+                firings_left -= 1
                 out[self.partition.class_of[nodes[i]]] += 1
                 for k, r in bonds[i]:
                     v[k] -= vs * r
@@ -434,40 +464,17 @@ def exponents(ctype: CartanType) -> tuple[int, ...]:
 
 
 def steinberg_character(ctype: CartanType) -> SignCharacter:
-    m = build_affine_system(ctype).m
-    return SignCharacter((-1,) * m)
+    return build_affine_system(ctype).discrete_series[0]
 
 
 def borel_discrete_series_list(ctype: CartanType) -> list[SignCharacter]:
-    """Sign characters whose 1-dimensional modules are discrete series.
+    """Sign characters with discrete-series modules, in lexicographic sign order: Steinberg first.
 
-    The Steinberg character (all -1) appears for every type.  The extra
-    entries exist only for m >= 2 types; they are stated here in the
-    canonical class order of :func:`conjugacy_partition`.  For C2 all three
-    classes are singletons and the canonical order puts the end nodes
-    {s_0}, {s_2} in positions 1 and 3, so the two extra characters carry
-    their +1 on an end-node class (the chain class {s_1} always gets -1).
+    Borel's sum sum_w |chi_eps(T_w)|^2 / q^l(w) (Invent. Math. 35, 1976) is W(t) at t_c = q^eps_c, and
+    l_c(t_lambda u) = <lambda+, 2 rho_c> + O(1) with lambda+ dominant (4 rho_c = w_c of ``_class_weights``),
+    so it converges iff every <varpi_k^vee, sum_c eps_c 2 rho_c> < 0; a 0 diverges, as for C3's (-1, +1, +1).
     """
-    system = build_affine_system(ctype)
-    m = system.m
-    chars = [SignCharacter((-1,) * m)]
-    fam, n = ctype.family, ctype.rank
-    if fam in ("B", "F", "G"):
-        chars.append(SignCharacter((-1, 1)))
-    elif fam == "C":
-        if n == 2:
-            # classes in canonical order: ({s_0}, {s_1}, {s_2})
-            chars.append(SignCharacter((-1, -1, 1)))
-            chars.append(SignCharacter((1, -1, -1)))
-        else:
-            # classes in canonical order: ({s_1..s_{n-1}}, {s_0}, {s_n})
-            chars.append(SignCharacter((-1, -1, 1)))
-            chars.append(SignCharacter((-1, 1, -1)))
-            if n >= 4:
-                chars.append(SignCharacter((-1, 1, 1)))
-    elif fam == "A" and n == 1:
-        pass  # Steinberg only
-    return chars
+    return list(build_affine_system(ctype).discrete_series)
 
 
 # ---------------------------------------------------------------------------

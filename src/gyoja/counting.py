@@ -40,6 +40,7 @@ the per-degree sums of that series.  Nothing here imports numpy, so
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -167,10 +168,13 @@ def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> 
 
     Multiplicativity along a reduced word gives
     r(e_w) = prod_i r(e_{s_i})^(l_i(w)), s_i a generator of class i.
+    A multilength that is not a vector of integers >= 0 raises ValueError.
     """
     values = [char_value_e_s(eps, i, q_o) for i in range(len(eps.signs))]
     if len(multilength) != len(values):
         raise ValueError("multilength / sign vector dimension mismatch")
+    if not all(isinstance(li, numbers.Integral) and li >= 0 for li in multilength):
+        raise ValueError(f"multilength must be integers >= 0, got {tuple(multilength)}")
     return math.prod(v**li for v, li in zip(values, multilength))
 
 

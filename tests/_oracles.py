@@ -408,6 +408,25 @@ def longest_multilength_by_root_closure(system: AffineCoxeterSystem, nodes) -> t
     return tuple(out)
 
 
+def borel_stated_list(ctype: CartanType) -> list[tuple[int, ...]]:
+    """Borel's degree-1 discrete series (Invent. Math. 35, 1976), as stated family by family.
+
+    Steinberg (all -1) for every type; B_n, F4 and G2 add (-1, +1); C_n adds
+    the characters with +1 on one end class, and from n = 4 on both.  The
+    sign vectors are in the canonical class order: ({s_0}, {s_1}, {s_2})
+    for C2, so the chain class {s_1} always gets -1, and
+    ({s_1..s_{n-1}}, {s_0}, {s_n}) for C_n with n >= 3.
+    """
+    fam, n = ctype.family, ctype.rank
+    if fam in ("B", "F", "G"):
+        return [(-1, -1), (-1, 1)]
+    if fam == "C" and n == 2:
+        return [(-1, -1, -1), (-1, -1, 1), (1, -1, -1)]
+    if fam == "C":
+        return [(-1, -1, -1), (-1, -1, 1), (-1, 1, -1)] + [(-1, 1, 1)] * (n >= 4)
+    return [(-1, -1)] if ctype.label == "A1" else [(-1,)]
+
+
 # ---------------------------------------------------------------------------
 # Random validated matrix representations
 # ---------------------------------------------------------------------------

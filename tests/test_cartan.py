@@ -1,11 +1,15 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from _oracles import (
     alcove_point,
+    borel_stated_list,
     coxeter_matrix_by_generator_orders,
     euclidean_pairing_matrix,
     exponents_table,
@@ -37,6 +41,7 @@ RANK_SWEEP_LABELS = (
     + [f"D{n}" for n in range(4, 13)]
     + ["E6", "E7", "E8", "F4", "G2"]
 )
+BOREL_SWEEP_LABELS = RANK_SWEEP_LABELS + [f"{fam}{n}" for fam in "BC" for n in range(13, 31)]
 
 # classical constants used as independent checks on the exponent tables
 POSITIVE_ROOT_COUNT = {
@@ -179,9 +184,9 @@ def test_raised_roots_are_the_positive_half_of_the_closure(label):
     P = cartan._pairing_matrix(parse_cartan_type(label))
     raised = cartan._positive_roots(P)
     closure = root_closure(P)
-    assert [(rc, cc) for rc, cc, _ in raised] == [(rc, cc) for rc, cc in closure if min(rc) >= 0]
+    assert [(rc, cc) for rc, cc, *_ in raised] == [(rc, cc) for rc, cc in closure if min(rc) >= 0]
     assert len(closure) == 2 * len(raised)
-    for rc, _, pairs in raised:
+    for rc, _, pairs, _ in raised:
         assert pairs == tuple(sum(p * x for p, x in zip(row, rc)) for row in P), rc
 
 
@@ -191,6 +196,31 @@ def test_root_raising_stops_on_a_pairing_matrix_not_of_finite_type():
     P[1][3] = -2
     with pytest.raises(AssertionError, match="not of finite type"):
         cartan._positive_roots(tuple(map(tuple, P)))
+
+
+def test_numbers_game_stops_on_a_cartan_matrix_not_of_finite_type():
+    # a fresh D4 system, not the cached one, with its fork bond 2-4 made
+    # double: the game on J = {1, 2, 3, 4} then fires without end
+    s = cartan.AffineCoxeterSystem(parse_cartan_type("D4"))
+    a = [list(row) for row in s.extended_cartan]
+    a[2][4] = -2
+    s.extended_cartan = tuple(map(tuple, a))
+    with pytest.raises(AssertionError, match="W_J not finite"):
+        s.longest_multilength([1, 2, 3, 4])
+
+
+def test_the_bounds_raise_under_python_O():
+    # an assert statement would vanish under -O; both bounds raise explicitly
+    code = (
+        "import sys, test_cartan as t; "
+        "t.test_root_raising_stops_on_a_pairing_matrix_not_of_finite_type(); "
+        "t.test_numbers_game_stops_on_a_cartan_matrix_not_of_finite_type(); "
+        "print(sys.flags.optimize)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], cwd=Path(__file__).parent, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "1\n"), done.stderr
 
 
 @pytest.mark.parametrize("label", RANK_SWEEP_LABELS + ["A30", "B30", "C30", "D30"])
@@ -316,6 +346,26 @@ def test_borel_list_c2_carries_plus_on_end_classes():
     # {s_1} always gets -1
     c2 = borel_discrete_series_list(parse_cartan_type("C2"))
     assert [c.signs for c in c2] == [(-1, -1, -1), (-1, -1, 1), (1, -1, -1)]
+
+
+@pytest.mark.parametrize("label", BOREL_SWEEP_LABELS)
+def test_derived_discrete_series_are_borels_stated_list(label):
+    ctype = parse_cartan_type(label)
+    assert [c.signs for c in borel_discrete_series_list(ctype)] == borel_stated_list(ctype)
+
+
+def test_discrete_series_threshold_between_c3_and_c4():
+    # eps = (-1, +1, +1) sums the classes' w_c to a vector with a coordinate
+    # of 0 in C3, where Borel's sum diverges, and to a negative one in C4
+    eps = SignCharacter((-1, 1, 1))
+
+    def total(label):
+        s = build_affine_system(parse_cartan_type(label))
+        w = cartan._class_weights(cartan._positive_roots(s.pairing), s.pairing, s.partition.class_of, s.m)
+        return [sum(e * x for e, x in zip(eps.signs, coords)) for coords in zip(*w)]
+
+    assert max(total("C3")) == 0 and eps not in borel_discrete_series_list(parse_cartan_type("C3"))
+    assert max(total("C4")) < 0 and eps in borel_discrete_series_list(parse_cartan_type("C4"))
 
 
 def test_borel_list_shapes():

@@ -348,7 +348,11 @@ def test_benchmark_outputs_match_their_digests(command, capsys):
 @pytest.mark.parametrize(
     "label,digest",
     [
+        ("A1", "24d1aabdd03fa3f74ebf42b3dbba0ef06329ab2e9814cd147cd5093cabc53137"),
+        ("B3", "e83c983bfc64fad0335262307087d460b831fc616cac03f6075711e34645ab54"),
         ("C2", "f31a1173728fe243f607cb897b0c294e17eafedd7016cf8d24d7be6b0b3e980b"),
+        ("C3", "ef54415b24aee27e71c3b1f4186774a1f0c212be6dafd9060051cc3dcf833d03"),
+        ("C4", "c08a64cbc510fd014c188a279f2cb27133842251de25c4723e239f201fbeac31"),
         ("G2", "a3fd5738ce5b224b723e59a92a82b1ce57dbc635a70d69bb11ce642293344ae3"),
         ("F4", "f263a85c9467251907e75c098f4bc2414150eb732687633f736fa0cb818736fd"),
         ("E8", "712f93cf33be7c9173755cecc9b17466a58cfa2926bd361436f33361aaeaa792"),

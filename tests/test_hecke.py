@@ -95,6 +95,12 @@ def test_char_value_examples():
         char_value_e_w(st, (1, 1, 1), 2)
 
 
+@pytest.mark.parametrize("multilength", [(-1, 0), (0, -2), (1.5, 0), (0, Fraction(1))])
+def test_char_value_e_w_rejects_a_multilength_that_is_not_integers_of_at_least_0(multilength):
+    with pytest.raises(ValueError, match="multilength must be integers >= 0"):
+        char_value_e_w(SignCharacter((-1, 1)), multilength, 2)
+
+
 @pytest.mark.parametrize("signs", [(-1,), (-1, 1, 1)])
 def test_character_series_rejects_a_sign_vector_of_another_length(signs):
     growth = count_multilengths(system_of("G2"), 4)
