@@ -22,20 +22,24 @@ partial sums at a point are plain-int work and live in :mod:`gyoja.counting`
 representations and the series over a ball, and imports :mod:`gyoja.weyl`
 only for type checking.  A matrix representation is summed along the ball's
 BFS tree: an element's geodesic is its parent's plus one letter, so
-r(e_w) = r(e_parent) r(e_s) costs one matrix product per element, and each
-level of the tree, all of one length, is one degree of every entry's series.
+r(e_w) = r(e_parent) r(e_s), and each level of the tree, all of one length,
+is one batched product and one degree of every entry's series.
 
 A :class:`MatrixRep` stores integer numerator matrices N_s over one common
-denominator d, so r(e_s) = N_s / d, as object arrays of Python ints (entries
-grow like q^l, so never int64).  Every product, relation check and series
-sum runs in ints: a product of k generators is an integer matrix over d^k,
-and an exact ``Fraction`` is formed only for what is returned.
+denominator d, so r(e_s) = N_s / d, as tuples of rows of Python ints.  Each
+call stacks them once into a (generators, d, d) numpy object array (entries
+grow like q^l, so never int64), and every product, relation check and
+series sum runs on it in ints: a product of k generators is an integer
+matrix over d^k, and an exact ``Fraction`` is formed only for what is
+returned.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,6 +76,17 @@ def _over(num: np.ndarray, den: int) -> np.ndarray:
     return out
 
 
+def _stack(rep: MatrixRep) -> np.ndarray:
+    """The numerators as one (generators, d, d) object array of Python ints."""
+    return np.array(rep.numerators, dtype=object)
+
+
+def _product(nums: np.ndarray, word: Sequence[int]) -> np.ndarray:
+    """The ordered product of ``nums[s]`` over the letters s of ``word``; the identity for no letters."""
+    mats = [nums[s] for s in word]
+    return functools.reduce(np.dot, mats) if mats else np.eye(nums.shape[1], dtype=object)
+
+
 def _rational(x, what: str) -> Fraction:
     """``x`` as a Fraction of Python ints; ValueError unless it is a ``numbers.Rational``."""
     if not isinstance(x, numbers.Rational):
@@ -92,32 +107,21 @@ def _square_entries(matrix, s: int) -> np.ndarray:
 class MatrixRep:
     """Generator s acts by ``numerators[s] / denominator``; q = q_o**2 is the parameter.
 
-    The numerators are read-only object arrays of Python ints and the
-    denominator is the least positive common one.  Build with :meth:`make`.
-    Two representations are equal when their dimension, q, denominator and
-    numerator entries are.
+    Each numerator is a tuple of rows, each row a tuple of Python ints, and
+    the denominator is the least positive common one.  Build with
+    :meth:`make`.  As plain values, two representations are equal, and hash
+    alike, when their dimension, q, numerators and denominator are.
     """
 
     dimension: int
     q: int
-    numerators: tuple[np.ndarray, ...]
+    numerators: tuple[tuple[tuple[int, ...], ...], ...]
     denominator: int
-
-    def _key(self) -> tuple:
-        return (self.dimension, self.q, self.denominator, tuple(tuple(num.flat) for num in self.numerators))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatrixRep):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def matrices(self) -> tuple[np.ndarray, ...]:
         """The generator matrices as exact ``Fraction`` arrays."""
-        return tuple(_over(num, self.denominator) for num in self.numerators)
+        return tuple(_over(_stack(self), self.denominator))
 
     @staticmethod
     def make(matrices: Sequence, q_o: int) -> "MatrixRep":
@@ -136,15 +140,13 @@ class MatrixRep:
         for s, mat in enumerate(mats):
             if mat.shape != shape:
                 raise ValueError(f"generator {s} matrix has shape {mat.shape}, generator 0 has {shape}")
-        entries = [[_rational(x, f"generator {s} matrix entry") for x in mat.flat] for s, mat in enumerate(mats)]
-        den = math.lcm(*(x.denominator for flat in entries for x in flat))
-        nums = []
-        for flat in entries:
-            num = np.empty(shape, dtype=object)
-            num.flat = [x.numerator * (den // x.denominator) for x in flat]
-            num.flags.writeable = False
-            nums.append(num)
-        return MatrixRep(shape[0], q, tuple(nums), den)
+        entries = [
+            [[_rational(x, f"generator {s} matrix entry") for x in row] for row in mat.tolist()]
+            for s, mat in enumerate(mats)
+        ]
+        den = math.lcm(*(x.denominator for mat in entries for row in mat for x in row))
+        nums = tuple(tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in mat) for mat in entries)
+        return MatrixRep(shape[0], q, nums, den)
 
     @staticmethod
     def from_sign_character(eps: SignCharacter, partition: ClassPartition, q_o: int) -> "MatrixRep":
@@ -171,40 +173,31 @@ class RepValidationReport:
         return "; ".join(self.violations)
 
 
-def _is_zero_matrix(mat: np.ndarray) -> bool:
-    return not any(mat.flat)
-
-
 def validate_rep(rep: MatrixRep, system: AffineCoxeterSystem) -> RepValidationReport:
     """Check every quadratic and braid relation exactly; report the failures.
 
     With r(e_s) = N_s / d, the quadratic relation (r(e_s) + 1)(r(e_s) - q) = 0
     is (N_s + d I)(N_s - q d I) = 0, and both sides of a braid relation are
     products of m_st numerators over d^m_st, so every check is on integer
-    matrices.
+    matrices.  The quadratic relation is one batched product for all
+    generators.
     """
-    violations = []
-    nums = rep.numerators
-    if len(nums) != system.num_gens:
+    if len(rep.numerators) != system.num_gens:
         return RepValidationReport(
-            (f"expected {system.num_gens} generator matrices, got {len(nums)}",)
+            (f"expected {system.num_gens} generator matrices, got {len(rep.numerators)}",)
         )
+    nums = _stack(rep)
     eye = np.eye(rep.dimension, dtype=object)
     d, q = rep.denominator, rep.q
-    for s, num in enumerate(nums):
-        lhs = (num + d * eye).dot(num - q * d * eye)
-        if not _is_zero_matrix(lhs):
-            violations.append(f"quadratic relation fails at generator {s}")
+    quadratic = ((nums + d * eye) @ (nums - q * d * eye)).reshape(len(nums), -1).tolist()
+    violations = [f"quadratic relation fails at generator {s}" for s, lhs in enumerate(quadratic) if any(lhs)]
     for s in range(system.num_gens):
         for t in range(s + 1, system.num_gens):
             mst = system.coxeter_matrix[s][t]
             if mst == INFINITE_BOND:
                 continue
-            left, right = nums[s], nums[t]
-            for k in range(1, mst):
-                left = left.dot(nums[t] if k % 2 else nums[s])
-                right = right.dot(nums[s] if k % 2 else nums[t])
-            if not _is_zero_matrix(left - right):
+            word = [s, t] * mst
+            if _product(nums, word[:mst]).tolist() != _product(nums, word[1 : mst + 1]).tolist():
                 violations.append(f"braid relation fails for pair ({s},{t}) with bond {mst}")
     return RepValidationReport(tuple(violations))
 
@@ -215,14 +208,18 @@ def eval_rep_on_word(rep: MatrixRep, word: Sequence[int]) -> np.ndarray:
     On a reduced word of w this is r(e_w); any reduced word gives the same
     product for a rep that passes :func:`validate_rep`.  The product is
     formed on the numerators and divided by denominator^len(word) once.
+    A letter that is not an integer in range(generators) raises ValueError.
     """
-    nums = rep.numerators
-    out = np.eye(rep.dimension, dtype=object)
+    count, letters = len(rep.numerators), []
     for s in word:
-        if not 0 <= s < len(nums):
-            raise ValueError(f"generator index {s} out of range for {len(nums)} generator matrices")
-        out = out.dot(nums[s])
-    return _over(out, rep.denominator ** len(word))
+        try:
+            letter = operator.index(s)
+        except TypeError:  # a float, say: no generator has that index
+            letter = -1
+        if not 0 <= letter < count:
+            raise ValueError(f"generator index {s} out of range for {count} generator matrices")
+        letters.append(letter)
+    return _over(_product(_stack(rep), letters), rep.denominator ** len(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -267,23 +264,25 @@ def gyoja_series(
     geodesic.  Level l is summed per multilength as integer numerators over
     denominator^l, keyed as in :mod:`gyoja.series`, and becomes degree l of
     each entry's graded dict.  Callers are expected to have validated the
-    rep once.
+    rep once.  ``q_o`` belongs to a sign character; a matrix rep carries its
+    own q, so passing ``q_o`` with one raises ValueError.
     """
     bound = _series_bound(ball, bound)
     m = ball.system.m
     if isinstance(rep, SignCharacter):
         return character_series(counting_series(ball, bound), rep, q_o)
     if isinstance(rep, MatrixRep):
-        nums = rep.numerators
-        if len(nums) != ball.system.num_gens:
-            raise ValueError(f"expected {ball.system.num_gens} generator matrices, got {len(nums)}")
-        d = rep.dimension
+        if q_o is not None:
+            raise ValueError("q_o applies only to a sign character")
+        if len(rep.numerators) != ball.system.num_gens:
+            raise ValueError(f"expected {ball.system.num_gens} generator matrices, got {len(rep.numerators)}")
+        nums, d = _stack(rep), rep.dimension
         entries: list[Graded] = [{} for _ in range(d * d)]
         place_values = np.array(places(m, bound), dtype=object)  # Python-int keys, whatever the bound
-        vals = [np.eye(d, dtype=object)]
+        vals = np.eye(d, dtype=object)[np.newaxis]
         for length, lv in enumerate(ball.levels[: bound + 1]):
             if length:
-                vals = [vals[p].dot(nums[s]) for p, s in zip(lv.parent.tolist(), lv.letter.tolist())]
+                vals = vals[lv.parent] @ nums[lv.letter]
             acc: dict[int, np.ndarray] = {}
             for key, mat in zip((lv.multilength @ place_values).tolist(), vals):
                 acc[key] = acc[key] + mat if key in acc else mat

@@ -143,12 +143,12 @@ class TruncatedSeries:
         """The terms by exponent vector, as a fresh dict in canonical term order."""
         return dict(self.terms())
 
-    def coefficient(self, exp: Exponent) -> Fraction:
-        """The coefficient of t^exp; ValueError unless ``exp`` is an exponent vector of this series."""
+    def coefficient(self, exp: Exponent) -> Fraction | int:
+        """The coefficient of t^exp, the int 0 if absent; ValueError unless ``exp`` is a vector of this series."""
         if len(exp) != self.nvars or min(exp) < 0:
             raise ValueError(f"bad exponent vector {exp} for {self.nvars} variables")
         key = sum(e * place for e, place in zip(exp, places(self.nvars, self.bound)))
-        return self.levels.get(sum(exp), {}).get(key, Fraction(0))
+        return self.levels.get(sum(exp), {}).get(key, 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -48,6 +48,19 @@ def test_braid_violation_detected():
     assert any("braid" in v for v in report.violations)
 
 
+def test_validation_report_text():
+    g2 = system_of("G2")
+    trivial = MatrixRep.make([[[4]]] * g2.num_gens, q_o=2)
+    assert str(validate_rep(trivial, g2)) == "all quadratic and braid relations hold"
+    rep = MatrixRep.make([np.diag([-1, 4]), [[2, 0], [1, -1]], [[4, 0], [1, -1]]], q_o=2)
+    assert str(validate_rep(rep, g2)) == (
+        "quadratic relation fails at generator 1; "
+        "braid relation fails for pair (0,1) with bond 3; "
+        "braid relation fails for pair (0,2) with bond 2; "
+        "braid relation fails for pair (1,2) with bond 6"
+    )
+
+
 def test_sign_character_reps_always_validate():
     for label in ("A1", "C2", "G2"):
         system = system_of(label)
@@ -308,10 +321,18 @@ def test_make_accepts_numpy_integers_as_python_ints():
     big = np.int64(2**40)
     rep = MatrixRep.make([[[big]], [[np.int64(-1)]], [[big]]], q_o=np.int64(2**20))
     assert rep == MatrixRep.make([[[2**40]], [[-1]], [[2**40]]], q_o=2**20)
-    assert all(type(x) is int for num in rep.numerators for x in num.flat)
+    assert all(type(x) is int for num in rep.numerators for row in num for x in row)
     assert type(rep.q.numerator) is int and rep.q == 2**40
     # int64 numerators would wrap around here
     assert eval_rep_on_word(rep, (0, 2, 0, 2))[0, 0] == 2**160
+
+
+def test_make_stores_plain_int_tuples():
+    rep = MatrixRep.make([np.array([[Fraction(1, 2), 3], [0, np.int64(-1)]], dtype=object), [[4, 0], [0, 4]]], q_o=2)
+    assert rep.denominator == 2
+    # a list never equals a tuple, so this pins tuples at every level
+    assert rep.numerators == (((1, 6), (0, -2)), ((8, 0), (0, 8)))
+    assert {type(x) for num in rep.numerators for row in num for x in row} == {int}
 
 
 def test_reps_compare_and_hash_by_value():
@@ -323,9 +344,16 @@ def test_reps_compare_and_hash_by_value():
     one_entry = MatrixRep.make(mats[:2] + [[[4, 8], [0, -2]]], q_o=2)
     assert rep != one_entry
     only_q = MatrixRep.make(mats, q_o=3)
-    assert all((a == b).all() for a, b in zip(rep.numerators, only_q.numerators))
+    assert rep.numerators == only_q.numerators
     assert rep != only_q
     assert rep != "not a rep"
+
+
+def test_gyoja_series_rejects_q_o_with_a_matrix_rep():
+    # a matrix rep carries its own q, so a q_o beside it is refused, not ignored
+    rep = MatrixRep.make([[[4]], [[-1]], [[4]]], q_o=2)
+    with pytest.raises(ValueError, match="q_o applies only to a sign character"):
+        gyoja_series(get_ball("C2", 4), rep, q_o=999)
 
 
 @pytest.mark.parametrize("label, expected, count", [("A1", 2, 3), ("G2", 3, 2)])
@@ -335,7 +363,7 @@ def test_gyoja_series_rejects_a_rep_with_the_wrong_generator_count(label, expect
         gyoja_series(get_ball(label, 4), rep)
 
 
-@pytest.mark.parametrize("letter", [-1, 3, 10])
+@pytest.mark.parametrize("letter", [-1, 3, 10, 1.0])
 def test_eval_rejects_letters_out_of_range(letter):
     rep = MatrixRep.make([[[4]], [[-1]], [[4]]], q_o=2)
     with pytest.raises(ValueError, match=rf"generator index {letter} out of range for 3 "):

@@ -4,10 +4,17 @@
 series operation that only the benchmark's oracle uses (``+`` and a scalar
 ``*`` on ``TruncatedSeries``) would otherwise break unseen until the
 benchmark runs.  This test loads ``perfbench/reps.py`` by path, without
-changing it, and runs its oracle on a few cases of small balls.
+changing it, and runs its oracle on a few cases of small balls and on the
+benchmark's own full-scale cases.  The last test runs the benchmark's
+hecke-reps child, ``perfbench/inproc.py``, at its tiny scale, so a change to
+what :mod:`gyoja.hecke` hands that script fails here rather than only when
+the benchmark checks its outputs.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,17 +22,30 @@ import pytest
 
 from gyoja.hecke import gyoja_series, validate_rep
 
-REPS = Path(__file__).resolve().parent.parent / "perfbench" / "reps.py"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def reps():
-    spec = importlib.util.spec_from_file_location("perfbench_reps", REPS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclass looks its module up there
-    spec.loader.exec_module(module)
+    module = _load("reps")
     yield module
-    del sys.modules[spec.name]
+    del sys.modules[module.__name__]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    module = _load("workloads")
+    yield module
+    del sys.modules[module.__name__]
 
 
 def test_benchmark_reps_validate_and_pass_their_oracle(reps):
@@ -34,3 +54,20 @@ def test_benchmark_reps_validate_and_pass_their_oracle(reps):
     for case in cases:
         assert validate_rep(case.rep, case.system).ok
         assert reps.oracle_failure(case, gyoja_series(case.ball, case.rep)) is None
+
+
+def test_benchmark_full_cases_validate_and_pass_their_oracle(reps, workloads):
+    cases = reps.generate(1, **workloads.HECKE_SIZES["full"])
+    assert len(cases) == 18
+    for case in cases:
+        assert validate_rep(case.rep, case.system).ok
+        assert reps.oracle_failure(case, gyoja_series(case.ball, case.rep)) is None
+
+
+def test_benchmark_hecke_reps_child_runs_clean():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    args = [sys.executable, "perfbench/inproc.py", "--workload", "hecke-reps", "--seed", "1", "--scale", "tiny"]
+    proc = subprocess.run(args, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["ops"] and [op["error"] for op in result["ops"]] == [None] * len(result["ops"])

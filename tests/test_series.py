@@ -39,6 +39,12 @@ def test_coefficient_rejects_a_vector_of_another_shape():
             series.coefficient(exp)
 
 
+def test_absent_coefficient_of_an_integer_series_is_an_int():
+    growth = count_multilengths(system_of("C2"), 4)
+    absent, present = growth.coefficient((4, 0, 0)), growth.coefficient((1, 2, 1))
+    assert (absent, present) == (0, 5) and (type(absent), type(present)) == (int, int)
+
+
 def test_only_scalars_multiply():
     a = TruncatedSeries(2, 3, {(0, 0): Fraction(2, 3), (1, 1): -1, (2, 0): 5})
     assert a * 3 == TruncatedSeries(2, 3, {(0, 0): 2, (1, 1): -3, (2, 0): 15})
