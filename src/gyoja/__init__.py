@@ -61,7 +61,6 @@ _LAZY = {
         (
             "BindingDependentVerdictError",
             "DistinctionVerdict",
-            "EvaluationPoint",
             "NotDiscreteSeriesError",
             "classify",
             "distinction_value",

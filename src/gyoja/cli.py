@@ -37,6 +37,7 @@ if TYPE_CHECKING:
     from typing import IO
 
     from .cartan import CartanType
+    from .distinction import DistinctionVerdict
     from .series import TruncatedSeries
 
 EXIT_OK = 0
@@ -245,19 +246,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_MISMATCH
 
 
-def _classify_rows(types: list[CartanType], q_o_values: list[int]):
-    from .distinction import classify
-
-    for ctype in types:
-        for q_o in q_o_values:
-            for verdict in classify(ctype, q_o):
-                yield verdict
-
-
-def _write_classify_text(fp: IO[str], rows) -> None:
+def _write_classify_text(fp: IO[str], verdicts: list[DistinctionVerdict]) -> None:
     header = ["type", "epsilon", "q_o", "value", "distinguished", "multiplicity", "zero_witness"]
     table = [header]
-    for v in rows:
+    for v in verdicts:
+        lo, hi = v.multiplicity_interval
         table.append(
             [
                 v.ctype.label,
@@ -265,7 +258,7 @@ def _write_classify_text(fp: IO[str], rows) -> None:
                 str(v.q_o),
                 str(v.value),
                 "yes" if v.distinguished else "no",
-                f"[{v.multiplicity_lower},{v.multiplicity_upper}]",
+                f"[{lo},{hi}]",
                 v.zero_witness or "",
             ]
         )
@@ -274,14 +267,65 @@ def _write_classify_text(fp: IO[str], rows) -> None:
         fp.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
 
 
+VERDICT_SCHEMA_VERSION = 1
+
+
+def _write_classify_json(fp: IO[str], verdicts: list[DistinctionVerdict]) -> None:
+    import json
+
+    docs = []
+    for v in verdicts:
+        doc = {
+            "type": v.ctype.label,
+            "rank": v.ctype.rank,
+            "epsilon": list(v.epsilon.signs),
+            "q_o": v.q_o,
+            "value": str(v.value),
+            "distinguished": v.distinguished,
+            "multiplicity": list(v.multiplicity_interval),
+            "is_steinberg": v.is_steinberg,
+        }
+        if v.zero_witness is not None:
+            doc["zero_witness"] = v.zero_witness
+        docs.append(doc)
+    json.dump({"schema": "gyoja-verdicts", "schema_version": VERDICT_SCHEMA_VERSION, "verdicts": docs}, fp, indent=2)
+    fp.write("\n")
+
+
+def _write_classify_csv(fp: IO[str], verdicts: list[DistinctionVerdict]) -> None:
+    fp.write("type,epsilon,q_o,value,distinguished,multiplicity_lower,multiplicity_upper,zero_witness\n")
+    for v in verdicts:
+        eps = "(" + " ".join(f"{s:+d}" for s in v.epsilon.signs) + ")"
+        lo, hi = v.multiplicity_interval
+        fp.write(
+            f"{v.ctype.label},{eps},{v.q_o},{v.value},"
+            f"{'yes' if v.distinguished else 'no'},{lo},{hi},{v.zero_witness or ''}\n"
+        )
+
+
+def _write_classify_markdown(fp: IO[str], verdicts: list[DistinctionVerdict]) -> None:
+    fp.write("| type | epsilon | q_o | value | distinguished | multiplicity | zero witness |\n")
+    fp.write("|------|---------|-----|-------|---------------|--------------|--------------|\n")
+    for v in verdicts:
+        eps = "(" + ", ".join(f"{s:+d}" for s in v.epsilon.signs) + ")"
+        lo, hi = v.multiplicity_interval
+        fp.write(
+            f"| {v.ctype.label} | {'Steinberg' if v.is_steinberg else eps} | {v.q_o} | {v.value} | "
+            f"{'yes' if v.distinguished else 'no'} | [{lo}, {hi}] | {v.zero_witness or ''} |\n"
+        )
+
+
+_CLASSIFY_WRITERS = {
+    "text": _write_classify_text,
+    "json": _write_classify_json,
+    "csv": _write_classify_csv,
+    "markdown": _write_classify_markdown,
+}
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     from .cartan import parse_cartan_type
-    from .distinction import (
-        VERDICT_SCHEMA_VERSION,
-        expected_distinguished,
-        render_markdown_table,
-        verdict_json_dict,
-    )
+    from .distinction import classify, expected_distinguished
 
     if args.all_types and args.type:
         raise _UsageError("give --type LABEL or --all-types, not both")
@@ -292,34 +336,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     else:
         raise _UsageError("give --type LABEL or --all-types")
     q_o_values = _parse_qo_list(args.qo)
-    rows = list(_classify_rows(types, q_o_values))
+    verdicts = [v for ctype in types for q_o in q_o_values for v in classify(ctype, q_o)]
     with _open_sink(args.output) as fp:
-        if args.format == "json":
-            import json
-
-            doc = {
-                "schema": "gyoja-verdicts",
-                "schema_version": VERDICT_SCHEMA_VERSION,
-                "verdicts": [verdict_json_dict(v) for v in rows],
-            }
-            json.dump(doc, fp, indent=2)
-            fp.write("\n")
-        elif args.format == "csv":
-            fp.write("type,epsilon,q_o,value,distinguished,multiplicity_lower,multiplicity_upper,zero_witness\n")
-            for v in rows:
-                eps = "(" + " ".join(f"{s:+d}" for s in v.epsilon.signs) + ")"
-                fp.write(
-                    f"{v.ctype.label},{eps},{v.q_o},{v.value},"
-                    f"{'yes' if v.distinguished else 'no'},"
-                    f"{v.multiplicity_lower},{v.multiplicity_upper},{v.zero_witness or ''}\n"
-                )
-        elif args.format == "markdown":
-            fp.write(render_markdown_table(rows) + "\n")
-        else:
-            _write_classify_text(fp, rows)
+        _CLASSIFY_WRITERS[args.format](fp, verdicts)
         if args.expect_paper:
             deviations = [
-                v for v in rows if v.distinguished != expected_distinguished(v.ctype, v.epsilon)
+                v for v in verdicts if v.distinguished != expected_distinguished(v.ctype, v.epsilon)
             ]
             if deviations:
                 for v in deviations:
@@ -393,7 +415,7 @@ def build_parser() -> _Parser:
     common(p, degree=False)
     p.add_argument("--all-types", action="store_true", help=f"sweep {', '.join(ALL_TYPES)}")
     p.add_argument("--qo", required=True, help="comma-separated q_o values, e.g. 2,3,5")
-    p.add_argument("--format", choices=["text", "json", "csv", "markdown"], default="text")
+    p.add_argument("--format", choices=list(_CLASSIFY_WRITERS), default="text")
     p.add_argument(
         "--expect-paper",
         action="store_true",

@@ -431,10 +431,6 @@ class CalibrationResult:
     binding: tuple[int, ...]
     matching: tuple[tuple[int, ...], ...]
 
-    def point_for_classes(self, class_point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Reorder per-class coordinates into formula-variable order."""
-        return tuple(class_point[c] for c in self.binding)
-
 
 @lru_cache(maxsize=None)
 def calibrate_indexing(ctype: CartanType, degree: int = 6) -> CalibrationResult:

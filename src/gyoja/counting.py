@@ -144,10 +144,17 @@ def _coset_levels(system: AffineCoxeterSystem, nodes: Sequence[int], steps: list
 
 
 def parse_sign_vector(text: str) -> SignCharacter:
-    """Parse "[-1,1]" or "-1,1" into a SignCharacter."""
-    body = text.strip().removeprefix("[").removesuffix("]")
+    """Parse "[-1,1]" or "-1,1" into a SignCharacter.
+
+    Every comma-separated field must be an integer, and a bracket needs its
+    partner: "[-1,,1]", "[-1,1," and "[-1,1" raise ValueError.
+    """
+    body = text.strip()
+    if body.startswith("[") and body.endswith("]"):
+        body = body[1:-1]
+    body = body.replace(" ", "")
     try:
-        signs = tuple(int(p) for p in body.replace(" ", "").split(",") if p)
+        signs = tuple(int(p) for p in body.split(",")) if body else ()
     except ValueError as exc:
         raise ValueError(f"cannot parse sign vector {text!r}") from exc
     return SignCharacter(signs)

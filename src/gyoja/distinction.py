@@ -21,6 +21,10 @@ independent of q_o, which the test suite confirms across several q_o.
 Characters outside the discrete-series list still define a point to plug
 into the closed form, but the defining series need not converge there; such
 inputs are accepted only with ``formal=True`` and emit a warning.
+:func:`robustness_check` refuses them outright.
+
+This module computes verdicts and nothing else; :mod:`gyoja.cli` renders
+them.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .closed_forms import PoleError, calibrate_indexing, growth_closed_form
 __all__ = [
     "NotDiscreteSeriesError",
     "BindingDependentVerdictError",
-    "EvaluationPoint",
     "DistinctionVerdict",
     "distinction_value",
     "distinction_value_witnessed",
@@ -51,8 +54,6 @@ __all__ = [
     "robustness_check",
     "RobustnessReport",
     "BindingOutcome",
-    "verdict_json_dict",
-    "render_markdown_table",
 ]
 
 
@@ -64,16 +65,10 @@ class BindingDependentVerdictError(RuntimeError):
     """A distinguished/not verdict changed under a variable rebinding."""
 
 
-@dataclass(frozen=True)
-class EvaluationPoint:
-    """Per-class coordinates eps_i * q_o^(eps_i), in canonical class order."""
-
-    coordinates: tuple[Fraction, ...]
-
-    @staticmethod
-    def from_character(eps: SignCharacter, q_o: int) -> "EvaluationPoint":
-        q = Fraction(residue_field_size(q_o))
-        return EvaluationPoint(tuple(s * q**s for s in eps.signs))
+def _point(eps: SignCharacter, q_o: int) -> tuple[Fraction, ...]:
+    """Per-class coordinates eps_c * q_o^(eps_c), in canonical class order."""
+    q = Fraction(residue_field_size(q_o))
+    return tuple(s * q**s for s in eps.signs)
 
 
 @dataclass(frozen=True)
@@ -95,20 +90,12 @@ class DistinctionVerdict:
         return self.value != 0
 
     @property
-    def multiplicity_lower(self) -> int:
-        return 1 if self.distinguished else 0
-
-    @property
-    def multiplicity_upper(self) -> int:
-        return 1
-
-    @property
     def is_steinberg(self) -> bool:
         return self.epsilon.is_steinberg
 
     @property
     def multiplicity_interval(self) -> tuple[int, int]:
-        return (self.multiplicity_lower, self.multiplicity_upper)
+        return (1 if self.distinguished else 0, 1)
 
 
 def _check_on_list(ctype: CartanType, eps: SignCharacter, formal: bool) -> None:
@@ -122,7 +109,7 @@ def _check_on_list(ctype: CartanType, eps: SignCharacter, formal: bool) -> None:
     if not formal:
         raise NotDiscreteSeriesError(
             f"{eps} is not a discrete-series character of type {ctype.label}; "
-            "pass formal=True to evaluate the closed form anyway"
+            "distinction_value with formal=True evaluates the closed form anyway"
         )
     warnings.warn(
         f"{eps} is not a discrete-series character of type {ctype.label}: the "
@@ -137,8 +124,8 @@ def distinction_value_witnessed(
 ) -> tuple[Fraction, str | None]:
     """Exact value of the criterion and the vanishing factor when it is zero."""
     _check_on_list(ctype, eps, formal)
-    point = EvaluationPoint.from_character(eps, q_o)
-    coords = calibrate_indexing(ctype).point_for_classes(point.coordinates)
+    point = _point(eps, q_o)
+    coords = tuple(point[c] for c in calibrate_indexing(ctype).binding)
     value, witness = growth_closed_form(ctype).evaluate_witnessed(coords)
     return value, None if witness is None else str(witness)
 
@@ -205,19 +192,17 @@ def robustness_check(ctype: CartanType, eps: SignCharacter, q_o: int = 2) -> Rob
     under the rebinding that sends the +1 class to the coupled variable,
     where the limit exists but the displayed form is singular) cannot
     produce a verdict; it is recorded and skipped, and the calibrated
-    binding itself is required to be pole-free.
+    binding itself is required to be pole-free.  A character that is not on
+    the discrete-series list raises :class:`NotDiscreteSeriesError`.
     """
     q_o = residue_field_size(q_o)
-    system = build_affine_system(ctype)
-    m = system.m
-    if len(eps.signs) != m:
-        raise ValueError(f"{ctype.label} has {m} generator classes; got sign vector {eps}")
-    point = EvaluationPoint.from_character(eps, q_o)
+    _check_on_list(ctype, eps, formal=False)
+    point = _point(eps, q_o)
     form = growth_closed_form(ctype)
     calibrated = calibrate_indexing(ctype).binding
     outcomes = []
-    for perm in permutations(range(m)):
-        coords = tuple(point.coordinates[c] for c in perm)
+    for perm in permutations(range(len(point))):
+        coords = tuple(point[c] for c in perm)
         try:
             value, _ = form.evaluate_witnessed(coords)
             outcomes.append(BindingOutcome(perm, value, None))
@@ -232,43 +217,3 @@ def robustness_check(ctype: CartanType, eps: SignCharacter, q_o: int = 2) -> Rob
             f"class-to-variable binding: {outcomes}"
         )
     return RobustnessReport(ctype, eps, q_o, tuple(outcomes), verdicts.pop())
-
-
-# ---------------------------------------------------------------------------
-# Renderers
-# ---------------------------------------------------------------------------
-
-VERDICT_SCHEMA_VERSION = 1
-
-
-def verdict_json_dict(v: DistinctionVerdict) -> dict:
-    doc = {
-        "type": v.ctype.label,
-        "rank": v.ctype.rank,
-        "epsilon": list(v.epsilon.signs),
-        "q_o": v.q_o,
-        "value": str(v.value),
-        "distinguished": v.distinguished,
-        "multiplicity": [v.multiplicity_lower, v.multiplicity_upper],
-        "is_steinberg": v.is_steinberg,
-    }
-    if v.zero_witness is not None:
-        doc["zero_witness"] = v.zero_witness
-    return doc
-
-
-def render_markdown_table(verdicts: list[DistinctionVerdict]) -> str:
-    lines = [
-        "| type | epsilon | q_o | value | distinguished | multiplicity | zero witness |",
-        "|------|---------|-----|-------|---------------|--------------|--------------|",
-    ]
-    for v in verdicts:
-        eps = "(" + ", ".join(f"{s:+d}" for s in v.epsilon.signs) + ")"
-        name = "Steinberg" if v.is_steinberg else eps
-        lines.append(
-            f"| {v.ctype.label} | {name} | {v.q_o} | {v.value} | "
-            f"{'yes' if v.distinguished else 'no'} | "
-            f"[{v.multiplicity_lower}, {v.multiplicity_upper}] | "
-            f"{v.zero_witness or ''} |"
-        )
-    return "\n".join(lines)

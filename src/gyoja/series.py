@@ -252,4 +252,4 @@ def divide(levels: Graded, unit: Graded, bound: int) -> Iterator[int]:
 
 
 def one(nvars: int, bound: int) -> TruncatedSeries:
-    return TruncatedSeries(nvars, bound, {(0,) * nvars: Fraction(1)})
+    return TruncatedSeries(nvars, bound, {(0,) * nvars: 1})

@@ -270,6 +270,14 @@ def test_series_sign_vector_mismatch_exit_1_before_counting(monkeypatch, capsys)
     assert err == "usage error: multilength / sign vector dimension mismatch\n"
 
 
+def test_series_rejects_a_sign_vector_with_an_empty_field(capsys):
+    code, out, err = run_cli(
+        "series", "--type", "G2", "--degree", "2", "--character", "[-1,,1]", "--qo", "2", capsys=capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == "usage error: cannot parse sign vector '[-1,,1]'\n"
+
+
 def test_series_counting_rejects_qo(capsys):
     code, out, err = run_cli("series", "--type", "A1", "--degree", "2", "--qo", "5", capsys=capsys)
     assert (code, out) == (1, "")
@@ -549,6 +557,25 @@ def test_byte_identical_reruns(capsys):
     code2, out2, _ = run_cli(*args, capsys=capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# sha256 of the stdout of `classify --all-types --qo 2,3,4,5,7 --expect-paper`
+# in each format, so every byte of every verdict table is pinned
+_CLASSIFY_DIGESTS = {
+    "text": "2f98d6ee9b5b1c534f592d78acdc90c7e67a37e0be2c72de7f379b67813a33bc",
+    "json": "6ff4f155bed8f0eaecf76cc14574f670e3c5dc68036d96df89d648100c35a208",
+    "csv": "f32e4c333c29aa81587d740a9fc3b46484b542f489e9dee06b663196251c964e",
+    "markdown": "1d63ce76d32aad8c2e2da25e5b5e0a929071a854e5891a85cb5241cb11b6e292",
+}
+
+
+@pytest.mark.parametrize("fmt", list(_CLASSIFY_DIGESTS))
+def test_classify_all_types_output_digest(fmt, capsys):
+    code, out, err = run_cli(
+        "classify", "--all-types", "--qo", "2,3,4,5,7", "--expect-paper", "--format", fmt, capsys=capsys
+    )
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _CLASSIFY_DIGESTS[fmt]
 
 
 def test_console_script_subprocess():

@@ -298,12 +298,6 @@ def test_calibration_rejects_negative_degree(label):
         calibrate_indexing(parse_cartan_type(label), -1)
 
 
-def test_point_for_classes():
-    result = calibrate_indexing(parse_cartan_type("C2"), 6)
-    coords = (Fraction(10), Fraction(20), Fraction(30))
-    assert result.point_for_classes(coords) == (Fraction(20), Fraction(10), Fraction(30))
-
-
 def test_cn_evaluate_symmetric_in_last_two_coordinates():
     for label in ("C2", "C3", "C4"):
         form = macdonald_closed_form(parse_cartan_type(label))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import gyoja.cli as cli
 import gyoja.distinction as distinction_module
 from _oracles import ball_elements
 from conftest import get_ball
@@ -22,15 +23,12 @@ from gyoja.counting import char_value_e_w
 from gyoja.distinction import (
     BindingDependentVerdictError,
     DistinctionVerdict,
-    EvaluationPoint,
     NotDiscreteSeriesError,
     classify,
     distinction_value,
     distinction_value_witnessed,
     expected_distinguished,
-    render_markdown_table,
     robustness_check,
-    verdict_json_dict,
 )
 from gyoja.hecke import partial_sums_at_point
 
@@ -39,17 +37,17 @@ SWEEP_QO = [2, 3, 4, 5, 7]
 
 
 def test_evaluation_point_coordinates():
-    pt = EvaluationPoint.from_character(SignCharacter((-1, 1, -1)), 3)
-    assert pt.coordinates == (Fraction(-1, 3), Fraction(3), Fraction(-1, 3))
+    point = distinction_module._point(SignCharacter((-1, 1, -1)), 3)
+    assert point == (Fraction(-1, 3), Fraction(3), Fraction(-1, 3))
     with pytest.raises(ValueError):
-        EvaluationPoint.from_character(SignCharacter((-1,)), 1)
+        distinction_module._point(SignCharacter((-1,)), 1)
 
 
 @pytest.mark.parametrize("q_o", [1, Fraction(5, 2)])
 def test_evaluation_needs_an_integer_qo_of_at_least_2(q_o):
     g2 = parse_cartan_type("G2")
     with pytest.raises(ValueError, match="q_o must be >= 2"):
-        EvaluationPoint.from_character(steinberg_character(g2), q_o)
+        distinction_value(g2, steinberg_character(g2), q_o)
     with pytest.raises(ValueError, match="q_o must be >= 2"):
         classify(g2, q_o)
 
@@ -58,7 +56,6 @@ def test_numpy_integer_qo_is_stored_as_a_python_int():
     g2 = parse_cartan_type("G2")
     verdicts = classify(g2, np.int64(3))
     assert verdicts == classify(g2, 3) and all(type(v.q_o) is int for v in verdicts)
-    json.dumps([verdict_json_dict(v) for v in verdicts])
     assert type(robustness_check(g2, steinberg_character(g2), np.int64(3)).q_o) is int
 
 
@@ -179,6 +176,8 @@ def test_off_list_characters_are_gated():
     g2 = parse_cartan_type("G2")
     with pytest.raises(NotDiscreteSeriesError):
         distinction_value(g2, SignCharacter((1, 1)), 2)
+    with pytest.raises(NotDiscreteSeriesError):
+        robustness_check(g2, SignCharacter((1, 1)), 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = distinction_value(g2, SignCharacter((1, 1)), 2, formal=True)
@@ -281,10 +280,16 @@ def test_partial_sums_converge_to_distinction_value():
                     assert late < early, (label, eps, q_o)
 
 
-def test_verdict_json_schema():
-    v = classify(parse_cartan_type("B3"), 2)[1]
-    doc = verdict_json_dict(v)
-    assert doc == {
+def _classify_output(label, fmt, capsys):
+    assert cli.main(["classify", "--type", label, "--qo", "2", "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_verdict_json_schema(capsys):
+    doc = json.loads(_classify_output("B3", "json", capsys))
+    assert (doc["schema"], doc["schema_version"], len(doc["verdicts"])) == ("gyoja-verdicts", 1, 2)
+    st, v = doc["verdicts"]
+    assert v == {
         "type": "B3",
         "rank": 3,
         "epsilon": [-1, 1],
@@ -295,13 +300,11 @@ def test_verdict_json_schema():
         "is_steinberg": False,
         "zero_witness": "(1 + t1·t2)",
     }
-    st = verdict_json_dict(classify(parse_cartan_type("B3"), 2)[0])
     assert "zero_witness" not in st
 
 
-def test_markdown_table():
-    table = render_markdown_table(classify(parse_cartan_type("G2"), 2))
-    lines = table.splitlines()
+def test_markdown_table(capsys):
+    lines = _classify_output("G2", "markdown", capsys).splitlines()
     assert lines[0].startswith("| type |")
     assert len(lines) == 4
     assert "| G2 | Steinberg | 2 | 7/33 | yes | [1, 1] |" in lines[2]

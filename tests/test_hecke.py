@@ -271,6 +271,9 @@ def test_parse_sign_vector():
         parse_sign_vector("[1, zebra]")
     with pytest.raises(ValueError):
         parse_sign_vector("[0,1]")
+    for text in ("[-1,,1]", "[-1,1,]", "-1,1,", "[-1,1", "-1,1]"):
+        with pytest.raises(ValueError, match="cannot parse sign vector"):
+            parse_sign_vector(text)
 
 
 def test_gyoja_series_needs_qo_for_characters():

@@ -8,7 +8,8 @@ changing it, and runs its oracle on a few cases of small balls and on the
 benchmark's own full-scale cases.  The last test runs the benchmark's
 hecke-reps child, ``perfbench/inproc.py``, at its tiny scale, so a change to
 what :mod:`gyoja.hecke` hands that script fails here rather than only when
-the benchmark checks its outputs.
+the benchmark checks its outputs.  The CLI workloads' children (ball-export,
+ball-check and forms) run the same way.
 """
 
 import importlib.util
@@ -64,10 +65,21 @@ def test_benchmark_full_cases_validate_and_pass_their_oracle(reps, workloads):
         assert reps.oracle_failure(case, gyoja_series(case.ball, case.rep)) is None
 
 
-def test_benchmark_hecke_reps_child_runs_clean():
+def _assert_child_runs_clean(workload: str) -> None:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    args = [sys.executable, "perfbench/inproc.py", "--workload", "hecke-reps", "--seed", "1", "--scale", "tiny"]
+    args = [sys.executable, "perfbench/inproc.py", "--workload", workload, "--seed", "1", "--scale", "tiny"]
     proc = subprocess.run(args, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["ops"] and [op["error"] for op in result["ops"]] == [None] * len(result["ops"])
+
+
+def test_benchmark_hecke_reps_child_runs_clean():
+    _assert_child_runs_clean("hecke-reps")
+
+
+@pytest.mark.parametrize("workload", ["ball-export", "ball-check", "forms"])
+def test_benchmark_cli_workload_child_runs_clean(workload):
+    # these children run gyoja.cli.main in process, so a changed command,
+    # option or exit code fails here as it would in the benchmark
+    _assert_child_runs_clean(workload)

@@ -43,6 +43,7 @@ def test_absent_coefficient_of_an_integer_series_is_an_int():
     growth = count_multilengths(system_of("C2"), 4)
     absent, present = growth.coefficient((4, 0, 0)), growth.coefficient((1, 2, 1))
     assert (absent, present) == (0, 5) and (type(absent), type(present)) == (int, int)
+    assert type(one(2, 3).levels[0][0]) is int
 
 
 def test_only_scalars_multiply():
