@@ -99,11 +99,12 @@ class CartanType:
 
 
 def parse_cartan_type(label: str) -> CartanType:
-    """Parse a label like ``"G2"``, ``"C3"`` or ``"E7"`` (case-insensitive)."""
-    text = label.strip().upper().replace("_", "")
-    if len(text) < 2 or not text[0].isalpha() or not text[1:].isdigit():
-        raise ValueError(f"cannot parse Cartan type label {label!r}")
-    return CartanType(text[0], int(text[1:]))
+    """Parse a type's own label, its family letter in either case (``"G2"``, ``"g2"``); else ValueError."""
+    if label.isascii() and label[1:].isdigit():
+        ctype = CartanType(label[0].upper(), int(label[1:]))
+        if ctype.label == label.upper():
+            return ctype
+    raise ValueError(f"cannot parse Cartan type label {label!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ Subcommands:
 * ``tables``     -- dump the static tables for a type as versioned JSON.
 
 Exit codes form a contract: 0 success, 1 usage or bad input, 2 resource cap
-exceeded, 3 series identity mismatch, 4 verdict deviation under
-``--expect-paper``.  All output is deterministic: rationals print exactly
+exceeded or output that cannot be written (a full disk), 3 series identity
+mismatch, 4 verdict deviation under ``--expect-paper``.  Every integer read
+(``--degree``, ``--cap``, ``--qo`` fields, signs, ``GYOJA_MAX_ELEMENTS``) is
+ASCII digits after an optional sign, and a type label is the type's own
+(``G2``, or ``g2``).  All output is deterministic: rationals print exactly
 (never as decimals) and orderings are fixed by the library's canonical
 conventions.
 """
@@ -29,7 +32,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .limits import ResourceLimitExceeded, element_cap
+from .limits import ResourceLimitExceeded, element_cap, is_integer_text
 
 # Each command imports the library modules it runs, so `--version`, `--help`
 # and the usage errors caught before dispatch load none of them.
@@ -71,13 +74,21 @@ def _parse_type(label: str) -> CartanType:
         raise _UsageError(str(exc)) from exc
 
 
+def _integer(text: str) -> int:
+    if not is_integer_text(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_qo_list(text: str) -> list[int]:
-    try:
-        values = [int(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"cannot parse q_o list {text!r}") from exc
-    if not values or any(q < 2 for q in values):
+    fields = text.split(",")
+    if not all(map(is_integer_text, fields)):
+        raise _UsageError(f"cannot parse q_o list {text!r}")
+    values = [int(f) for f in fields]
+    if any(q < 2 for q in values):
         raise _UsageError("q_o values must be integers >= 2")
+    if len(set(values)) < len(values):
+        raise _UsageError(f"q_o values repeat in {text!r}")
     return values
 
 
@@ -108,6 +119,13 @@ def _open_sink(path: str | None):
             raise _UsageError(f"cannot open output {path!r}: {exc.strerror}") from exc
         with fp:
             yield fp
+
+
+def _write_json(fp: IO[str], doc: object) -> None:
+    import json
+
+    json.dump(doc, fp, indent=2)
+    fp.write("\n")
 
 
 def _series_json(series: TruncatedSeries) -> list:
@@ -159,7 +177,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 
     ctype = _parse_type(args.type)
     system = build_affine_system(ctype)
-    if args.character.strip().lower() == "counting":
+    if args.character == "counting":
         if args.qo is not None:
             raise _UsageError("--qo applies only to a sign character")
         eps = None
@@ -181,10 +199,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         series = character_series(series, eps, q_o)
     with _open_sink(args.output) as fp:
         if args.format == "json":
-            import json
-
-            json.dump({"type": ctype.label, "degree": args.degree, "terms": _series_json(series)}, fp, indent=2)
-            fp.write("\n")
+            _write_json(fp, {"type": ctype.label, "degree": args.degree, "terms": _series_json(series)})
         else:
             fp.write(str(series) + "\n")
     return EXIT_OK
@@ -198,19 +213,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
     series = form.expand(args.degree, max_terms=args.cap)
     with _open_sink(args.output) as fp:
         if args.format == "json":
-            import json
-
-            json.dump(
-                {
-                    "type": ctype.label,
-                    "degree": args.degree,
-                    "closed_form": str(form),
-                    "terms": _series_json(series),
-                },
-                fp,
-                indent=2,
-            )
-            fp.write("\n")
+            terms = _series_json(series)
+            _write_json(fp, {"type": ctype.label, "degree": args.degree, "closed_form": str(form), "terms": terms})
         else:
             if args.show_form:
                 fp.write(str(form) + "\n")
@@ -271,8 +275,6 @@ VERDICT_SCHEMA_VERSION = 1
 
 
 def _write_classify_json(fp: IO[str], verdicts: list[DistinctionVerdict]) -> None:
-    import json
-
     docs = []
     for v in verdicts:
         doc = {
@@ -288,8 +290,7 @@ def _write_classify_json(fp: IO[str], verdicts: list[DistinctionVerdict]) -> Non
         if v.zero_witness is not None:
             doc["zero_witness"] = v.zero_witness
         docs.append(doc)
-    json.dump({"schema": "gyoja-verdicts", "schema_version": VERDICT_SCHEMA_VERSION, "verdicts": docs}, fp, indent=2)
-    fp.write("\n")
+    _write_json(fp, {"schema": "gyoja-verdicts", "schema_version": VERDICT_SCHEMA_VERSION, "verdicts": docs})
 
 
 def _write_classify_csv(fp: IO[str], verdicts: list[DistinctionVerdict]) -> None:
@@ -355,14 +356,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
-    import json
-
     from .cartan import tables_document
 
     ctype = _parse_type(args.type)
     with _open_sink(args.output) as fp:
-        json.dump(tables_document(ctype), fp, indent=2)
-        fp.write("\n")
+        _write_json(fp, tables_document(ctype))
     return EXIT_OK
 
 
@@ -376,43 +374,42 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"gyoja {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, degree: bool = True) -> None:
-        p.add_argument("--type", required=False, help="Cartan type label, e.g. G2, C3")
+    def common(p: argparse.ArgumentParser, degree: bool = True, type_required: bool = True) -> None:
+        p.add_argument("--type", required=type_required, help="Cartan type label, e.g. G2, C3")
         if degree:
-            p.add_argument("--degree", type=int, required=True, help="total-degree / radius bound")
+            p.add_argument("--degree", type=_integer, required=True, help="total-degree / radius bound")
         p.add_argument("--output", default=None, help="output path (default: stdout)")
         if degree:  # the commands with a radius are the ones that take a cap
             p.add_argument(
                 "--cap",
-                type=int,
-                default=None,
+                type=_integer,
                 help="element cap override (see GYOJA_MAX_ELEMENTS); for expand, a cap on stored terms",
             )
 
     p = sub.add_parser("enumerate", help="enumerate a ball and stream or summarize it")
     common(p)
     p.add_argument("--format", choices=["text", "jsonl"], default="text")
-    p.set_defaults(func=cmd_enumerate, requires_type=True)
+    p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("series", help="print the enumerated generating series")
     common(p)
     p.add_argument("--character", default="counting", help='"counting" or a sign vector like "[-1,1]"')
     p.add_argument("--qo", default=None, help="one q_o value (needed for a sign character, rejected otherwise)")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_series, requires_type=True)
+    p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("expand", help="print the closed-form expansion")
     common(p)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--show-form", action="store_true", help="also print the factor list")
-    p.set_defaults(func=cmd_expand, requires_type=True)
+    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("check", help="compare enumeration against the closed form")
     common(p)
-    p.set_defaults(func=cmd_check, requires_type=True)
+    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("classify", help="distinction verdicts for discrete-series characters")
-    common(p, degree=False)
+    common(p, degree=False, type_required=False)
     p.add_argument("--all-types", action="store_true", help=f"sweep {', '.join(ALL_TYPES)}")
     p.add_argument("--qo", required=True, help="comma-separated q_o values, e.g. 2,3,5")
     p.add_argument("--format", choices=list(_CLASSIFY_WRITERS), default="text")
@@ -422,11 +419,11 @@ def build_parser() -> _Parser:
         help="exit 4 unless verdicts match the published classification "
         "(Steinberg everywhere; additionally (-1,1) in type G2)",
     )
-    p.set_defaults(func=cmd_classify, requires_type=False)
+    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("tables", help="dump the static tables for a type as JSON")
     common(p, degree=False)
-    p.set_defaults(func=cmd_tables, requires_type=True)
+    p.set_defaults(func=cmd_tables)
 
     return parser
 
@@ -435,8 +432,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "requires_type", False) and not args.type:
-            raise _UsageError(f"{args.command} requires --type")
         if getattr(args, "degree", 0) is not None and getattr(args, "degree", 0) < 0:
             raise _UsageError("--degree must be >= 0")
         if hasattr(args, "cap"):
@@ -461,6 +456,11 @@ def main(argv: list[str] | None = None) -> int:
         # stdout at devnull so the interpreter's flush at exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except OSError as exc:  # writing or flushing the sink failed (a full disk); quiet stdout as above
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        if args.output in (None, "-"):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_RESOURCES
 
 
 if __name__ == "__main__":

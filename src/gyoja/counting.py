@@ -46,7 +46,7 @@ from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .cartan import AffineCoxeterSystem, SignCharacter, residue_field_size
-from .limits import ResourceLimitExceeded, element_cap
+from .limits import ResourceLimitExceeded, element_cap, is_integer_text
 from .series import Graded, TruncatedSeries, places, product, product_degree
 
 if TYPE_CHECKING:
@@ -144,20 +144,15 @@ def _coset_levels(system: AffineCoxeterSystem, nodes: Sequence[int], steps: list
 
 
 def parse_sign_vector(text: str) -> SignCharacter:
-    """Parse "[-1,1]" or "-1,1" into a SignCharacter.
-
-    Every comma-separated field must be an integer, and a bracket needs its
-    partner: "[-1,,1]", "[-1,1," and "[-1,1" raise ValueError.
-    """
+    """Parse "[-1,1]" or "-1,1" into a SignCharacter, ignoring spaces; each field must pass
+    :func:`~gyoja.limits.is_integer_text`, so "[-1,,1]", "[-1,1," and "[-1,1" raise ValueError."""
     body = text.strip()
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
-    body = body.replace(" ", "")
-    try:
-        signs = tuple(int(p) for p in body.split(",")) if body else ()
-    except ValueError as exc:
-        raise ValueError(f"cannot parse sign vector {text!r}") from exc
-    return SignCharacter(signs)
+    fields = body.replace(" ", "").split(",") if body else []
+    if not all(map(is_integer_text, fields)):
+        raise ValueError(f"cannot parse sign vector {text!r}")
+    return SignCharacter(tuple(int(f) for f in fields))
 
 
 def char_value_e_s(eps: SignCharacter, class_index: int, q_o: int) -> int:

@@ -8,10 +8,16 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["DEFAULT_MAX_ELEMENTS", "ResourceLimitExceeded", "element_cap"]
+__all__ = ["DEFAULT_MAX_ELEMENTS", "ResourceLimitExceeded", "element_cap", "is_integer_text"]
 
 DEFAULT_MAX_ELEMENTS = 5_000_000
 _CAP_ENV_VAR = "GYOJA_MAX_ELEMENTS"
+
+
+def is_integer_text(text: str) -> bool:
+    """Whether ``text`` is ASCII digits after an optional + or -: unlike ``int()``, no blank, ``_`` or other digit."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
 
 
 def element_cap(max_elements: int | None = None) -> int:
@@ -21,14 +27,10 @@ def element_cap(max_elements: int | None = None) -> int:
     """
     cap, source = max_elements, "element cap"
     if cap is None:
-        env = os.environ.get(_CAP_ENV_VAR, "").strip()
+        env = os.environ.get(_CAP_ENV_VAR, "")
         if not env:
             return DEFAULT_MAX_ELEMENTS
-        cap, source = env, _CAP_ENV_VAR
-        try:
-            cap = int(env)
-        except ValueError:
-            pass
+        cap, source = int(env) if is_integer_text(env) else env, _CAP_ENV_VAR
     if not isinstance(cap, int) or cap < 1:
         raise ValueError(f"{source} must be an integer >= 1, got {cap!r}")
     return cap

@@ -1,9 +1,11 @@
 import ast
 import dataclasses
+import errno
 import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +18,7 @@ import gyoja.closed_forms as closed_forms
 import gyoja.counting as counting
 import gyoja.distinction as distinction
 import gyoja.weyl as weyl
+from gyoja.limits import element_cap
 from gyoja.closed_forms import bott_closed_form
 from gyoja.cartan import parse_cartan_type
 from conftest import system_of
@@ -134,6 +137,39 @@ def test_check_and_series_cap_exit_2(command, capsys):
     code, out, err = run_cli(command, "--type", "A2", "--degree", "10", "--cap", "20", capsys=capsys)
     assert (code, out) == (2, "")
     assert err == "error: element cap 20 exceeded after completing radius 3\n"
+
+
+def test_cap_of_one_is_valid(capsys):
+    # a cap of 1 holds the identity alone: radius 0 fits, radius 1 does not
+    assert run_cli("enumerate", "--type", "A1", "--degree", "0", "--cap", "1", capsys=capsys)[0] == 0
+    code, out, err = run_cli("enumerate", "--type", "A1", "--degree", "1", "--cap", "1", capsys=capsys)
+    assert (code, out, err) == (2, "", "error: element cap 1 exceeded after completing radius 0\n")
+
+
+@pytest.mark.parametrize("env", [None, ""])
+def test_default_cap_when_the_variable_is_unset_or_empty(env, monkeypatch):
+    monkeypatch.delenv("GYOJA_MAX_ELEMENTS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("GYOJA_MAX_ELEMENTS", env)
+    assert element_cap() == 5_000_000
+
+
+_WRITE_FAILURES = [
+    "classify --type G2 --qo 2 --output /dev/full",
+    "tables --type G2 --output /dev/full",
+    "enumerate --type C3 --degree 8 --format jsonl --output /dev/full",
+    "tables --type G2",  # with stdout on /dev/full
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", _WRITE_FAILURES)
+def test_write_failure_exits_2_with_one_line(command):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gyoja.cli", *command.split()], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_closed_stdout_exits_0_quietly():
@@ -700,6 +736,25 @@ def test_readme_quick_start_runs():
     proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "(-1,-1) 7/33 True\n(-1,+1) 3/2 True\n"
+
+
+def test_readme_command_lines_run(capsys):
+    # every `gyoja ...` line of the README's command-line block exits 0 and
+    # prints something; the `# ...` lines under one are the start of its output
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples: list[tuple[list[str], str]] = []
+    for line in block.splitlines():
+        if line.startswith("gyoja "):
+            examples.append((shlex.split(line, comments=True)[1:], ""))
+        elif line.startswith("# "):
+            argv, shown = examples[-1]
+            examples[-1] = (argv, shown + line[2:] + "\n")
+    assert len(examples) == 10
+    for argv, shown in examples:
+        code, out, err = run_cli(*argv, capsys=capsys)
+        assert (code, err) == (0, ""), argv
+        assert out and out.startswith(shown), argv
 
 
 def test_only_the_array_modules_import_numpy():

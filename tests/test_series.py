@@ -57,6 +57,13 @@ def test_only_scalars_multiply():
         2 * a
 
 
+def test_shape_rejected():
+    with pytest.raises(ValueError, match="at least one variable"):
+        TruncatedSeries(0, 3, {})
+    with pytest.raises(ValueError, match="bound"):
+        TruncatedSeries(1, -1, {})
+
+
 def test_bad_exponents_rejected():
     with pytest.raises(ValueError):
         TruncatedSeries(2, 3, {(1,): 1})
