@@ -16,15 +16,17 @@ off the Dynkin diagram, a list of bonds with their length ratios; no root
 coordinates are transcribed.  The positive roots are raised from the simple
 ones by simple reflections, tracking each root in simple-root coordinates
 together with its coroot in simple-coroot coordinates, so the highest root
-and the affine reflection come out exactly, with no table to transcribe.
+and the affine reflection come out exactly, with no table to transcribe.  The
+same raising on a parabolic J's rows and columns of the extended Cartan
+matrix gives the roots of W_J, and so the longest element w0(J) class by
+class (:meth:`AffineCoxeterSystem.longest_multilength`).
 
 The tables are small (n <= 8 for the exceptional types) and are plain int
 tuples; this module does not import numpy, and the enumeration in
 :mod:`gyoja.weyl` builds the arrays it walks from them.  The Coxeter matrix
 is read off the extended Cartan matrix: the bond order m_st follows from
 a_st * a_ts = 4 cos^2(pi / m_st), so the products 0, 1, 2, 3, 4 give 2, 3,
-4, 6 and an infinite bond.  The exponents are read off the root heights, and
-the longest elements of the finite parabolic subgroups need no roots at all.
+4, 6 and an infinite bond.  The exponents are read off the root heights.
 
 Node numbering: the affine node is always index 0, finite nodes 1..n follow
 Bourbaki, except that in type G2 node 1 is the long simple root (the one the
@@ -377,40 +379,31 @@ class AffineCoxeterSystem:
     def longest_multilength(self, nodes: Iterable[int]) -> tuple[int, ...]:
         """Multilength of the longest element w0(J) of the parabolic W_J, J = ``nodes``.
 
-        The numbers game on J's rows of ``extended_cartan`` (see
-        :mod:`gyoja.counting`) starts at v = (1, ..., 1), a regular point of
-        W_J's fundamental chamber, so no v_s is ever 0.  Firing an s with
-        v_s > 0 (v <- v - v_s * a[s]) lengthens the element by s, whose class
-        is tallied.  J must be a proper subset of the generators, so W_J is
-        finite and the walk stops, where every v_s < 0: at the one element
-        with all of J as left descents, w0(J).  Firing s changes v only at s
-        and its neighbours, so the nodes to try are kept on a stack.
+        The letters s_1 ... s_N of a reduced word of w0(J) match the N
+        reflections of W_J one to one: s_i gives t_i = s_1 ... s_{i-1} s_i
+        s_{i-1} ... s_1, which is conjugate to it (Bjorner-Brenti,
+        *Combinatorics of Coxeter Groups*, Ch. 1).  So w0(J) has one letter in
+        class c per positive root of W_J whose reflection lies in c.  The roots
+        are raised on J's rows and columns of ``extended_cartan``
+        (:func:`_positive_roots`), each in the W_J-orbit of the node it rose
+        from, so its reflection lies in that node's class.
 
-        Each firing adds 1 to the length, and l(w0(J)) <= max(|J|^2, 15|J|)
-        (type B_r has r^2 reflections, E8 15 * 8), so a game that fires more
-        often is not that of a finite W_J: AssertionError is raised there.
+        J must be a proper subset of the generators, so W_J is finite; roots
+        that are still rising at :func:`_positive_roots`' bound show a W_J that
+        is not, and AssertionError is raised there.
         """
         nodes = sorted(set(nodes))
         if any(s not in range(self.num_gens) for s in nodes):
             raise ValueError(f"nodes must lie in 0..{self.num_gens - 1}, got {nodes}")
         if len(nodes) == self.num_gens:
             raise ValueError("an affine Weyl group has no longest element; need a proper subset")
-        a = self.extended_cartan
-        bonds = [[(k, a[s][t]) for k, t in enumerate(nodes) if a[s][t]] for s in nodes]
-        v, out = [1] * len(nodes), [0] * self.m
-        ready = list(range(len(nodes)))
-        firings_left = max(len(nodes) ** 2, 15 * len(nodes))
-        while ready:
-            i = ready.pop()
-            if (vs := v[i]) > 0:
-                if not firings_left:
-                    raise AssertionError(f"numbers game on {nodes} still firing; W_J not finite")
-                firings_left -= 1
-                out[self.partition.class_of[nodes[i]]] += 1
-                for k, r in bonds[i]:
-                    v[k] -= vs * r
-                    if v[k] > 0:
-                        ready.append(k)
+        try:
+            roots = _positive_roots(tuple(tuple(self.extended_cartan[s][t] for t in nodes) for s in nodes))
+        except AssertionError as error:
+            raise AssertionError(f"roots of {nodes} still rising; W_J not finite") from error
+        out = [0] * self.m
+        for *_, origin in roots:
+            out[self.partition.class_of[nodes[origin]]] += 1
         return tuple(out)
 
     def __repr__(self) -> str:

@@ -58,11 +58,51 @@ class _UsageError(Exception):
     pass
 
 
+class _Printed(Exception):
+    """``--help`` or ``--version`` has written its text; :func:`main` flushes it."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped onto exit code 1."""
+    """argparse with usage failures mapped onto exit code 1, and its printing onto main's write path.
+
+    argparse's own printer drops an OSError, so ``--help`` and ``--version``
+    write to stdout here, and stop by :class:`_Printed`, not SystemExit.
+    """
 
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise _UsageError(message)
+
+    def print_help(self, file: IO[str] | None = None) -> None:  # noqa: D102 - argparse hook
+        (file or sys.stdout).write(self.format_help())
+
+    def exit(self, status: int = 0, message: str | None = None):  # noqa: D102 - argparse hook
+        raise _Printed
+
+
+class _Version(argparse.Action):
+    """``--version``, written to stdout and stopped as ``--help`` is (see :class:`_Parser`)."""
+
+    def __init__(self, option_strings: list[str], dest: str, **kwargs) -> None:
+        super().__init__(option_strings, dest, nargs=0, help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        sys.stdout.write(f"gyoja {__version__}\n")
+        parser.exit()
+
+
+def _joined_character(argv: list[str]) -> list[str]:
+    """``--character -1,1`` as ``--character=-1,1``: argparse reads a lone value that starts with ``-`` as an option.
+
+    argparse's abbreviations from ``--ch`` on are joined too (``--c`` and ``--ca`` could be ``--cap``).
+    """
+    out: list[str] = []
+    for token in argv:
+        option = out[-1] if out else ""
+        if len(option) >= 4 and "--character".startswith(option) and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _parse_type(label: str) -> CartanType:
@@ -371,7 +411,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gyoja", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action="version", version=f"gyoja {__version__}")
+    parser.add_argument("--version", action=_Version)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, degree: bool = True, type_required: bool = True) -> None:
@@ -429,9 +469,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, args = build_parser(), None
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(_joined_character(sys.argv[1:] if argv is None else argv))
+        except _Printed:
+            sys.stdout.flush()
+            return EXIT_OK
         if getattr(args, "degree", 0) is not None and getattr(args, "degree", 0) < 0:
             raise _UsageError("--degree must be >= 0")
         if hasattr(args, "cap"):
@@ -458,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
     except OSError as exc:  # writing or flushing the sink failed (a full disk); quiet stdout as above
         print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
-        if args.output in (None, "-"):
+        if getattr(args, "output", None) in (None, "-"):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_RESOURCES
 

@@ -197,7 +197,7 @@ class ClosedForm:
         for x in point:
             if not isinstance(x, Rational):
                 raise ValueError(f"point coordinates must be exact rationals, got {x!r}")
-        pt = [Fraction(x) for x in point]
+        pt = [Fraction(int(x.numerator), int(x.denominator)) for x in point]  # a numpy int would wrap
         if len(pt) != self.nvars:
             raise ValueError("point dimension mismatch")
         nums, dens = [x.numerator for x in pt], [x.denominator for x in pt]
@@ -337,7 +337,9 @@ def diagram_growth_series(ctype: CartanType, degree: int) -> TruncatedSeries:
 
     with t^{w0(J)} from :meth:`AffineCoxeterSystem.longest_multilength`.
     The affine group W_S is infinite and no element has every generator as
-    a descent, so Sigma(S) = 0 (Steinberg), which gives 1/W = R_S.
+    a descent, so Sigma(S) = 0 (Steinberg), which gives 1/W = R_S.  A
+    connected J has l(w0(J)) >= |J|(|J|+1)/2, A_|J|'s root count, so where
+    that exceeds ``degree``, Sigma(J) is 0 to this degree and w0(J) is not formed.
 
     The signed sums are formed without listing all subsets, whose number
     grows as 3^|S|.  R_K is the product of R_C over the components C of
@@ -372,8 +374,8 @@ def diagram_growth_series(ctype: CartanType, degree: int) -> TruncatedSeries:
         if part in connected:
             # out + (-1)^|J| R_J = Sigma(J), so (-1)^|J| R_J = -out / (1 - (-1)^|J| t^{w0(J)})
             minus = product(out, {0: {0: -1}}, degree, {})
-            if part == nodes:
-                signed_inverses[part], out = minus, {}  # Sigma(S) = 0
+            if part == nodes or len(part) * (len(part) + 1) // 2 > degree:
+                signed_inverses[part], out = minus, {}  # Sigma(J) = 0, to this degree
             else:
                 sign = -1 if len(part) % 2 else 1
                 w0 = system.longest_multilength(part)

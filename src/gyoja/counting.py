@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from fractions import Fraction
 from itertools import accumulate, islice
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -177,7 +178,7 @@ def char_value_e_w(eps: SignCharacter, multilength: Sequence[int], q_o: int) -> 
         raise ValueError("multilength / sign vector dimension mismatch")
     if not all(isinstance(li, numbers.Integral) and li >= 0 for li in multilength):
         raise ValueError(f"multilength must be integers >= 0, got {tuple(multilength)}")
-    return math.prod(v**li for v, li in zip(values, multilength))
+    return math.prod(v ** operator.index(li) for v, li in zip(values, multilength))  # a numpy li would wrap
 
 
 def character_series(growth: TruncatedSeries, eps: SignCharacter, q_o: int) -> TruncatedSeries:

@@ -1,8 +1,8 @@
 """Multivariate truncated power series over exact rationals.
 
 A :class:`TruncatedSeries` holds the terms of total degree <= bound, with
-coefficients ``int`` where given as ``int`` and ``fractions.Fraction``
-otherwise.  Truncation is by *total* degree, matching the grading in which a
+coefficients ``int`` where given as an integer (numpy's too) and
+``fractions.Fraction`` otherwise.  Truncation is by *total* degree, matching the grading in which a
 radius-N ball of the group determines the series exactly to degree N.
 
 A series and a polynomial under construction have one stored form, the
@@ -28,6 +28,8 @@ t2 + 2·t1·t2
 
 from __future__ import annotations
 
+import numbers
+import operator
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -72,10 +74,10 @@ class TruncatedSeries:
         for exp, c in coeffs.items():
             if len(exp) != nvars or min(exp) < 0:
                 raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
-            if type(c) not in (int, Fraction):
-                c = Fraction(c)
+            if type(c) not in (int, Fraction):  # a numpy integer, here or in exp, would wrap around
+                c = operator.index(c) if isinstance(c, numbers.Integral) else Fraction(c)
             if c != 0:
-                terms.append((exp, c))
+                terms.append((tuple(map(operator.index, exp)), c))
         self.nvars = nvars
         self.bound = bound
         self.levels = graded(terms, nvars, bound)

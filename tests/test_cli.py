@@ -172,6 +172,21 @@ def test_write_failure_exits_2_with_one_line(command):
     assert (proc.returncode, proc.stderr) == (2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["--version", "--help", "series --help"])
+def test_version_and_help_on_a_full_disk_exit_2(command):
+    # argparse's own printer drops the write error; main reports it as for any command
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gyoja.cli", *command.split()], stdout=full, stderr=subprocess.PIPE, text=True
+        )
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_version_returns_0_from_main(capsys):
+    assert run_cli("--version", capsys=capsys) == (0, f"gyoja {cli.__version__}\n", "")
+
+
 def test_closed_stdout_exits_0_quietly():
     # like `gyoja enumerate ... | head -c 100`: the reader stops after 100 bytes
     proc = subprocess.Popen(
@@ -275,6 +290,17 @@ def test_series_sign_character(capsys):
     )
     assert code == 0
     assert out.strip() == "1 - t1 - t2 + 2·t1·t2"
+
+
+def test_sign_vector_starting_with_minus_needs_no_equals(capsys):
+    head = ("series", "--type", "C3", "--degree", "4")
+    joined = run_cli(*head, "--character=-1,1,1", "--qo", "2", capsys=capsys)
+    spaced = run_cli(*head, "--character", "-1,1,1", "--qo", "2", capsys=capsys)
+    abbreviated = run_cli(*head, "--char", "-1,1,1", "--qo", "2", capsys=capsys)
+    assert spaced == abbreviated == joined and joined[0] == 0 and joined[1].startswith("1 - 2·t1 + 4·t2")
+    # an option in the value's place is still a missing value
+    code, out, err = run_cli(*head, "--character", "--qo", "2", capsys=capsys)
+    assert (code, out, err) == (1, "", "usage error: argument --character: expected one argument\n")
 
 
 def test_series_character_needs_qo(capsys):

@@ -172,6 +172,16 @@ def test_evaluate_rejects_floats():
     assert a1.evaluate_witnessed((2, Fraction(1, 3)))[0] == 12
 
 
+def test_evaluate_witnessed_reads_numpy_coordinates_exactly():
+    import numpy as np
+
+    e8 = growth_closed_form(parse_cartan_type("E8"))
+    value = Fraction(
+        17840777533089687091642691715540857282421540709375, 267475063750837881481660207417764680571724574015692
+    )
+    assert e8.evaluate_witnessed((np.int64(-3),)) == e8.evaluate_witnessed((-3,)) == (value, None)
+
+
 @pytest.mark.parametrize("label,degree", [("A1", 8), ("C2", 8), ("C3", 8), ("B3", 8), ("G2", 8), ("F4", 6)])
 def test_expansion_matches_enumeration(label, degree):
     ctype = parse_cartan_type(label)
@@ -346,12 +356,24 @@ def test_render_every_closed_form():
 
 @pytest.mark.parametrize(
     "label,degree",
-    # beyond ALL_TYPES: a longer cycle (A9), fork (D8, B12) and path (C12)
-    [(label, 8) for label in ALL_TYPES] + [("A9", 5), ("D8", 5), ("B12", 4), ("C12", 4)],
+    # beyond ALL_TYPES: a longer cycle (A9), fork (D8, B12) and path (C12); at
+    # C12/6, C30/6 and D12/8 most connected J have |J|(|J|+1)/2 > degree and are skipped
+    [(label, 8) for label in ALL_TYPES]
+    + [("A9", 5), ("D8", 5), ("B12", 4), ("C12", 4), ("C12", 6), ("C30", 6), ("D12", 8)],
 )
 def test_diagram_series_matches_counted_multilengths(label, degree):
     system = build_affine_system(parse_cartan_type(label))
     assert diagram_growth_series(system.ctype, degree) == count_multilengths(system, degree)
+
+
+def test_diagram_series_forms_w0_only_within_the_degree(monkeypatch):
+    # l(w0(J)) >= |J|(|J|+1)/2, so at degree 8 no J of 4 or more nodes needs t^{w0(J)}
+    system = build_affine_system(parse_cartan_type("C12"))
+    sizes = set()
+    real = system.longest_multilength
+    monkeypatch.setattr(system, "longest_multilength", lambda nodes: sizes.add(len(nodes)) or real(nodes))
+    diagram_growth_series(system.ctype, 8)
+    assert sizes == {1, 2, 3}
 
 
 @pytest.mark.parametrize(

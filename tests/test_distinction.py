@@ -251,6 +251,11 @@ def test_binding_dependent_verdict_is_a_hard_failure(monkeypatch):
         robustness_check(ctype, SignCharacter((-1, -1, 1)), 2)
 
 
+def test_char_value_reads_numpy_lengths_exactly():
+    # a ball level's multilength rows are int64; q**40 = 4**40 does not fit in one
+    assert char_value_e_w(SignCharacter((1, 1)), (np.int64(40), 0), 2) == 4**40
+
+
 def test_cell_sums_reproduce_partial_sums():
     ball = get_ball("C2", 6)
     eps = SignCharacter((-1, -1, 1))

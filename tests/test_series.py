@@ -133,6 +133,14 @@ def test_int_coefficients_stay_int():
     assert str(a) == "1 + 2·t1 + 1/2·t2"
 
 
+def test_numpy_integers_become_python_ints():
+    import numpy as np
+
+    a = TruncatedSeries(1, 3, {(np.int64(1),): np.int64(2**62)})
+    assert (a * 4).coeffs == {(1,): 2**64}
+    assert [(type(key), type(c)) for terms in a.levels.values() for key, c in terms.items()] == [(int, int)]
+
+
 def test_every_producer_keeps_the_stored_form():
     system = system_of("C3")
     growth = count_multilengths(system, 8)
