@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -58,36 +59,11 @@ class _UsageError(Exception):
     pass
 
 
-class _Printed(Exception):
-    """``--help`` or ``--version`` has written its text; :func:`main` flushes it."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped onto exit code 1, and its printing onto main's write path.
-
-    argparse's own printer drops an OSError, so ``--help`` and ``--version``
-    write to stdout here, and stop by :class:`_Printed`, not SystemExit.
-    """
+    """argparse with usage failures mapped onto exit code 1."""
 
     def error(self, message: str):  # noqa: D102 - argparse hook
         raise _UsageError(message)
-
-    def print_help(self, file: IO[str] | None = None) -> None:  # noqa: D102 - argparse hook
-        (file or sys.stdout).write(self.format_help())
-
-    def exit(self, status: int = 0, message: str | None = None):  # noqa: D102 - argparse hook
-        raise _Printed
-
-
-class _Version(argparse.Action):
-    """``--version``, written to stdout and stopped as ``--help`` is (see :class:`_Parser`)."""
-
-    def __init__(self, option_strings: list[str], dest: str, **kwargs) -> None:
-        super().__init__(option_strings, dest, nargs=0, help="show program's version number and exit")
-
-    def __call__(self, parser, namespace, values, option_string=None) -> None:
-        sys.stdout.write(f"gyoja {__version__}\n")
-        parser.exit()
 
 
 def _joined_character(argv: list[str]) -> list[str]:
@@ -411,7 +387,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gyoja", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--version", action=_Version)
+    parser.add_argument("--version", action="version", version=f"gyoja {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, degree: bool = True, type_required: bool = True) -> None:
@@ -471,11 +447,14 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser, args = build_parser(), None
     try:
+        printed = io.StringIO()  # argparse drops a failed write of --help or --version; main's write does not
         try:
-            args = parser.parse_args(_joined_character(sys.argv[1:] if argv is None else argv))
-        except _Printed:
+            with redirect_stdout(printed):
+                args = parser.parse_args(_joined_character(sys.argv[1:] if argv is None else argv))
+        except SystemExit as exc:
+            sys.stdout.write(printed.getvalue())
             sys.stdout.flush()
-            return EXIT_OK
+            return exc.code
         if getattr(args, "degree", 0) is not None and getattr(args, "degree", 0) < 0:
             raise _UsageError("--degree must be >= 0")
         if hasattr(args, "cap"):

@@ -3,7 +3,7 @@
 Each seed draws one mutation site uniformly over every site of the chosen
 modules of ``src/gyoja``, copies the tree to a temporary directory, applies
 that one mutation there through the AST, and runs tier-1 on the copy with
-``-x`` and a time limit.  A site is one of:
+``-x`` and a limit of ``TIMEOUT_S`` seconds.  A site is one of:
 
 * a comparison flip: ``<`` <-> ``<=``, ``>`` <-> ``>=``, ``==`` <-> ``!=``,
   ``is`` <-> ``is not``, ``in`` <-> ``not in``;
@@ -21,7 +21,7 @@ seed, module, line, mutation and outcome (``killed``, ``survived`` or
 Usage::
 
     python tools/mutation_sample.py --modules cartan,closed_forms --seeds 0-19
-    python tools/mutation_sample.py --seeds 0,5,9 --workers 2 --timeout 300
+    python tools/mutation_sample.py --seeds 0,5,9 --workers 2
 
 The tool is outside tier-1 (``testpaths`` is ``tests``); its operators are
 unit-tested in ``tests/test_mutation_sample.py``.
@@ -45,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "gyoja"
 TIER_1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+TIMEOUT_S = 600  # per tier-1 run; an unmutated run takes about 25 s
 
 _COMPARISON_FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq,
@@ -97,7 +98,7 @@ def _copy_tree(target: Path) -> None:
     shutil.copytree(ROOT, target, ignore=ignored)
 
 
-def run_tier_1(rewrites: dict[str, str], timeout: float) -> str:
+def run_tier_1(rewrites: dict[str, str]) -> str:
     """Tier-1 on a copy of the tree with ``rewrites`` (module name -> source): killed, survived or timeout."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "tree"
@@ -110,7 +111,7 @@ def run_tier_1(rewrites: dict[str, str], timeout: float) -> str:
             TIER_1, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
         )
         try:
-            code = child.wait(timeout=timeout)
+            code = child.wait(timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             os.killpg(child.pid, signal.SIGKILL)  # pytest and every process it started
             child.wait()
@@ -132,13 +133,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--modules", default=",".join(every), help="comma-separated modules of src/gyoja")
     parser.add_argument("--seeds", default="0-19", help="seeds, as ranges and single values: 0-19 or 0,5,9")
     parser.add_argument("--workers", type=int, default=1, help="test runs at once (default 1)")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per tier-1 run (default 600)")
     args = parser.parse_args(argv)
     modules = args.modules.split(",")
     if not set(modules) <= set(every) or args.workers < 1:
         parser.error(f"modules must be among {','.join(every)}, and --workers at least 1")
     sources = {m: (ROOT / PACKAGE / f"{m}.py").read_text() for m in modules}
-    control = run_tier_1({m: ast.unparse(ast.parse(text)) for m, text in sources.items()}, args.timeout)
+    control = run_tier_1({m: ast.unparse(ast.parse(text)) for m, text in sources.items()})
     if control != "survived":
         print(f"control: the unparsed tree does not pass tier-1 ({control})", file=sys.stderr)
         return 1
@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def run(seed: int) -> dict:
         module, index, slot, line, mutation = drawn[seed]
-        outcome = run_tier_1({module: mutate(sources[module], index, slot)}, args.timeout)
+        outcome = run_tier_1({module: mutate(sources[module], index, slot)})
         return {"seed": seed, "module": module, "line": line, "mutation": mutation, "outcome": outcome}
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
