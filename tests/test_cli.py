@@ -174,11 +174,15 @@ def test_write_failure_exits_2_with_one_line(command):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("command", ["--version", "--help", "series --help"])
-def test_version_and_help_on_a_full_disk_exit_2(command):
-    # argparse's own printer drops the write error; main reports it as for any command
+@pytest.mark.parametrize("unbuffered", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_version_and_help_on_a_full_disk_exit_2(command, unbuffered):
+    # argparse's own printer drops the write error; main reports it as for any command,
+    # also when stdout is unbuffered and the error comes at argparse's write, not at a flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "gyoja.cli", *command.split()], stdout=full, stderr=subprocess.PIPE, text=True
+            [sys.executable, *unbuffered, "-m", "gyoja.cli", *command.split()],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
         )
     assert (proc.returncode, proc.stderr) == (2, f"error: cannot write output: {os.strerror(errno.ENOSPC)}\n")
 
