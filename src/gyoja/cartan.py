@@ -15,11 +15,12 @@ The pairings P[i][j] = <alpha_j, alpha_i^vee> of the simple roots are read
 off the Dynkin diagram, a list of bonds with their length ratios; no root
 coordinates are transcribed.  The positive roots are raised from the simple
 ones by simple reflections, tracking each root in simple-root coordinates
-together with its coroot in simple-coroot coordinates, so the highest root
-and the affine reflection come out exactly, with no table to transcribe.  The
-same raising on a parabolic J's rows and columns of the extended Cartan
-matrix gives the roots of W_J, and so the longest element w0(J) class by
-class (:meth:`AffineCoxeterSystem.longest_multilength`).
+with its pairings with the simple coroots.  The highest root theta comes out
+exactly, and its coroot theta^vee, for the affine reflection, is theta scaled
+by the squared root lengths that the bond ratios give.  The same raising on a
+parabolic J's rows and columns of the extended Cartan matrix gives the roots
+of W_J, and so the longest element w0(J) class by class
+(:meth:`AffineCoxeterSystem.longest_multilength`).
 
 The tables are small (n <= 8 for the exceptional types) and are plain int
 tuples; this module does not import numpy, and the enumeration in
@@ -115,7 +116,7 @@ def parse_cartan_type(label: str) -> CartanType:
 
 
 Matrix = tuple[tuple[int, ...], ...]
-Roots = list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]]
+Roots = list[tuple[tuple[int, ...], tuple[int, ...], int]]
 
 
 def _pairing_matrix(ctype: CartanType) -> Matrix:
@@ -147,7 +148,7 @@ def _pairing_matrix(ctype: CartanType) -> Matrix:
 
 
 def _positive_roots(P: Matrix) -> Roots:
-    """Positive roots beta, sorted, as (root coords, coroot coords, (<beta, alpha_k^vee>)_k, origin).
+    """Positive roots beta, sorted, as (root coords, (<beta, alpha_k^vee>)_k, origin).
 
     s_i raises a positive root beta with <beta, alpha_i^vee> < 0 to a higher
     one, and every positive root that is not simple is raised so from a lower
@@ -157,40 +158,37 @@ def _positive_roots(P: Matrix) -> Roots:
     Each round raises the height by at least 1, and the highest root's is
     h - 1 for the Coxeter number h <= max(2n, 30), so a finite-type P stops
     within max(2n, 30) rounds.  Any other P raises AssertionError there.
+    No coroot is raised; :class:`AffineCoxeterSystem` reads theta^vee off theta
+    and the root lengths.  On P transposed the same walk raises the coroots.
     """
     n = len(P)
     columns = list(zip(*P))  # columns[i][k] = <alpha_i, alpha_k^vee>
     seen = {}
     for i in range(n):
         unit = tuple(int(k == i) for k in range(n))
-        seen[unit] = (unit, columns[i], i)
+        seen[unit] = (columns[i], i)
     frontier = list(seen)
     for _ in range(max(2 * n, 30)):
         if not frontier:
             break
         new = []
         for rc in frontier:
-            cc, pairs, origin = seen[rc]
+            pairs, origin = seen[rc]
             for i, pair in enumerate(pairs):
                 if pair < 0:
                     raised = rc[:i] + (rc[i] - pair,) + rc[i + 1 :]
                     if raised not in seen:
-                        pair_c = sum(x * y for x, y in zip(columns[i], cc))  # <alpha_i, beta^vee>
-                        seen[raised] = (
-                            cc[:i] + (cc[i] - pair_c,) + cc[i + 1 :],
-                            tuple(x - pair * y for x, y in zip(pairs, columns[i])),
-                            origin,
-                        )
+                        seen[raised] = (tuple(x - pair * y for x, y in zip(pairs, columns[i])), origin)
                         new.append(raised)
         frontier = new
     else:
         raise AssertionError(f"roots still rising after {max(2 * n, 30)} rounds; pairing matrix not of finite type")
-    return sorted((rc, cc, pairs, origin) for rc, (cc, pairs, origin) in seen.items())
+    return sorted((rc, pairs, origin) for rc, (pairs, origin) in seen.items())
 
 
-def _highest_root(roots: Roots) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+def _highest_root(roots: Roots) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """The entry of the highest root, the one root of greatest height; no s_i raises it further."""
-    heights = [sum(rc) for rc, _, _, _ in roots]
+    heights = [sum(rc) for rc, _, _ in roots]
     if heights.count(top := max(heights)) != 1:
         raise AssertionError("highest root is not unique; root system not irreducible?")
     return roots[heights.index(top)]
@@ -214,7 +212,7 @@ def _class_weights(roots: Roots, P: Matrix, class_of: tuple[int, ...], m: int) -
     (so all its W0-orbit) pairs evenly with each simple coroot: C_n's long roots, A1's root.
     """
     by_origin: list[list[tuple[int, ...]]] = [[] for _ in P]
-    for rc, _, _, origin in roots:
+    for rc, _, origin in roots:
         by_origin[origin].append(rc)
     w = [(0,) * len(P)] * m
     for i, rows in enumerate(by_origin):
@@ -228,18 +226,14 @@ def _class_weights(roots: Roots, P: Matrix, class_of: tuple[int, ...], m: int) -
 _BOND_OF_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6, 4: INFINITE_BOND}
 
 
-def _extended_cartan_matrix(P: Matrix, theta: tuple[int, ...], theta_covec: tuple[int, ...]) -> Matrix:
+def _extended_cartan_matrix(P: Matrix, f: tuple[int, ...], f_co: tuple[int, ...]) -> Matrix:
     """a[s][t] = <alpha_t, alpha_s^vee> over the affine nodes 0..n.
 
-    Node 0 is the affine root alpha_0 = delta - theta, so a_{i0} =
-    -<theta, alpha_i^vee> and a_{0i} = -<alpha_i, theta^vee>; the finite
-    nodes pair through P.
+    Node 0 is the affine root alpha_0 = delta - theta, so column 0 is -f,
+    f[i] = <theta, alpha_i^vee>, and row 0 is -f_co, f_co[i] = <alpha_i,
+    theta^vee>; the finite nodes pair through P.
     """
-    n = len(P)
-    a = [(2,) + tuple(-sum(P[k][i] * theta_covec[k] for k in range(n)) for i in range(n))]
-    for i in range(n):
-        a.append((-sum(P[i][j] * theta[j] for j in range(n)),) + P[i])
-    return tuple(a)
+    return ((2,) + tuple(-x for x in f_co),) + tuple((-x,) + row for x, row in zip(f, P))
 
 
 def _coxeter_matrix(a: Matrix) -> Matrix:
@@ -346,7 +340,21 @@ class AffineCoxeterSystem:
         P = _pairing_matrix(ctype)
         roots = _positive_roots(P)
         # f is theta as a functional on the coroot lattice: f[k] = <theta, alpha_k^vee>
-        theta, theta_covec, f, _ = _highest_root(roots)
+        theta, f, _ = _highest_root(roots)
+        # |alpha_j|^2 / |alpha_i|^2 = P[i][j] / P[j][i] across a bond, each ratio 1, 2 or 3, so 6 at
+        # node 0 keeps the squared lengths integers; a connected diagram fills within n passes.
+        length = [6] + [0] * (n - 1)
+        for _ in range(n):
+            for i, j in product(range(n), repeat=2):
+                if P[i][j] and length[i] and not length[j]:
+                    length[j] = length[i] * P[i][j] // P[j][i]
+            if all(length):
+                break
+        else:
+            raise AssertionError(f"root lengths unfilled after {n} passes; Dynkin diagram not connected")
+        # theta is long, and theta^vee = 2 theta / |theta|^2: scale theta and f by |alpha_k|^2 / |theta|^2
+        top = max(length)
+        theta_covec = tuple(x * k // top for x, k in zip(theta, length))
         eye = [[int(a == b) for b in range(n)] for a in range(n)]
 
         gens_lin = [tuple(tuple(eye[a][b] - theta_covec[a] * f[b] for b in range(n)) for a in range(n))]
@@ -362,10 +370,10 @@ class AffineCoxeterSystem:
         self.gen_linear = tuple(gens_lin)
         self.gen_translation = tuple(gens_tr)
         self.num_gens = n + 1
-        self.extended_cartan = _extended_cartan_matrix(P, theta, theta_covec)
+        self.extended_cartan = _extended_cartan_matrix(P, f, tuple(x * k // top for x, k in zip(f, length)))
         self.coxeter_matrix = _coxeter_matrix(self.extended_cartan)
         self.partition = conjugacy_partition(self.coxeter_matrix)
-        self.exponents = _exponents([rc for rc, _, _, _ in roots])
+        self.exponents = _exponents([rc for rc, _, _ in roots])
         w = _class_weights(roots, P, self.partition.class_of, self.m)
         signs = (e for e in product((-1, 1), repeat=self.m) if all(sum(map(int.__mul__, e, k)) < 0 for k in zip(*w)))
         self.discrete_series = tuple(map(SignCharacter, signs))

@@ -266,22 +266,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         return EXIT_MISMATCH
 
 
+def _verdict_cells(v: DistinctionVerdict, epsilon: str, multiplicity: str) -> list[str]:
+    """A verdict's seven cells for the text, csv and markdown writers, which differ in these two texts."""
+    distinguished = "yes" if v.distinguished else "no"
+    return [v.ctype.label, epsilon, str(v.q_o), str(v.value), distinguished, multiplicity, v.zero_witness or ""]
+
+
 def _write_classify_text(fp: IO[str], verdicts: list[DistinctionVerdict]) -> None:
     header = ["type", "epsilon", "q_o", "value", "distinguished", "multiplicity", "zero_witness"]
-    table = [header]
-    for v in verdicts:
-        lo, hi = v.multiplicity_interval
-        table.append(
-            [
-                v.ctype.label,
-                str(v.epsilon),
-                str(v.q_o),
-                str(v.value),
-                "yes" if v.distinguished else "no",
-                f"[{lo},{hi}]",
-                v.zero_witness or "",
-            ]
-        )
+    table = [header] + [_verdict_cells(v, str(v.epsilon), "[{},{}]".format(*v.multiplicity_interval)) for v in verdicts]
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     for r in table:
         fp.write("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n")
@@ -313,23 +306,15 @@ def _write_classify_csv(fp: IO[str], verdicts: list[DistinctionVerdict]) -> None
     fp.write("type,epsilon,q_o,value,distinguished,multiplicity_lower,multiplicity_upper,zero_witness\n")
     for v in verdicts:
         eps = "(" + " ".join(f"{s:+d}" for s in v.epsilon.signs) + ")"
-        lo, hi = v.multiplicity_interval
-        fp.write(
-            f"{v.ctype.label},{eps},{v.q_o},{v.value},"
-            f"{'yes' if v.distinguished else 'no'},{lo},{hi},{v.zero_witness or ''}\n"
-        )
+        fp.write(",".join(_verdict_cells(v, eps, "{},{}".format(*v.multiplicity_interval))) + "\n")
 
 
 def _write_classify_markdown(fp: IO[str], verdicts: list[DistinctionVerdict]) -> None:
     fp.write("| type | epsilon | q_o | value | distinguished | multiplicity | zero witness |\n")
     fp.write("|------|---------|-----|-------|---------------|--------------|--------------|\n")
     for v in verdicts:
-        eps = "(" + ", ".join(f"{s:+d}" for s in v.epsilon.signs) + ")"
-        lo, hi = v.multiplicity_interval
-        fp.write(
-            f"| {v.ctype.label} | {'Steinberg' if v.is_steinberg else eps} | {v.q_o} | {v.value} | "
-            f"{'yes' if v.distinguished else 'no'} | [{lo}, {hi}] | {v.zero_witness or ''} |\n"
-        )
+        eps = "Steinberg" if v.is_steinberg else "(" + ", ".join(f"{s:+d}" for s in v.epsilon.signs) + ")"
+        fp.write("| " + " | ".join(_verdict_cells(v, eps, "[{}, {}]".format(*v.multiplicity_interval))) + " |\n")
 
 
 _CLASSIFY_WRITERS = {

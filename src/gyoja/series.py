@@ -66,6 +66,10 @@ class TruncatedSeries:
     __slots__ = ("nvars", "bound", "levels")
 
     def __init__(self, nvars: int, bound: int, coeffs: Mapping[Exponent, Fraction | int]):
+        try:  # numpy integers become ints, whose keys cannot wrap; a float would key terms in a float base
+            nvars, bound = operator.index(nvars), operator.index(bound)
+        except TypeError:
+            raise ValueError(f"nvars and bound must be integers, got {nvars!r} and {bound!r}") from None
         if nvars < 1:
             raise ValueError("need at least one variable")
         if bound < 0:

@@ -181,13 +181,22 @@ def test_longest_multilength_matches_the_root_closure(label):
 
 @pytest.mark.parametrize("label", RANK_SWEEP_LABELS)
 def test_raised_roots_are_the_positive_half_of_the_closure(label):
-    P = cartan._pairing_matrix(parse_cartan_type(label))
+    ctype = parse_cartan_type(label)
+    P = cartan._pairing_matrix(ctype)
     raised = cartan._positive_roots(P)
     closure = root_closure(P)
-    assert [(rc, cc) for rc, cc, *_ in raised] == [(rc, cc) for rc, cc in closure if min(rc) >= 0]
+    positive = {rc: cc for rc, cc in closure if min(rc) >= 0}
+    assert [rc for rc, *_ in raised] == list(positive)
     assert len(closure) == 2 * len(raised)
-    for rc, _, pairs, _ in raised:
+    for rc, pairs, _ in raised:
         assert pairs == tuple(sum(p * x for p, x in zip(row, rc)) for row in P), rc
+    # theta^vee, the one coroot the system uses, and its pairings <alpha_i, theta^vee>
+    s = build_affine_system(ctype)
+    theta_co = positive[s.highest_root]
+    assert s.gen_translation[0] == theta_co
+    assert s.extended_cartan[0][1:] == tuple(-sum(row[i] * c for row, c in zip(P, theta_co)) for i in range(len(P)))
+    # on P transposed the walk raises the coroots
+    assert [rc for rc, *_ in cartan._positive_roots(tuple(zip(*P)))] == sorted(positive.values())
 
 
 def test_root_raising_stops_on_a_pairing_matrix_not_of_finite_type():
@@ -196,6 +205,19 @@ def test_root_raising_stops_on_a_pairing_matrix_not_of_finite_type():
     P[1][3] = -2
     with pytest.raises(AssertionError, match="not of finite type"):
         cartan._positive_roots(tuple(map(tuple, P)))
+    # past rank 15 the bound is 2n rounds: an affine A1 block among 20 nodes
+    P = [[2 * (i == j) for j in range(20)] for i in range(20)]
+    P[0][1] = P[1][0] = -2
+    with pytest.raises(AssertionError, match="after 40 rounds"):
+        cartan._positive_roots(tuple(map(tuple, P)))
+
+
+def test_reducible_or_unbonded_matrices_are_refused():
+    # A1 x A1 has two highest roots; a Cartan product of 5 is no Coxeter bond
+    with pytest.raises(AssertionError, match="highest root is not unique"):
+        cartan._highest_root(cartan._positive_roots(((2, 0), (0, 2))))
+    with pytest.raises(AssertionError, match="Cartan product 5 is no bond"):
+        cartan._coxeter_matrix(((2, -5), (-1, 2)))
 
 
 def test_numbers_game_stops_on_a_cartan_matrix_not_of_finite_type():

@@ -697,10 +697,11 @@ def test_import_gyoja_without_numpy():
 
 
 # Runs main(argv), then prints to stderr the gyoja modules it loaded and
-# whether numpy is loaded; argparse leaves through SystemExit on --version and --help.
+# whether numpy is loaded; main returns a status for every command, --version
+# and --help included, so a SystemExit would end the child before the print.
 _IMPORTS_OF = (
     "import sys\nfrom gyoja.cli import main\n"
-    "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+    "main(sys.argv[1:])\n"
     "print(sorted(m for m in sys.modules if m.startswith('gyoja.')), 'numpy' in sys.modules, file=sys.stderr)"
 )
 _BEFORE_DISPATCH = ["cli", "limits"]

@@ -16,6 +16,7 @@ from conftest import get_ball
 from gyoja.cartan import build_affine_system, parse_cartan_type
 from gyoja.closed_forms import (
     CalibrationResult,
+    ClosedForm,
     Factor,
     PoleError,
     TermLimitExceeded,
@@ -47,6 +48,8 @@ def test_factor_requires_unit_constant():
         Factor(1, (1,), 2)
     with pytest.raises(ValueError):
         Factor(1, (1,), 1, 1)
+    with pytest.raises(ValueError, match="factor variable count mismatch"):
+        ClosedForm(2, (Factor(1, (1,)),), ())
     f = Factor(1, (2,), -1)
     assert str(f) == "(1 - t^2)"
     assert f.terms == (((0,), 1), ((2,), -1))
@@ -306,6 +309,8 @@ def test_calibration_m1_identity():
 def test_calibration_rejects_negative_degree(label):
     with pytest.raises(ValueError, match="degree must be >= 0"):
         calibrate_indexing(parse_cartan_type(label), -1)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        diagram_growth_series(parse_cartan_type(label), -1)
 
 
 def test_cn_evaluate_symmetric_in_last_two_coordinates():

@@ -119,6 +119,8 @@ def test_character_series_rejects_a_sign_vector_of_another_length(signs):
     growth = count_multilengths(system_of("G2"), 4)
     with pytest.raises(ValueError, match="multilength / sign vector dimension mismatch"):
         character_series(growth, SignCharacter(signs), 2)
+    with pytest.raises(ValueError, match="sign vector length does not match the class count"):
+        MatrixRep.from_sign_character(SignCharacter(signs), system_of("G2").partition, 2)
 
 
 @pytest.mark.parametrize("q_o", [1, Fraction(5, 2), 0, -3])
@@ -357,6 +359,8 @@ def test_gyoja_series_rejects_q_o_with_a_matrix_rep():
     rep = MatrixRep.make([[[4]], [[-1]], [[4]]], q_o=2)
     with pytest.raises(ValueError, match="q_o applies only to a sign character"):
         gyoja_series(get_ball("C2", 4), rep, q_o=999)
+    with pytest.raises(TypeError, match="cannot form a series for str"):
+        gyoja_series(get_ball("C2", 4), "x")
 
 
 @pytest.mark.parametrize("label, expected, count", [("A1", 2, 3), ("G2", 3, 2)])
@@ -364,6 +368,7 @@ def test_gyoja_series_rejects_a_rep_with_the_wrong_generator_count(label, expect
     rep = MatrixRep.make([[[-1]]] * count, q_o=2)
     with pytest.raises(ValueError, match=f"expected {expected} generator matrices, got {count}"):
         gyoja_series(get_ball(label, 4), rep)
+    assert str(validate_rep(rep, system_of(label))) == f"expected {expected} generator matrices, got {count}"
 
 
 @pytest.mark.parametrize("letter", [-1, 3, 10, 1.0])

@@ -2,6 +2,7 @@ import doctest
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gyoja.series as series_module
@@ -62,6 +63,16 @@ def test_shape_rejected():
         TruncatedSeries(0, 3, {})
     with pytest.raises(ValueError, match="bound"):
         TruncatedSeries(1, -1, {})
+    # a float bound keyed the terms in base 3.5, and terms() read (1, 1) back as (1.0, 0.5)
+    with pytest.raises(ValueError, match="nvars and bound must be integers"):
+        TruncatedSeries(2, 2.5, {(2, 0): 1, (1, 1): 3})
+    with pytest.raises(ValueError, match="nvars and bound must be integers"):
+        TruncatedSeries(2.0, 2, {(1, 0): 1})
+    # numpy integers are read as ints: an int64 nvars of 10 wrapped t1's key at bound 300
+    t1 = (1,) + (0,) * 9
+    wide = TruncatedSeries(np.int64(10), np.int64(300), {t1: 1})
+    assert (type(wide.nvars), type(wide.bound)) == (int, int)
+    assert list(wide.terms()) == [(t1, 1)]
 
 
 def test_bad_exponents_rejected():

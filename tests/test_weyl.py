@@ -334,6 +334,8 @@ def test_levels_cap_fires_after_the_completed_levels():
 def test_levels_reject_bad_arguments_at_the_call():
     with pytest.raises(ValueError, match="radius"):
         enumerate_levels(system_of("A2"), -1)
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        count_multilengths(system_of("A2"), -1)
     with pytest.raises(ValueError, match="element cap"):
         enumerate_levels(system_of("A2"), 3, max_elements=0)
 
