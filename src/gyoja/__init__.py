@@ -26,7 +26,6 @@ _LAZY = {
             "borel_discrete_series_list",
             "build_affine_system",
             "conjugacy_partition",
-            "exponents",
             "parse_cartan_type",
             "steinberg_character",
             "tables_document",
@@ -39,11 +38,9 @@ _LAZY = {
             "ClosedForm",
             "Factor",
             "PoleError",
-            "bott_closed_form",
             "calibrate_indexing",
             "diagram_growth_series",
             "growth_closed_form",
-            "macdonald_closed_form",
         ),
         "closed_forms",
     ),

@@ -54,7 +54,6 @@ __all__ = [
     "parse_cartan_type",
     "build_affine_system",
     "conjugacy_partition",
-    "exponents",
     "borel_discrete_series_list",
     "steinberg_character",
     "tables_document",
@@ -63,7 +62,7 @@ __all__ = [
 # Coxeter-matrix marker for an infinite bond (GAP's "order 0" convention).
 INFINITE_BOND = 0
 
-_RANK_RANGES = {"A": (1, None), "B": (3, None), "C": (2, None), "D": (4, None)}
+_MIN_RANK = {"A": 1, "B": 3, "C": 2, "D": 4}
 _FIXED_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
 
@@ -75,8 +74,8 @@ class CartanType:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family in _RANK_RANGES:
-            lo, _ = _RANK_RANGES[self.family]
+        if self.family in _MIN_RANK:
+            lo = _MIN_RANK[self.family]
             if self.rank < lo:
                 if (self.family, self.rank) == ("B", 2):
                     raise ValueError(
@@ -455,11 +454,6 @@ def conjugacy_partition(coxeter_matrix: tuple[tuple[int, ...], ...]) -> ClassPar
     return ClassPartition(tuple(classes), tuple(class_of))
 
 
-def exponents(ctype: CartanType) -> tuple[int, ...]:
-    """Exponents m_1 <= ... <= m_n of the finite Weyl group of ``ctype``."""
-    return build_affine_system(ctype).exponents
-
-
 # ---------------------------------------------------------------------------
 # Borel's list of degree-1 discrete series characters
 # ---------------------------------------------------------------------------
@@ -503,7 +497,7 @@ def tables_document(ctype: CartanType) -> dict:
         "infinite_bond_marker": INFINITE_BOND,
         "class_partition": [list(c) for c in system.partition.classes],
         "m": system.m,
-        "exponents": list(exponents(ctype)),
+        "exponents": list(system.exponents),
         "highest_root": list(system.highest_root),
         "generator_actions": [
             {"matrix": [list(row) for row in matrix], "translation": list(translation)}

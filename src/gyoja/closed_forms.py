@@ -4,15 +4,16 @@ The growth series W(t) (one variable per generator conjugacy class) of an
 irreducible affine Weyl group is a rational function with a classical
 product expression:
 
-* one class (simply-laced affine types): the single-variable product over
+* one class (simply-laced affine types): Bott's single-variable product over
   the exponents of the finite Weyl group,
 * two or three classes: Macdonald's type-by-type displays (A1, Bn, G2, F4
   with two variables; Cn with three).
 
-Forms are kept verbatim as factor lists -- numerator and denominator are
-multisets of :class:`Factor`, each the geometric sum 1 + x + ... + x^(k-1)
-of one signed monomial x = +-t^e: a binomial (k = 2) everywhere, and G2's
-two trinomials (k = 3).
+:func:`growth_closed_form` builds both.  Forms are kept verbatim as factor
+lists, in the order of the display -- numerator and denominator are tuples
+of :class:`Factor`, each the geometric sum 1 + x + ... + x^(k-1) of one
+signed monomial x = +-t^e: a binomial (k = 2) everywhere, and G2's two
+trinomials (k = 3).
 Nothing is expanded or simplified at construction time; equality of forms is
 decided by truncated expansion, and evaluation walks the factors so that an
 exact zero is always witnessed by a vanishing numerator factor, never by
@@ -50,7 +51,7 @@ from itertools import permutations
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .cartan import CartanType, build_affine_system, exponents
+from .cartan import CartanType, build_affine_system
 from .series import Exponent, Graded, TruncatedSeries, divide, graded, product, render_monomial, var_names
 from .limits import ResourceLimitExceeded
 
@@ -60,8 +61,6 @@ __all__ = [
     "PoleError",
     "CalibrationError",
     "TermLimitExceeded",
-    "bott_closed_form",
-    "macdonald_closed_form",
     "growth_closed_form",
     "diagram_growth_series",
     "calibrate_indexing",
@@ -100,23 +99,23 @@ class Factor:
 
     Every factor of the product formulas has this shape: a binomial
     1 +- t^exp (k = 2), or one of G2's two trinomials (k = 3).  Its constant
-    term is +1, so it is invertible as a power series.
+    term is +1, so it is invertible as a power series.  Its variable count is
+    ``len(exp)``.
 
-    >>> print(Factor(2, (2, 1), -1))
+    >>> print(Factor((2, 1), -1))
     (1 - t1^2·t2)
-    >>> print(Factor(2, (1, 1), 1, 3))
+    >>> print(Factor((1, 1), 1, 3))
     (1 + t1·t2 + t1^2·t2^2)
     """
 
-    nvars: int
     exp: Exponent
     sign: int = 1
     k: int = 2
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "exp", tuple(self.exp))
-        if len(self.exp) != self.nvars or not any(self.exp) or min(self.exp) < 0:
-            raise ValueError(f"factor exponent must be a nonzero, nonnegative {self.nvars}-vector, got {self.exp}")
+        if not any(self.exp) or min(self.exp) < 0:
+            raise ValueError(f"factor exponent must be a nonzero, nonnegative vector, got {self.exp}")
         if self.sign not in (-1, 1):
             raise ValueError(f"factor sign must be -1 or +1, got {self.sign}")
         if self.k < 2:
@@ -141,7 +140,7 @@ class Factor:
         return sum(p**i * r ** (self.k - 1 - i) for i in range(self.k)), r ** (self.k - 1)
 
     def __str__(self) -> str:
-        names = var_names(self.nvars)
+        names = var_names(len(self.exp))
         parts = ["1"] + [("+ " if c > 0 else "- ") + render_monomial(names, exp) for exp, c in self.terms[1:]]
         return "(" + " ".join(parts) + ")"
 
@@ -156,7 +155,7 @@ class ClosedForm:
 
     def __post_init__(self) -> None:
         for f in self.numerator + self.denominator:
-            if f.nvars != self.nvars:
+            if len(f.exp) != self.nvars:
                 raise ValueError("factor variable count mismatch")
 
     def expand(self, bound: int, max_terms: int | None = None) -> TruncatedSeries:
@@ -242,81 +241,50 @@ class ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-def bott_closed_form(ctype: CartanType) -> ClosedForm:
-    """Single-variable growth series product over the exponents.
-
-    W(t) = prod_i (1 - t^(e_i + 1)) / ((1 - t)(1 - t^(e_i))), one factor
-    triple per exponent.  Only valid for the one-class affine types.  The
-    formula is sometimes displayed with a subscripted t inside the product;
-    it is read here with the single variable throughout, a choice pinned by
-    the expansion-vs-enumeration tests.
-    """
-    system = build_affine_system(ctype)
-    if system.m != 1:
-        raise ValueError(f"{ctype.label} has m={system.m} generator classes; need m=1")
-    num = []
-    den = []
-    for e in exponents(ctype):
-        num.append(Factor(1, (e + 1,), -1))
-        den.append(Factor(1, (1,), -1))
-        den.append(Factor(1, (e,), -1))
-    return ClosedForm(1, tuple(num), tuple(den))
-
-
-def macdonald_closed_form(ctype: CartanType) -> ClosedForm:
-    """Multi-variable growth series display for the m in {2,3} affine types.
-
-    Transcribed factor-by-factor; Bn and Cn are instantiated at the given
-    rank, F4 keeps its i = 1..3 product block and trailing factors.
-    """
-    system = build_affine_system(ctype)
-    m = system.m
-    fam, n = ctype.family, ctype.rank
-    if m == 1:
-        raise ValueError(f"{ctype.label} has a single generator class; use bott_closed_form")
-
-    if fam == "A":  # A1
-        return ClosedForm(2, (Factor(2, (1, 0)), Factor(2, (0, 1))), (Factor(2, (1, 1), -1),))
-    if fam == "G":
-        num = (Factor(2, (1, 0)), Factor(2, (1, 0), 1, 3), Factor(2, (0, 1)), Factor(2, (1, 1), 1, 3))
-        den = (Factor(2, (2, 1), -1), Factor(2, (3, 2), -1))
-        return ClosedForm(2, num, den)
-    if fam == "B":
-        num = [Factor(2, (n, 0), -1)]
-        den = [Factor(2, (1, 0), -1) for _ in range(n)]
-        num += [Factor(2, (2 * i, 0), -1) for i in range(1, n)]
-        for i in range(n):
-            num.append(Factor(2, (i, 1)))
-            den.append(Factor(2, (n - 1 + i, 1), -1))
-        return ClosedForm(2, tuple(num), tuple(den))
-    if fam == "F":
-        num = []
-        den = []
-        for i in range(1, 4):
-            num.append(Factor(2, (i + 1, 0), -1))
-            num.append(Factor(2, (i, 1)))
-            num.append(Factor(2, (0, i), -1))
-            den.append(Factor(2, (1, 0), -1))
-            den.append(Factor(2, (0, 1), -1))
-        num += [Factor(2, (1, 2)), Factor(2, (2, 2)), Factor(2, (3, 3))]
-        den += [Factor(2, (3, 2), -1), Factor(2, (4, 3), -1), Factor(2, (5, 3), -1), Factor(2, (6, 5), -1)]
-        return ClosedForm(2, tuple(num), tuple(den))
-    # Cn
-    num = []
-    den = []
-    for i in range(n):
-        num.append(Factor(3, (i + 1, 0, 0), -1))
-        num.append(Factor(3, (i, 1, 0)))
-        num.append(Factor(3, (i, 0, 1)))
-        den.append(Factor(3, (1, 0, 0), -1))
-        den.append(Factor(3, (n - 1 + i, 1, 1), -1))
-    return ClosedForm(3, tuple(num), tuple(den))
-
-
 def growth_closed_form(ctype: CartanType) -> ClosedForm:
-    """The applicable product formula for any supported type."""
+    """The product formula for W(t) of any supported type, factors in the order of its display.
+
+    One class (the simply-laced types): Bott's product over the exponents
+    e_i of the finite Weyl group, W(t) = prod_i (1 - t^(e_i + 1)) / ((1 - t)(1 - t^(e_i))),
+    one factor triple per exponent.  It is sometimes displayed with a
+    subscripted t inside the product; it is read here with the single
+    variable throughout, a choice pinned by the expansion-vs-enumeration tests.
+
+    Two or three classes: Macdonald's displays, transcribed factor by factor;
+    Bn and Cn are instantiated at the given rank, F4 keeps its i = 1..3
+    product block and trailing factors.
+    """
     system = build_affine_system(ctype)
-    return bott_closed_form(ctype) if system.m == 1 else macdonald_closed_form(ctype)
+    fam, n = ctype.family, ctype.rank
+    if system.m == 1:
+        num = [Factor((e + 1,), -1) for e in system.exponents]
+        den = [f for e in system.exponents for f in (Factor((1,), -1), Factor((e,), -1))]
+        return ClosedForm(1, tuple(num), tuple(den))
+    if fam == "A":  # A1
+        num, den = [Factor((1, 0)), Factor((0, 1))], [Factor((1, 1), -1)]
+    elif fam == "G":
+        num = [Factor((1, 0)), Factor((1, 0), 1, 3), Factor((0, 1)), Factor((1, 1), 1, 3)]
+        den = [Factor((2, 1), -1), Factor((3, 2), -1)]
+    elif fam == "B":
+        num = [Factor((n, 0), -1)]
+        den = [Factor((1, 0), -1) for _ in range(n)]
+        num += [Factor((2 * i, 0), -1) for i in range(1, n)]
+        for i in range(n):
+            num.append(Factor((i, 1)))
+            den.append(Factor((n - 1 + i, 1), -1))
+    elif fam == "F":
+        num, den = [], []
+        for i in range(1, 4):
+            num += [Factor((i + 1, 0), -1), Factor((i, 1)), Factor((0, i), -1)]
+            den += [Factor((1, 0), -1), Factor((0, 1), -1)]
+        num += [Factor((1, 2)), Factor((2, 2)), Factor((3, 3))]
+        den += [Factor((3, 2), -1), Factor((4, 3), -1), Factor((5, 3), -1), Factor((6, 5), -1)]
+    else:  # Cn
+        num, den = [], []
+        for i in range(n):
+            num += [Factor((i + 1, 0, 0), -1), Factor((i, 1, 0)), Factor((i, 0, 1))]
+            den += [Factor((1, 0, 0), -1), Factor((n - 1 + i, 1, 1), -1)]
+    return ClosedForm(system.m, tuple(num), tuple(den))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +420,7 @@ def calibrate_indexing(ctype: CartanType, degree: int = 6) -> CalibrationResult:
     if m == 1:
         return CalibrationResult(ctype, degree, (0,), ((0,),))
     derived = diagram_growth_series(ctype, degree)
-    formula = macdonald_closed_form(ctype).expand(degree)
+    formula = growth_closed_form(ctype).expand(degree)
     matching = []
     for perm in permutations(range(m)):
         # formula exponent e corresponds to class exponent vector e' with

@@ -43,7 +43,7 @@ import math
 import numbers
 import operator
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .cartan import AffineCoxeterSystem, SignCharacter, residue_field_size
@@ -91,7 +91,7 @@ def count_multilengths(
     walked: Graded = {}
     counts: Graded = {}
     total = 0
-    for k, level in enumerate(islice(_coset_levels(system, range(system.num_gens), steps), radius + 1)):
+    for k, level in zip(range(radius + 1), _coset_levels(system, range(system.num_gens), steps)):
         walked[k] = level
         counts[k] = product_degree(walked, finite, k, {})
         total += sum(counts[k].values())
@@ -104,7 +104,7 @@ def _finite_levels(system: AffineCoxeterSystem, radius: int, steps: list[int]) -
     """Degrees 0..radius of W_(S - {0}), the finite Weyl group, as the product of its coset sets."""
     levels: Graded = {0: {0: 1}}
     for i in range(1, system.num_gens):
-        factor = dict(enumerate(islice(_coset_levels(system, range(i, system.num_gens), steps), radius + 1)))
+        factor = dict(zip(range(radius + 1), _coset_levels(system, range(i, system.num_gens), steps)))
         levels = product(levels, factor, radius, {})
     return levels
 

@@ -2,7 +2,8 @@
 
 A :class:`TruncatedSeries` holds the terms of total degree <= bound, with
 coefficients ``int`` where given as an integer (numpy's too) and
-``fractions.Fraction`` otherwise.  Truncation is by *total* degree, matching the grading in which a
+``fractions.Fraction`` where given as another exact rational; a float is
+refused.  Truncation is by *total* degree, matching the grading in which a
 radius-N ball of the group determines the series exactly to degree N.
 
 A series and a polynomial under construction have one stored form, the
@@ -79,7 +80,12 @@ class TruncatedSeries:
             if len(exp) != nvars or min(exp) < 0:
                 raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
             if type(c) not in (int, Fraction):  # a numpy integer, here or in exp, would wrap around
-                c = operator.index(c) if isinstance(c, numbers.Integral) else Fraction(c)
+                if isinstance(c, numbers.Integral):
+                    c = operator.index(c)
+                elif isinstance(c, numbers.Rational):
+                    c = Fraction(int(c.numerator), int(c.denominator))
+                else:  # a float would be read as its binary fraction
+                    raise ValueError(f"coefficients must be exact rationals, got {c!r}")
             if c != 0:
                 terms.append((tuple(map(operator.index, exp)), c))
         self.nvars = nvars
@@ -244,14 +250,22 @@ def divide(levels: Graded, unit: Graded, bound: int) -> Iterator[int]:
     With unit = 1 + r, q[k] = a[k] - (r * q)[k] reads only degrees of q
     below k.  A generator: walks k upwards from the lowest degree of
     ``levels`` and yields each k that holds terms as soon as they are final,
-    so the caller can count stored terms once per degree.
+    so the caller can count stored terms once per degree.  With D the top
+    degree of r, q[k] is 0 once k is more than D past both the top degree of
+    ``levels`` and the last degree of q that holds terms, and so is every
+    later degree; the walk stops there, so a quotient that is a polynomial
+    costs its terms, not the bound.
     """
     minus_r = {d: {key: -c for key, c in terms.items()} for d, terms in unit.items() if d}
-    for k in range(min(levels, default=bound + 1), bound + 1):
+    reach = max(minus_r, default=0)
+    k, last = min(levels, default=bound + 1), max(levels, default=0)
+    while k <= min(bound, last + reach):
         terms = {key: c for key, c in product_degree(minus_r, levels, k, levels.pop(k, {})).items() if c}
         if terms:
             levels[k] = terms
+            last = max(last, k)
             yield k
+        k += 1
 
 
 # -- constructors ------------------------------------------------------------

@@ -25,7 +25,6 @@ from gyoja.cartan import (
     borel_discrete_series_list,
     build_affine_system,
     conjugacy_partition,
-    exponents,
     parse_cartan_type,
     steinberg_character,
     tables_document,
@@ -329,23 +328,23 @@ def test_coxeter_matrix_is_symmetric_with_expected_entries():
 
 
 def test_exponent_examples():
-    assert exponents(parse_cartan_type("A2")) == (1, 2)
-    assert exponents(parse_cartan_type("A1")) == (1,)
-    assert exponents(parse_cartan_type("D4")) == (1, 3, 3, 5)
-    assert exponents(parse_cartan_type("G2")) == (1, 5)
-    assert exponents(parse_cartan_type("E8")) == (1, 7, 11, 13, 17, 19, 23, 29)
+    assert build_affine_system(parse_cartan_type("A2")).exponents == (1, 2)
+    assert build_affine_system(parse_cartan_type("A1")).exponents == (1,)
+    assert build_affine_system(parse_cartan_type("D4")).exponents == (1, 3, 3, 5)
+    assert build_affine_system(parse_cartan_type("G2")).exponents == (1, 5)
+    assert build_affine_system(parse_cartan_type("E8")).exponents == (1, 7, 11, 13, 17, 19, 23, 29)
 
 
 @pytest.mark.parametrize("label", RANK_SWEEP_LABELS)
 def test_exponents_from_root_heights_match_the_table(label):
     ctype = parse_cartan_type(label)
-    assert exponents(ctype) == exponents_table(ctype.family, ctype.rank)
+    assert build_affine_system(ctype).exponents == exponents_table(ctype.family, ctype.rank)
 
 
 def test_exponent_invariants():
     for label in ALL_LABELS:
         t = parse_cartan_type(label)
-        exps = exponents(t)
+        exps = build_affine_system(t).exponents
         assert len(exps) == t.rank
         assert sum(exps) == POSITIVE_ROOT_COUNT[t.family](t.rank), label
         order = 1

@@ -19,7 +19,7 @@ import gyoja.counting as counting
 import gyoja.distinction as distinction
 import gyoja.weyl as weyl
 from gyoja.limits import element_cap
-from gyoja.closed_forms import bott_closed_form
+from gyoja.closed_forms import calibrate_indexing, growth_closed_form
 from gyoja.cartan import parse_cartan_type
 from conftest import system_of
 
@@ -132,11 +132,18 @@ def test_enumerate_cap_exit_2(capsys):
     assert "cap" in err
 
 
+# a degree above sys.maxsize, which itertools.islice refused with a traceback
+_HUGE_DEGREE_CAP_RADIUS = {"check": ("E8", 4), "series": ("C3", 11), "enumerate": ("A1", 499)}
+
+
 @pytest.mark.parametrize("command", ["check", "series", "enumerate"])
 def test_check_and_series_cap_exit_2(command, capsys):
     code, out, err = run_cli(command, "--type", "A2", "--degree", "10", "--cap", "20", capsys=capsys)
     assert (code, out) == (2, "")
     assert err == "error: element cap 20 exceeded after completing radius 3\n"
+    label, radius = _HUGE_DEGREE_CAP_RADIUS[command]
+    code, out, err = run_cli(command, "--type", label, "--degree", "99999999999999999999", "--cap", "1000", capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: element cap 1000 exceeded after completing radius {radius}\n")
 
 
 def test_cap_of_one_is_valid(capsys):
@@ -381,6 +388,9 @@ def test_expand_cap_exit_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    # C3's quotient by (1 - t1) is a polynomial; its division stops where it ends, not at the degree
+    code, out, err = run_cli("expand", "--type", "C3", "--degree", "1000000000000", "--cap", "1000", capsys=capsys)
+    assert (code, out, err) == (2, "", "error: term cap 1000 exceeded at total degree 84\n")
 
 
 def test_expand_without_cap_exit_0(capsys):
@@ -457,7 +467,7 @@ def test_check_c2_reports_calibration(capsys):
 def test_check_mismatch_exit_3(monkeypatch, capsys):
     # a deliberately wrong formula must be caught and reported with the
     # first differing exponent vector
-    wrong = bott_closed_form(parse_cartan_type("A3"))
+    wrong = growth_closed_form(parse_cartan_type("A3"))
     monkeypatch.setattr(closed_forms, "growth_closed_form", lambda ctype: wrong)
     code, out, _ = run_cli("check", "--type", "A2", "--degree", "4", capsys=capsys)
     assert code == 3
@@ -466,8 +476,10 @@ def test_check_mismatch_exit_3(monkeypatch, capsys):
 
 def test_check_mismatch_line_names_the_first_differing_term(monkeypatch, capsys):
     # C3's Macdonald form without its last numerator factor (1 + t1^2·t3)
-    # first differs at t1^2·t3; the line is pinned byte for byte
-    form = closed_forms.macdonald_closed_form(parse_cartan_type("C3"))
+    # first differs at t1^2·t3; the line is pinned byte for byte.  Calibration
+    # reads growth_closed_form too, so it is cached before the patch
+    calibrate_indexing(parse_cartan_type("C3"))
+    form = growth_closed_form(parse_cartan_type("C3"))
     assert str(form.numerator[-1]) == "(1 + t1^2·t3)"
     wrong = dataclasses.replace(form, numerator=form.numerator[:-1])
     monkeypatch.setattr(closed_forms, "growth_closed_form", lambda ctype: wrong)

@@ -240,7 +240,7 @@ def test_robustness_m1_single_binding():
 
 def test_binding_dependent_verdict_is_a_hard_failure(monkeypatch):
     ctype = parse_cartan_type("C2")
-    fake_form = ClosedForm(3, (Factor(3, (0, 1, 1)),), ())
+    fake_form = ClosedForm(3, (Factor((0, 1, 1)),), ())
     monkeypatch.setattr(distinction_module, "growth_closed_form", lambda t: fake_form)
     monkeypatch.setattr(
         distinction_module,

@@ -1,5 +1,6 @@
 import doctest
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from gyoja.cartan import SignCharacter, parse_cartan_type
 from gyoja.closed_forms import diagram_growth_series, growth_closed_form
 from gyoja.counting import character_series, count_multilengths
 from gyoja.hecke import counting_series, gyoja_series
-from gyoja.series import TruncatedSeries, one
+from gyoja.series import TruncatedSeries, divide, graded, one
 
 
 def test_module_doctests():
@@ -73,6 +74,10 @@ def test_shape_rejected():
     wide = TruncatedSeries(np.int64(10), np.int64(300), {t1: 1})
     assert (type(wide.nvars), type(wide.bound)) == (int, int)
     assert list(wide.terms()) == [(t1, 1)]
+    # only exact rationals: 0.1 was read as 3602879701896397/36028797018963968
+    for c in (0.5, 0.1, Decimal("0.5"), "1/3"):
+        with pytest.raises(ValueError, match="coefficients must be exact rationals"):
+            TruncatedSeries(1, 2, {(1,): c})
 
 
 def test_bad_exponents_rejected():
@@ -138,10 +143,22 @@ def test_coefficient_and_degree_slice():
 
 
 def test_int_coefficients_stay_int():
-    a = TruncatedSeries(2, 3, {(0, 0): 1, (1, 0): Fraction(4, 2), (0, 1): 0.5, (2, 2): 7})
+    a = TruncatedSeries(2, 3, {(0, 0): 1, (1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (2, 2): 7})
     assert a.coeffs == {(0, 0): 1, (1, 0): 2, (0, 1): Fraction(1, 2)}
     assert [type(a.coeffs[e]) for e in ((0, 0), (1, 0), (0, 1))] == [int, Fraction, Fraction]
     assert str(a) == "1 + 2·t1 + 1/2·t2"
+
+
+def test_divide_stops_where_the_quotient_ends():
+    # (1 - t^3) / (1 - t) = 1 + t + t^2: the walk stops one degree (the
+    # divisor's top) past the last term, whatever the bound
+    bound = 10**15
+    levels = graded([((0,), 1), ((3,), -1)], 1, bound)
+    assert list(divide(levels, graded([((0,), 1), ((1,), -1)], 1, bound), bound)) == [0, 1, 2]
+    assert levels == graded([((0,), 1), ((1,), 1), ((2,), 1)], 1, bound)
+    # 1 / (1 - t^3) to degree 7 has gaps of two degrees, which the walk crosses
+    levels = {0: {0: 1}}
+    assert list(divide(levels, graded([((0,), 1), ((3,), -1)], 1, 7), 7)) == [0, 3, 6]
 
 
 def test_numpy_integers_become_python_ints():

@@ -21,7 +21,6 @@ from _oracles import (
 )
 from conftest import get_ball, system_of
 from gyoja import counting, series, weyl
-from gyoja.cartan import exponents
 from gyoja.cli import ALL_TYPES
 from gyoja.counting import count_multilengths
 from gyoja.hecke import counting_series
@@ -298,13 +297,22 @@ def test_counter_cap_matches_enumeration(label, cap):
     assert sum(count_multilengths(system, err.completed_radius, max_elements=cap).coeffs.values()) == completed
 
 
-def test_counter_cap_fires_before_the_radius_is_walked():
+def test_counter_cap_fires_before_the_radius_is_walked(monkeypatch):
     # the cap is checked level by level, so a far radius costs nothing
     start = time.perf_counter()
     with pytest.raises(ResourceLimitExceeded) as exc_info:
         count_multilengths(system_of("E8"), 10**5, max_elements=100)
     assert time.perf_counter() - start < 2
     assert (exc_info.value.completed_radius, exc_info.value.cap) == (2, 100)
+    # so does a radius above sys.maxsize, which itertools.islice refused with a traceback
+    with pytest.raises(ResourceLimitExceeded) as exc_info:
+        count_multilengths(system_of("E8"), 2**64, max_elements=100)
+    assert (exc_info.value.completed_radius, exc_info.value.cap) == (2, 100)
+    monkeypatch.setenv("GYOJA_MAX_ELEMENTS", "100")
+    system = system_of("A1")
+    with pytest.raises(ResourceLimitExceeded) as exc_info:
+        counting.partial_sums_at_point(system, system.discrete_series[0], 2, radius=2**64)
+    assert (exc_info.value.completed_radius, exc_info.value.cap) == (49, 100)
 
 
 @pytest.mark.parametrize("label", ALL_TYPES)
@@ -317,7 +325,7 @@ def test_finite_chain_is_the_finite_weyl_group(label):
     radius = sum(top) + 1
     places = series.places(system.m, radius)
     levels = counting._finite_levels(system, radius, [places[c] for c in system.partition.class_of])
-    assert sum(sum(level.values()) for level in levels.values()) == math.prod(e + 1 for e in exponents(system.ctype))
+    assert sum(sum(level.values()) for level in levels.values()) == math.prod(e + 1 for e in system.exponents)
     assert sorted(levels) == list(range(radius))
     assert levels[radius - 1] == {sum(l * p for l, p in zip(top, places)): 1}
 
